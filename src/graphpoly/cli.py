@@ -75,7 +75,6 @@ class _Run:
             "parameters": {},
             "seed": getattr(args, "seed", None),
             "budget": getattr(args, "budget", None),
-            "threads": getattr(args, "threads", 1),
             "outputs": [],
         }
 
@@ -344,8 +343,6 @@ def _add_global_options(parser, *, suppress: bool) -> None:
     parser.add_argument("--budget", type=int, default=d,
                         help="DP/search state budget (default 10^8)")
     parser.add_argument("--seed", type=int, default=d)
-    parser.add_argument("--threads", type=int, default=d if suppress else 1,
-                        help="max worker threads (results are thread-count independent)")
     parser.add_argument("--out", default=d, help="write the certificate to this file")
 
 
@@ -426,9 +423,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if args.threads < 1:
-        print("--threads must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     run = _Run(args)
     try:
         return _COMMANDS[args.command](args, run)

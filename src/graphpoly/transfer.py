@@ -14,16 +14,21 @@ central coefficient of the polynomial of Q's graph producted with the
 k-cycle; nonzero entries therefore certify nonzero central coefficients
 for every even cycle length at once.
 
-Matrix powers are exact: blocks are multiplied with numpy int64 when a
-rigorous bound rules out overflow, and with arbitrary-precision Python
-integers otherwise.
+Traces are exact.  Each block is raised to the power k/2 in float64 BLAS
+modulo word-size primes p with dim * ((p-1)/2)^2 < 2^53: on symmetric
+residues every partial sum of a product is an integer below 2^53, so no
+rounding occurs.  The block trace is reassembled by the CRT over enough
+primes that their product exceeds 2 * ||B||_F^k, which bounds |tr B^k|,
+and is checked against one spare prime.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -155,117 +160,111 @@ def build_phi(
 
 
 # ---------------------------------------------------------------------------
-# exact block powers
+# exact traces: float64 BLAS modulo word-size primes, then the CRT
 # ---------------------------------------------------------------------------
 
-_INT64_SAFE = 2**62
+# Below 2^53 every integer is a float64, so a product whose partial sums
+# all stay below it is exact whatever order BLAS sums in.
+_FLOAT_EXACT = 2**53
+
+# dimension bit length -> primes found so far, largest first
+_PRIMES: dict[int, list[int]] = {}
 
 
-def _max_abs(rows: SparseBlock) -> int:
-    best = 0
-    for row in rows:
-        for v in row.values():
-            if v > best:
-                best = v
-            elif -v > best:
-                best = -v
-    return best
+def _word_primes(dim: int) -> Iterator[int]:
+    """Odd primes p, largest first, with dim * ((p-1)/2)^2 < 2^53.
+
+    Found on first use by trial division and cached per bit length of dim.
+    """
+    bits = dim.bit_length()
+    found = _PRIMES.setdefault(bits, [])
+    for i in itertools.count():
+        if i == len(found):
+            # dim < 2^bits, so every half-width up to this one qualifies
+            p = found[-1] - 2 if found else 2 * math.isqrt((_FLOAT_EXACT - 1) >> bits) + 1
+            while any(p % q == 0 for q in range(3, math.isqrt(p) + 1, 2)):
+                p -= 2
+            found.append(p)
+        yield found[i]
 
 
-def _to_dense(rows: SparseBlock, dim: int) -> np.ndarray:
-    out = np.zeros((dim, dim), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            out[i, j] = v
-    return out
+def _sym_mod(m: np.ndarray, p: int) -> np.ndarray:
+    """Entries of m (integers below 2^53) reduced into [-(p-1)/2, (p-1)/2]."""
+    # the float quotient errs by less than 1/p, so r lands within one of the range
+    r = m - p * np.rint(m / p)
+    r[r > p // 2] -= p
+    r[r < -(p // 2)] += p
+    return r
 
 
-def _matmul_py(a: SparseBlock, b: SparseBlock) -> SparseBlock:
-    out: SparseBlock = []
-    for row in a:
-        acc: dict[int, int] = {}
-        for k, v in row.items():
-            for j, w in b[k].items():
-                acc[j] = acc.get(j, 0) + v * w
-        out.append({j: x for j, x in acc.items() if x})
-    return out
+def _trace_square_power_mod(a: np.ndarray, half: int, p: int) -> int:
+    """tr((a^half)^2) mod p by square-and-multiply, reducing after each product."""
+    result: Optional[np.ndarray] = None
+    while True:
+        if half & 1:
+            result = a if result is None else _sym_mod(result @ a, p)
+        half >>= 1
+        if not half:
+            break
+        a = _sym_mod(a @ a, p)
+    # tr(A A) = sum_ij A_ij A_ji; each row sum of A o A^T has dim terms of
+    # size at most ((p-1)/2)^2, so it is exact with no (skew-)symmetry assumed
+    return int(_sym_mod((result * result.T).sum(axis=1), p).sum()) % p
 
 
-def _block_power(rows: SparseBlock, e: int) -> SparseBlock:
-    """rows^e for e >= 1, exactly.
+def _block_trace(rows: SparseBlock, half: int) -> int:
+    """Exact tr(B^(2 half)) of one block B.
 
-    Uses numpy int64 square-and-multiply while dim * maxA * maxB stays
-    provably below 2^62, then falls back to sparse big-int multiplication.
+    |tr B^(2h)| <= ||B^h||_F^2 <= ||B||_F^(2h) by Cauchy-Schwarz and
+    submultiplicativity, so residues modulo primes whose product exceeds
+    twice that bound fix the trace by the CRT.  One spare prime that the
+    reconstruction did not use checks the result.
     """
     dim = len(rows)
-    if e == 1 or dim == 0:
-        return rows
-    max_in = _max_abs(rows)
-    if max_in and dim * max_in * max_in < _INT64_SAFE:
-        base = _to_dense(rows, dim)
-        result: Optional[np.ndarray] = None
-        exp = e
-        ok = True
-        while exp and ok:
-            if exp & 1:
-                if result is None:
-                    result = base.copy()
-                else:
-                    if dim * int(np.abs(result).max()) * int(np.abs(base).max()) >= _INT64_SAFE:
-                        ok = False
-                        break
-                    result = result @ base
-            exp >>= 1
-            if exp:
-                if dim * int(np.abs(base).max()) ** 2 >= _INT64_SAFE:
-                    ok = False
-                    break
-                base = base @ base
-        if ok and result is not None:
-            return [
-                {j: int(result[i, j]) for j in np.nonzero(result[i])[0]}
-                for i in range(dim)
-            ]
-    # big-int fallback: plain square-and-multiply on sparse rows
-    result_py: Optional[SparseBlock] = None
-    base_py = rows
-    exp = e
-    while exp:
-        if exp & 1:
-            result_py = base_py if result_py is None else _matmul_py(result_py, base_py)
-        exp >>= 1
-        if exp:
-            base_py = _matmul_py(base_py, base_py)
-    assert result_py is not None
-    return result_py
+    values = list(itertools.chain.from_iterable(row.values() for row in rows))
+    if not values:
+        return 0
+    cols = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.intp, count=len(values))
+    flat = np.repeat(np.arange(dim) * dim, list(map(len, rows))) + cols
+    exact = np.array(values, dtype=object)  # Python ints, never cast before reduction
+    bound = 2 * sum(map(operator.mul, values, values)) ** half
 
+    residues: list[tuple[int, int]] = []
+    modulus = 1
+    for p in _word_primes(dim):
+        if dim * ((p - 1) // 2) ** 2 >= _FLOAT_EXACT:
+            raise InvariantViolationError(
+                f"prime {p} on a {dim}x{dim} block breaks the 2^53 exactness bound"
+            )
+        a = np.zeros(dim * dim)
+        a[flat] = (exact % p).astype(np.float64)
+        residues.append((p, _trace_square_power_mod(_sym_mod(a.reshape(dim, dim), p), half, p)))
+        if modulus > bound:  # p was the spare
+            break
+        modulus *= p
 
-def _trace_of_square(rows: SparseBlock) -> int:
-    total = 0
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            w = rows[j].get(i)
-            if w:
-                total += v * w
+    spare, spare_residue = residues.pop()
+    total = sum(r * (modulus // p) * pow(modulus // p, -1, p) for p, r in residues) % modulus
+    if total > modulus // 2:
+        total -= modulus
+    if total % spare != spare_residue:
+        raise InvariantViolationError(
+            f"CRT trace {total} disagrees with its residue modulo the spare prime {spare}"
+        )
     return total
 
 
 def trace_power(phi: PhiMatrix, k: int) -> int:
     """Exact trace of Phi^k for even k >= 2.
 
-    Computed per size-block as tr((Phi^(k/2))^2); blocks never mix because
-    Phi is block diagonal.
+    Phi is block diagonal, so this is the sum of the block traces
+    tr((B^(k/2))^2), each computed on float64 BLAS modulo primes p with
+    dim * ((p-1)/2)^2 < 2^53 and reassembled by the CRT over primes whose
+    product exceeds 2 * ||B||_F^k (see _block_trace).
     """
     if k < 2 or k % 2:
         raise ValueError(f"trace exponent must be an even integer >= 2, got {k}")
-    half = k // 2
-    total = 0
-    for s, rows in phi.blocks.items():
-        if not any(rows):
-            continue
-        m = rows if half == 1 else _block_power(rows, half)
-        total += _trace_of_square(m)
-    return total
+    return sum(_block_trace(rows, k // 2) for rows in phi.blocks.values())
 
 
 def product_central_via_trace(

@@ -225,8 +225,3 @@ def test_text_format(capsys):
     code, out, _ = run_cli(capsys, "--format", "text", "at", "cycle:4", "--exact")
     assert code == 0
     assert "alon_tarsi_number: 2" in out
-
-
-def test_threads_flag_validated(capsys):
-    code, _, err = run_cli(capsys, "--threads", "0", "at", "cycle:4", "--exact")
-    assert code == 2

@@ -4,12 +4,13 @@ import pytest
 
 from graphpoly.certificates import check_certificate
 from graphpoly.coefficients import central_exponent, coefficient, mirror_sign
-from graphpoly.errors import GraphPolyError
+from graphpoly.errors import GraphPolyError, InvariantViolationError
 from graphpoly.graphs import (
     build_complete,
     build_cycle,
     build_cycle_power,
     build_path,
+    cartesian_product,
     double_edges,
     make_graph,
 )
@@ -202,17 +203,71 @@ def test_phi_generalized_polynomial():
     assert trace_power(phi, 4) != 0
 
 
-def test_block_power_paths_agree():
-    # the int64 fast path and the big-int fallback must be bit-identical
+def _matmul_py(a, b):
+    """Sparse big-integer product of dict rows: the reference for trace_power."""
+    out = []
+    for row in a:
+        acc = {}
+        for k, v in row.items():
+            for j, w in b[k].items():
+                acc[j] = acc.get(j, 0) + v * w
+        out.append({j: x for j, x in acc.items() if x})
+    return out
+
+
+def _oracle_trace(phi, k):
+    total = 0
+    for rows in phi.blocks.values():
+        power = None
+        base, e = rows, k // 2
+        while e:
+            if e & 1:
+                power = base if power is None else _matmul_py(power, base)
+            e >>= 1
+            if e:
+                base = _matmul_py(base, base)
+        total += sum(v * power[j].get(i, 0) for i, row in enumerate(power) for j, v in row.items())
+    return total
+
+
+def test_trace_power_matches_big_integer_oracle(zoo12):
+    for name, q in zoo12:
+        phi = build_phi(q)
+        # the oracle squares C11's and C12's dense blocks in 3 s and 13 s
+        for k in (2, 4) if q.n <= 10 else (2,):
+            assert trace_power(phi, k) == _oracle_trace(phi, k), (name, k)
+
+
+@pytest.mark.parametrize("q, k", [
+    (cartesian_product(build_cycle(3), build_cycle(3)), 24),  # several primes
+    (build_cycle_power(8, 3), 64),  # about 26 primes on the largest block
+    # entries of 89 bits and a trace of 361 bits: no fixed-width cast survives
+    (make_graph(3, [(1, 2), (2, 3), (1, 3)] * 40), 4),
+], ids=["C3xC3-k24", "cyclepower8_3-k64", "K3x40-k4"])
+def test_trace_power_matches_oracle_on_large_values(q, k):
+    phi = build_phi(q)
+    assert trace_power(phi, k) == _oracle_trace(phi, k)
+
+
+def test_trace_power_rejects_prime_beyond_float_bound(monkeypatch):
     from graphpoly import transfer
 
-    for q in [build_cycle(8), build_cycle_power(6, 2), double_edges(build_cycle(4))]:
-        phi = build_phi(q)
-        fast = trace_power(phi, 4)
-        original = transfer._INT64_SAFE
-        transfer._INT64_SAFE = 0  # force the sparse big-int route
-        try:
-            slow = trace_power(phi, 4)
-        finally:
-            transfer._INT64_SAFE = original
-        assert fast == slow
+    # 4 * ((2^31 - 2)/2)^2 is far above 2^53
+    monkeypatch.setattr(transfer, "_word_primes", lambda dim: itertools.repeat(2**31 - 1))
+    with pytest.raises(InvariantViolationError, match="2\\^53"):
+        trace_power(build_phi(build_cycle(4)), 4)
+
+
+def test_trace_power_spare_prime_catches_bad_residue(monkeypatch):
+    from graphpoly import transfer
+
+    exact = transfer._trace_square_power_mod
+    calls = []
+
+    def first_residue_off_by_one(a, half, p):
+        calls.append(p)
+        return (exact(a, half, p) + (len(calls) == 1)) % p
+
+    monkeypatch.setattr(transfer, "_trace_square_power_mod", first_residue_off_by_one)
+    with pytest.raises(InvariantViolationError, match="spare prime"):
+        trace_power(build_phi(build_cycle(5)), 4)
