@@ -9,10 +9,20 @@ lower endpoint is chosen).
 
 Two independent engines are provided and must agree:
 
-* a frontier DP over edges in canonical order, merging partial exponent
-  states and freezing a vertex once its last incident edge is processed;
+* one windowed DP kernel, ``_scan``, behind ``coefficient``, ``support``
+  and ``almost_central_scan``: it keeps every partial product whose
+  exponents can still land in a per-vertex window [floor, cap] (a single
+  coefficient is the window floor = cap), walks the edges in a planned
+  order, and keys each state by one integer of per-vertex bit fields (a
+  mixed-radix key) that holds only the vertices whose count is not yet
+  determined;
 * a direct depth-first enumeration of per-edge choices with feasibility
   pruning but no state merging.
+
+The factors commute, so the edge order changes the cost of the DP, never
+its value.  The planner tries the canonical order, reverse Cuthill-McKee
+orders and a greedy order that opens the fewest new vertices, and keeps
+the one with the least estimated work.
 
 Everything is arbitrary-precision integer arithmetic; there is no floating
 point in this module.
@@ -21,6 +31,7 @@ point in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Optional, Sequence
 
 from .errors import BudgetExceededError, InvariantViolationError
@@ -61,6 +72,8 @@ def coefficient(
     can pre-check).  method is "dp", "enumerate", or "both"; "both" runs
     the two independent engines and raises if they ever disagree.
     """
+    if method not in ("dp", "enumerate", "both"):
+        raise ValueError(f"unknown method {method!r}")
     xi = _check_exponent(g, xi)
     budget = DEFAULT_BUDGET if budget is None else budget
     if sum(xi) != g.num_edges:
@@ -68,84 +81,24 @@ def coefficient(
     deg = g.degree_vector()
     if any(x > d for x, d in zip(xi, deg)):
         return 0
-    if method == "dp":
-        return _coefficient_dp(g, xi, budget)
     if method == "enumerate":
         return _coefficient_enumeration(g, xi, budget)
+    value = _scan(g, xi, xi, budget).get(xi, 0)
     if method == "both":
-        a = _coefficient_dp(g, xi, budget)
-        b = _coefficient_enumeration(g, xi, budget)
-        if a != b:
+        other = _coefficient_enumeration(g, xi, budget)
+        if value != other:
             raise InvariantViolationError(
-                f"engines disagree on {xi}: dp={a}, enumeration={b}"
+                f"engines disagree on {xi}: dp={value}, enumeration={other}"
             )
-        return a
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _coefficient_dp(g: SignedMultigraph, xi: ExponentVector, budget: int) -> int:
-    """Frontier DP: process edges in canonical order, freeze finished vertices.
-
-    A state maps each "active" vertex (some but not all incident edges
-    processed) to its partial exponent; once a vertex's last incident edge
-    is consumed its count must equal the target and it leaves the state,
-    which keeps the live frontier small.
-    """
-    edges = g.edges
-    m = len(edges)
-    last = [-1] * (g.n + 1)
-    remaining = [0] * (g.n + 1)
-    for i, (u, v, _) in enumerate(edges):
-        last[u] = last[v] = i
-        remaining[u] += 1
-        remaining[v] += 1
-
-    states: dict[tuple, int] = {(): 1}
-    expansions = 0
-    for i, edge in enumerate(edges):
-        u, v, _ = edge
-        remaining[u] -= 1
-        remaining[v] -= 1
-        choices = _edge_choices(edge)
-        new_states: dict[tuple, int] = {}
-        for state, coef in states.items():
-            cnt = dict(state)
-            for w, sign in choices:
-                expansions += 1
-                if expansions > budget:
-                    raise BudgetExceededError(budget, expansions)
-                c = cnt.get(w, 0) + 1
-                if c > xi[w - 1]:
-                    continue
-                nxt = dict(cnt)
-                nxt[w] = c
-                ok = True
-                for t in (u, v):
-                    have = nxt.get(t, 0)
-                    if have + remaining[t] < xi[t - 1]:
-                        ok = False
-                        break
-                    if last[t] == i:
-                        if have != xi[t - 1]:
-                            ok = False
-                            break
-                        nxt.pop(t, None)
-                if not ok:
-                    continue
-                key = tuple(sorted(nxt.items()))
-                val = new_states.get(key, 0) + coef * sign
-                if val:
-                    new_states[key] = val
-                elif key in new_states:
-                    del new_states[key]
-        states = new_states
-        if not states:
-            return 0
-    return states.get((), 0)
+    return value
 
 
 def _coefficient_enumeration(g: SignedMultigraph, xi: ExponentVector, budget: int) -> int:
-    """Depth-first sum over per-edge endpoint choices (no memoization)."""
+    """Depth-first sum over per-edge endpoint choices (no memoization).
+
+    The search keeps its own stack, so long paths do not hit Python's
+    recursion limit; every node entered counts against the budget.
+    """
     edges = g.edges
     m = len(edges)
     remaining = [0] * (g.n + 1)
@@ -156,37 +109,259 @@ def _coefficient_enumeration(g: SignedMultigraph, xi: ExponentVector, budget: in
     target = (0,) + xi  # 1-based
     choices = [_edge_choices(e) for e in edges]
     endpoints = [(u, v) for u, v, _ in edges]
+    nodes = 1
+    if nodes > budget:
+        raise BudgetExceededError(budget, nodes, "enumeration nodes")
+    if m == 0:
+        return 1
     total = 0
-    nodes = 0
-
-    def dfs(i: int, sign: int):
-        nonlocal total, nodes
+    tried = [0] * m  # choices of edge i tried so far
+    picked = [0] * m  # vertex chosen for edge i on the current path
+    sign = [1] * (m + 1)  # sign of the path down to depth i
+    i = 0
+    remaining[endpoints[0][0]] -= 1
+    remaining[endpoints[0][1]] -= 1
+    while i >= 0:
+        u, v = endpoints[i]
+        if tried[i] == 2:  # both choices done: back up to edge i - 1
+            remaining[u] += 1
+            remaining[v] += 1
+            i -= 1
+            if i >= 0:
+                counts[picked[i]] -= 1
+            continue
+        w, s = choices[i][tried[i]]
+        tried[i] += 1
+        counts[w] += 1
+        if counts[w] > target[w] or any(counts[t] + remaining[t] < target[t] for t in (u, v)):
+            counts[w] -= 1
+            continue
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError(budget, nodes, "enumeration nodes")
-        if i == m:
-            total += sign
-            return
-        u, v = endpoints[i]
-        remaining[u] -= 1
-        remaining[v] -= 1
-        for w, s in choices[i]:
-            counts[w] += 1
-            if counts[w] <= target[w] and all(
-                counts[t] + remaining[t] >= target[t] for t in (u, v)
-            ):
-                dfs(i + 1, sign * s)
+        if i + 1 == m:
+            total += sign[i] * s
             counts[w] -= 1
-        remaining[u] += 1
-        remaining[v] += 1
-
-    dfs(0, 1)
+            continue
+        picked[i] = w
+        sign[i + 1] = sign[i] * s
+        i += 1
+        tried[i] = 0
+        remaining[endpoints[i][0]] -= 1
+        remaining[endpoints[i][1]] -= 1
     return total
 
 
 def coefficient_crosscheck(g: SignedMultigraph, xi: Sequence[int], *, budget: Optional[int] = None) -> int:
     """Run both engines and return the agreed value (raises on mismatch)."""
     return coefficient(g, xi, method="both", budget=budget)
+
+
+# ---------------------------------------------------------------------------
+# the DP kernel and its edge-order planner
+# ---------------------------------------------------------------------------
+
+def _scan(
+    g: SignedMultigraph, floor: ExponentVector, cap: ExponentVector, budget: int
+) -> dict[ExponentVector, int]:
+    """Nonzero coefficients x^xi with floor <= xi <= cap, by one DP pass.
+
+    States are partial products over the edges processed so far.  A
+    vertex gets a bit field in the state key at its first edge, wide
+    enough for min(cap, deg); adding the field's place value counts one
+    more choice of that vertex.  A branch dies when a count would pass
+    its cap or can no longer reach its floor.  At a vertex's last edge
+    a window [floor, cap] of one value fixes its count, so the field is
+    cleared (by the same addition) and handed to a later vertex: keys
+    stay as wide as the live frontier.  Two expansions are counted per
+    state per edge against the budget.
+    """
+    n = g.n
+    edges = g.edges
+    deg = (0,) + g.degree_vector()  # 1-based, like lo and hi
+    lo = (0,) + floor
+    hi = (0,) + tuple(min(c, d) for c, d in zip(cap, deg[1:]))
+    if any(lo[t] > deg[t] for t in range(1, n + 1)):
+        return {}
+
+    done = [0] * (n + 1)
+    shift = [0] * (n + 1)
+    mask = [0] * (n + 1)
+    free: dict[int, list[int]] = {}  # field width -> shifts of cleared fields
+    top = 0
+    states: dict[int, int] = {0: 1}
+    expansions = 0
+    for i in _plan_order(g, floor, cap):
+        u, v, tag = edges[i]
+        for t in (u, v):
+            if not done[t]:
+                width = hi[t].bit_length()
+                pool = free.get(width)
+                if pool:
+                    shift[t] = heappop(pool)
+                else:
+                    shift[t] = top
+                    top += width
+                mask[t] = (1 << width) - 1
+            done[t] += 1
+        d_hi = 1 << shift[v]
+        d_lo = 1 << shift[u]
+        for t in (u, v):
+            if done[t] == deg[t] and lo[t] == hi[t]:
+                d_hi -= lo[t] << shift[t]
+                d_lo -= lo[t] << shift[t]
+                heappush(free.setdefault(hi[t].bit_length(), []), shift[t])
+        su, mu, cap_u, need_u = shift[u], mask[u], hi[u], lo[u] - deg[u] + done[u]
+        sv, mv, cap_v, need_v = shift[v], mask[v], hi[v], lo[v] - deg[v] + done[v]
+        s_lo = -1 if tag == DIFF else 1
+
+        expansions += 2 * len(states)
+        if expansions > budget:
+            raise BudgetExceededError(budget, expansions)
+        new_states: dict[int, int] = {}
+        get = new_states.get
+        for key, coef in states.items():
+            cu = key >> su & mu
+            cv = key >> sv & mv
+            if cv < cap_v and cu >= need_u:
+                k = key + d_hi
+                val = get(k, 0) + coef
+                if val:
+                    new_states[k] = val
+                else:
+                    del new_states[k]
+            if cu < cap_u and cv >= need_v:
+                k = key + d_lo
+                val = get(k, 0) + s_lo * coef
+                if val:
+                    new_states[k] = val
+                else:
+                    del new_states[k]
+        states = new_states
+        if not states:
+            return {}
+
+    live = [t for t in range(1, n + 1) if lo[t] != hi[t]]
+    out: dict[ExponentVector, int] = {}
+    for key, coef in states.items():
+        xi = list(floor)
+        for t in live:
+            xi[t - 1] = key >> shift[t] & mask[t]
+        out[tuple(xi)] = coef
+    return out
+
+
+def _plan_order(g: SignedMultigraph, floor: ExponentVector, cap: ExponentVector) -> list[int]:
+    """The edge order, as indices into g.edges, with the least estimated work.
+
+    Candidates: the canonical order, reverse Cuthill-McKee orders from the
+    three lowest-degree vertices, and the greedy order.  Ties keep the
+    earlier candidate, so the canonical order wins them.  Needs
+    floor <= deg and floor <= cap.
+    """
+    m = g.num_edges
+    canonical = list(range(m))
+    cost = _estimate(g, canonical, floor, cap)
+    # Building and estimating the four other candidates costs about as
+    # much as a DP holding one state per edge for each of them.
+    if cost <= 4 * m:
+        return canonical
+    deg = g.degree_vector()
+    starts = sorted((t for t in range(1, g.n + 1) if deg[t - 1]), key=lambda t: deg[t - 1])
+    best = canonical
+    for order in [_greedy_order(g), *(_rcm_order(g, s) for s in starts[:3])]:
+        c = _estimate(g, order, floor, cap)
+        if c < cost:
+            best, cost = order, c
+    return best
+
+
+def _estimate(g: SignedMultigraph, order: Sequence[int], floor: ExponentVector, cap: ExponentVector) -> int:
+    """Estimated DP work of an edge order.
+
+    After k of its d edges a vertex's count lies in
+    [max(0, floor - (d - k)), min(k, cap)]; the estimate sums, over the
+    edges, the product of these window sizes after each edge.
+    """
+    deg = g.degree_vector()
+    done = [0] * g.n
+    window = [1] * g.n
+    states = 1
+    total = 0
+    for i in order:
+        u, v, _ = g.edges[i]
+        for t in (u - 1, v - 1):
+            done[t] += 1
+            w = min(done[t], cap[t]) - max(0, floor[t] - deg[t] + done[t]) + 1
+            states = states // window[t] * w
+            window[t] = w
+        total += states
+    return total
+
+
+def _greedy_order(g: SignedMultigraph) -> list[int]:
+    """Edges taken one at a time, each opening the fewest new vertices.
+
+    Ties go to the edge whose earlier-opened endpoint opened first, which
+    sweeps the graph breadth first.  Keys only fall as vertices open, so a
+    heap with lazily dropped stale entries keeps this O(m log m).
+    """
+    edges = g.edges
+    incident = g.incident_edges()
+    opened = [0] * (g.n + 1)  # step at which a vertex opened, 0 = not yet
+    taken = [False] * len(edges)
+
+    def key(i: int) -> tuple[int, int, int]:
+        ages = [opened[t] for t in edges[i][:2] if opened[t]]
+        return (2 - len(ages), min(ages, default=0), i)
+
+    heap = [(2, 0, i) for i in range(len(edges))]  # sorted, so a heap
+    order = []
+    clock = 0
+    while heap:
+        entry = heappop(heap)
+        i = entry[2]
+        if taken[i] or entry != key(i):
+            continue
+        taken[i] = True
+        order.append(i)
+        for t in edges[i][:2]:
+            if not opened[t]:
+                clock += 1
+                opened[t] = clock
+                for j in incident[t]:
+                    if not taken[j]:
+                        heappush(heap, key(j))
+    return order
+
+
+def _rcm_order(g: SignedMultigraph, start: int) -> list[int]:
+    """Edges sorted by their later endpoint in a reverse Cuthill-McKee order.
+
+    Breadth-first search from start, neighbours in increasing degree;
+    other components start at their lowest-degree vertex.
+    """
+    deg = (0,) + g.degree_vector()
+    adj = g.adjacency()
+    seen = [False] * (g.n + 1)
+    visit: list[int] = []
+    for s in [start, *sorted(range(1, g.n + 1), key=deg.__getitem__)]:
+        if seen[s]:
+            continue
+        seen[s] = True
+        visit.append(s)
+        j = len(visit) - 1
+        while j < len(visit):
+            for y in sorted(adj[visit[j]], key=deg.__getitem__):
+                if not seen[y]:
+                    seen[y] = True
+                    visit.append(y)
+            j += 1
+    rank = [0] * (g.n + 1)
+    for r, t in enumerate(reversed(visit)):
+        rank[t] = r
+    ranks = [sorted((rank[u], rank[v])) for u, v, _ in g.edges]
+    return sorted(range(g.num_edges), key=lambda i: (ranks[i][1], ranks[i][0], i))
 
 
 # ---------------------------------------------------------------------------
@@ -237,51 +412,7 @@ def support(
     if any(f > c for f, c in zip(floor_t, cap)):
         raise ValueError("floor exceeds cap")
     budget = DEFAULT_BUDGET if budget is None else budget
-
-    edges = g.edges
-    remaining = [0] * (g.n + 1)
-    for u, v, _ in edges:
-        remaining[u] += 1
-        remaining[v] += 1
-    if any(remaining[i + 1] < floor_t[i] for i in range(g.n)):
-        return SupportMap({}, cap, floor_t)
-
-    states: dict[ExponentVector, int] = {(0,) * g.n: 1}
-    expansions = 0
-    for edge in edges:
-        u, v, _ = edge
-        remaining[u] -= 1
-        remaining[v] -= 1
-        choices = _edge_choices(edge)
-        new_states: dict[ExponentVector, int] = {}
-        for state, coef in states.items():
-            for w, sign in choices:
-                expansions += 1
-                if expansions > budget:
-                    raise BudgetExceededError(budget, expansions)
-                c = state[w - 1] + 1
-                if c > cap[w - 1]:
-                    continue
-                if any(
-                    state[t - 1] + (1 if t == w else 0) + remaining[t] < floor_t[t - 1]
-                    for t in (u, v)
-                ):
-                    continue
-                key = state[: w - 1] + (c,) + state[w:]
-                val = new_states.get(key, 0) + coef * sign
-                if val:
-                    new_states[key] = val
-                elif key in new_states:
-                    del new_states[key]
-        states = new_states
-        if not states:
-            break
-    entries = {
-        k: c
-        for k, c in states.items()
-        if c and all(f <= x for f, x in zip(floor_t, k))
-    }
-    return SupportMap(entries, cap, floor_t)
+    return SupportMap(_scan(g, floor_t, cap, budget), cap, floor_t)
 
 
 def almost_central_scan(g: SignedMultigraph, *, budget: Optional[int] = None) -> SupportMap:

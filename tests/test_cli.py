@@ -206,6 +206,16 @@ def test_certificate_bytes_are_reproducible(tmp_path, capsys):
     assert c.read_bytes() == d.read_bytes()
 
 
+def test_coeff_long_path_both_engines(capsys):
+    # the enumeration engine once recursed once per edge and crashed here
+    exponent = ",".join(["0"] + ["1"] * 1499)
+    code, payload, err = run_json(
+        capsys, "coeff", "path:1500", "--exponent", exponent, "--method", "both"
+    )
+    assert code == 0, err
+    assert payload["result"]["coefficient"] == "1"
+
+
 def test_budget_exit_code(capsys):
     code, _, err = run_cli(
         capsys, "coeff", "product:cycle:3:cycle:4", "--almost-central", "--budget", "10"

@@ -1,9 +1,11 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphpoly.coefficients as coefficients
 from graphpoly.coefficients import (
     almost_central_scan,
     alon_tarsi_number_exact,
@@ -18,6 +20,7 @@ from graphpoly.errors import BudgetExceededError
 from graphpoly.graphs import (
     SUM,
     build_complete,
+    build_cycle_power,
     build_cycle,
     build_path,
     cartesian_product,
@@ -221,3 +224,91 @@ def test_exponent_validation():
         coefficient(c3, (1, 1))
     with pytest.raises(ValueError):
         coefficient(c3, (-1, 2, 2))
+
+
+def test_unknown_method_rejected_before_early_returns():
+    # (3, 0, 0) exceeds the degree of vertex 1, which returns 0 early
+    with pytest.raises(ValueError, match="unknown method"):
+        coefficient(build_cycle(3), (3, 0, 0), method="bogus")
+    with pytest.raises(ValueError, match="unknown method"):
+        coefficient(build_cycle(3), (1, 1, 0), method="bogus")
+
+
+def test_long_path_coefficient():
+    # one way only: every factor (x_{i+1} - x_i) picks its larger endpoint
+    g = build_path(1500)
+    xi = (0,) + (1,) * 1499
+    assert coefficient(g, xi) == 1
+    assert coefficient(g, xi, method="both") == 1
+
+
+@st.composite
+def small_multigraphs(draw):
+    """Random DIFF/SUM multigraphs on 2-6 vertices with at most 10 edges."""
+    n = draw(st.integers(2, 6))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=10))
+    tags = draw(st.lists(st.sampled_from(["diff", SUM]), min_size=len(edges), max_size=len(edges)))
+    return make_graph(n, [(u, v, t) for (u, v), t in zip(edges, tags)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_multigraphs(), st.data())
+def test_support_windows_match_oracle(g, data):
+    deg = g.degree_vector()
+    cap = tuple(data.draw(st.integers(0, d + 1)) for d in deg)
+    floor = tuple(data.draw(st.integers(0, c)) for c in cap)
+    expected = {
+        xi: c
+        for xi, c in expand_polynomial(g).items()
+        if all(f <= x <= k for f, x, k in zip(floor, xi, cap))
+    }
+    assert support(g, cap, floor=floor).entries == expected
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_multigraphs(), st.randoms(use_true_random=False))
+def test_coefficient_independent_of_labels_and_edge_order(g, rng):
+    oracle = expand_polynomial(g)
+    xi, value = rng.choice(sorted(oracle.items()))
+    perm = list(range(1, g.n + 1))
+    rng.shuffle(perm)
+    # relabelling u < v as perm[u] > perm[v] turns x_v - x_u into -(x_u' - x_v')
+    flips = sum(1 for u, v, tag in g.edges if tag != SUM and perm[u - 1] > perm[v - 1])
+    h = make_graph(g.n, [(perm[u - 1], perm[v - 1], tag) for u, v, tag in g.edges])
+    h_xi = [0] * g.n
+    for i, x in enumerate(xi):
+        h_xi[perm[i] - 1] = x
+    assert coefficient(h, h_xi, method="both") == (-1) ** flips * value
+
+    def shuffled(graph, floor, cap):
+        order = list(range(graph.num_edges))
+        rng.shuffle(order)
+        return order
+
+    with mock.patch.object(coefficients, "_plan_order", shuffled):
+        assert coefficient(g, xi) == value
+        assert support(g, g.degree_vector()).entries == oracle
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        build_path(40),
+        build_cycle_power(9, 2),
+        cartesian_product(build_cycle(4), build_cycle(6)),
+        cartesian_product(build_complete(5), build_cycle(4)),
+        make_graph(8, [(1, 2), (1, 2, SUM), (3, 4), (4, 5), (6, 7)]),
+    ],
+    ids=["P40", "C9^2", "C4xC6", "K5xC4", "forest-with-isolated"],
+)
+def test_planned_order_is_a_permutation_no_costlier_than_canonical(g):
+    starts = [t for t in range(1, g.n + 1) if any(t in e[:2] for e in g.edges)]
+    for order in [coefficients._greedy_order(g), *(coefficients._rcm_order(g, s) for s in starts)]:
+        assert sorted(order) == list(range(g.num_edges))
+    deg = g.degree_vector()
+    for floor, cap in [((0,) * g.n, deg), (tuple(d // 2 for d in deg),) * 2]:
+        order = coefficients._plan_order(g, floor, cap)
+        assert sorted(order) == list(range(g.num_edges))
+        canonical = coefficients._estimate(g, range(g.num_edges), floor, cap)
+        assert coefficients._estimate(g, order, floor, cap) <= canonical
