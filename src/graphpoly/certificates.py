@@ -71,9 +71,9 @@ def check_certificate(cert: dict, *, budget: Optional[int] = None) -> CheckResul
     """Re-verify a certificate of any kind from scratch.
 
     Checks the digest first (any mutated field fails here), then re-runs
-    the mathematics the certificate claims.  Certificates whose direct
-    coefficient recomputation exceeds the budget keep their witness checks
-    structural; this is recorded in the notes.
+    the mathematics the certificate claims.  Every stated coefficient and
+    trace is recomputed under the budget; BudgetExceededError propagates
+    when it runs out.
     """
     # Local import: the verifiers need every engine, while the engines only
     # need the lightweight helpers above.

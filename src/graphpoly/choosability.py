@@ -11,18 +11,16 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .certificates import encode_int, finalize_certificate
 from .coefficients import support
 from .errors import BudgetExceededError
 from .graphs import SignedMultigraph, coloring_number
 from .graphio import graph_digest, to_json_obj
+from .limits import DEFAULT_ASSIGNMENT_BUDGET
 
 ListAssignment = Sequence[Sequence[int]]
-
-# Exhaustive sweeps refuse to enumerate more assignments than this.
-DEFAULT_ASSIGNMENT_BUDGET = 5_000_000
 
 
 def list_coloring_exists(
@@ -46,21 +44,24 @@ def list_coloring_exists(
         used = {coloring[w] for w in adj[v] if w in coloring}
         return [c for c in lists[v - 1] if c not in used]
 
-    def solve() -> bool:
+    stack: list[tuple[int, Iterator[int]]] = []  # per colored vertex: colors left to try
+    while True:
         todo = [v for v in range(1, g.n + 1) if v not in coloring]
         if not todo:
-            return True
+            return True, tuple(coloring[v] for v in range(1, g.n + 1))
         v = min(todo, key=lambda x: (len(feasible_colors(x)), x))
-        for c in feasible_colors(v):
-            coloring[v] = c
-            if solve():
-                return True
-            del coloring[v]
-        return False
-
-    if solve():
-        return True, tuple(coloring[v] for v in range(1, g.n + 1))
-    return False, None
+        stack.append((v, iter(feasible_colors(v))))
+        # the deepest vertex with a color left takes it; exhausted ones are undone
+        while stack:
+            v, colors = stack[-1]
+            c = next(colors, None)
+            if c is not None:
+                coloring[v] = c
+                break
+            stack.pop()
+            coloring.pop(v, None)
+        else:
+            return False, None
 
 
 def default_universe(f: Sequence[int]) -> int:

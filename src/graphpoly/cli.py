@@ -38,6 +38,7 @@ from .graphio import (
     to_json_obj,
 )
 from .graphs import coloring_number
+from .limits import DEFAULT_BUDGET, SUBSET_VERTEX_CAP
 from .orientations import (
     acyclic_orientation,
     box_orientation,
@@ -187,7 +188,7 @@ def _cmd_at(args, run: _Run) -> int:
     if args.orient:
         run.param(mode="orient")
         ori = acyclic_orientation(g)
-        cert = orientation_certificate(ori, budget=args.budget)
+        cert = orientation_certificate(ori)
         run.emit({"at_bound": cert["at_bound"],
                   "outdegrees": cert["outdegrees"]}, cert)
         return EXIT_OK
@@ -249,7 +250,7 @@ def _cmd_orient(args, run: _Run) -> int:
         run.param(odd_product=list(args.odd_product))
         ori = odd_cycle_product_orientation(args.odd_product)
         run.graph(ori.graph)
-        cert = orientation_certificate(ori, budget=args.budget)
+        cert = orientation_certificate(ori)
         run.emit({"outdegrees_range": sorted(set(ori.outdegree_vector())),
                   "odd_directed_cycle": has_odd_directed_cycle(ori),
                   "at_bound": cert["at_bound"]}, cert)
@@ -272,7 +273,7 @@ def _cmd_orient(args, run: _Run) -> int:
         return EXIT_OK if report.ok else EXIT_NO_CERTIFICATE
     ori = orient_with_bounds(g, lower, upper)
     if ori is None:
-        report = check_window_conditions(g, lower, upper) if g.n <= 20 else None
+        report = check_window_conditions(g, lower, upper) if g.n <= SUBSET_VERTEX_CAP else None
         result = {"feasible": False}
         if report is not None and not report.ok:
             result["violating_subset"] = list(report.failing_subset)
@@ -341,7 +342,7 @@ def _add_global_options(parser, *, suppress: bool) -> None:
     parser.add_argument("--format", choices=("json", "text"),
                         default=d if suppress else "json")
     parser.add_argument("--budget", type=int, default=d,
-                        help="DP/search state budget (default 10^8)")
+                        help=f"DP state budget (default {DEFAULT_BUDGET})")
     parser.add_argument("--seed", type=int, default=d)
     parser.add_argument("--out", default=d, help="write the certificate to this file")
 

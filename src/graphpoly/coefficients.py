@@ -36,9 +36,7 @@ from typing import Optional, Sequence
 
 from .errors import BudgetExceededError, InvariantViolationError
 from .graphs import DIFF, SignedMultigraph
-
-# Default cap on DP state expansions; exceeding it raises, never truncates.
-DEFAULT_BUDGET = 10**8
+from .limits import DEFAULT_BUDGET
 
 ExponentVector = tuple[int, ...]
 
@@ -370,16 +368,12 @@ def _rcm_order(g: SignedMultigraph, start: int) -> list[int]:
 
 @dataclass(frozen=True)
 class SupportMap:
-    """Nonzero coefficients inside a per-variable box, with its metadata.
+    """Nonzero coefficients inside a per-variable window.
 
-    entries maps exponent vectors to coefficients (never zero); cap is the
-    per-variable upper bound used by the scan, floor the lower bound (all
-    zeros unless a window scan set one).
+    entries maps exponent vectors to coefficients (never zero).
     """
 
     entries: dict[ExponentVector, int]
-    cap: ExponentVector
-    floor: ExponentVector
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -412,7 +406,7 @@ def support(
     if any(f > c for f, c in zip(floor_t, cap)):
         raise ValueError("floor exceeds cap")
     budget = DEFAULT_BUDGET if budget is None else budget
-    return SupportMap(_scan(g, floor_t, cap, budget), cap, floor_t)
+    return SupportMap(_scan(g, floor_t, cap, budget))
 
 
 def almost_central_scan(g: SignedMultigraph, *, budget: Optional[int] = None) -> SupportMap:

@@ -40,6 +40,7 @@ from .graphs import (
     find_cycle_cover,
     make_graph,
 )
+from .limits import TRACE_VERTEX_CAP
 
 
 def squared_central_check(g: SignedMultigraph, *, budget: Optional[int] = None) -> int:
@@ -66,7 +67,6 @@ def cycle_cover_certificate(
     *,
     k: int = 4,
     budget: Optional[int] = None,
-    trace_vertex_cap: int = 12,
 ) -> Optional[dict]:
     """Cover-and-double certificate: AT(G x C_even) <= Delta(G) + 1, all even lengths.
 
@@ -74,14 +74,15 @@ def cycle_cover_certificate(
     (None if no cover exists), doubles all other edges, and scans the
     doubled graph's almost-central window.  An empty window would
     contradict the sum-of-squares argument and raises.  When the doubled
-    graph is small enough the transfer trace for cycle length k is
-    embedded as a numeric sub-check.
+    graph has at most TRACE_VERTEX_CAP vertices the transfer trace for
+    cycle length k is embedded as a numeric sub-check, and the window
+    comes from the transfer matrix's own scan.
     """
     if not g.is_simple():
         raise ValueError("cover pipeline expects a simple graph")
     if g.num_edges == 0:
         raise ValueError("edgeless graph has nothing to certify")
-    from .transfer import build_phi, trace_power
+    from .transfer import build_phi, nonzero_trace
 
     deg = g.degree_vector()
     delta = max(deg)
@@ -92,7 +93,8 @@ def cycle_cover_certificate(
     in_cover = cover_edge_indices(g, cover)
     doubled_idx = sorted(set(range(g.num_edges)) - in_cover)
     gprime = double_edges(g, doubled_idx)
-    scan = almost_central_scan(gprime, budget=budget)
+    phi = build_phi(gprime, budget=budget) if gprime.n <= TRACE_VERTEX_CAP else None
+    scan = almost_central_scan(gprime, budget=budget) if phi is None else phi.scan
     if not scan.entries:
         raise InvariantViolationError(
             "cycle cover exists but the doubled graph has an empty almost-central window"
@@ -108,14 +110,8 @@ def cycle_cover_certificate(
         "witness_value": encode_int(scan.entries[witness]),
         "at_bound": delta + 1,
         "k": k,
+        "trace_value": None if phi is None else encode_int(nonzero_trace(phi, k)),
     }
-    if gprime.n <= trace_vertex_cap:
-        tr = trace_power(build_phi(gprime, budget=budget), k)
-        if tr == 0:
-            raise InvariantViolationError("nonzero window but zero trace; engine bug")
-        cert["trace_value"] = encode_int(tr)
-    else:
-        cert["trace_value"] = None
     return finalize_certificate(cert)
 
 

@@ -262,21 +262,19 @@ def _cycles_through(start: int, adj: list[list[int]], banned: set[int]) -> Itera
     """
     path = [start]
     on_path = {start}
-
-    def extend() -> Iterator[tuple[int, ...]]:
-        v = path[-1]
-        for w in adj[v]:
-            if w == start and len(path) >= 3 and path[1] < path[-1]:
+    neighbours = [iter(adj[start])]  # one iterator per path vertex
+    while neighbours:
+        w = next(neighbours[-1], None)
+        if w is None:
+            neighbours.pop()
+            on_path.remove(path.pop())
+        elif w == start:
+            if len(path) >= 3 and path[1] < path[-1]:
                 yield tuple(path)
-            if w in on_path or w in banned or w == start:
-                continue
+        elif w not in on_path and w not in banned:
             path.append(w)
             on_path.add(w)
-            yield from extend()
-            on_path.remove(w)
-            path.pop()
-
-    yield from extend()
+            neighbours.append(iter(adj[w]))
 
 
 def find_cycle_cover(g: SignedMultigraph, targets: Iterable[int]) -> Optional[tuple[tuple[int, ...], ...]]:
@@ -293,23 +291,26 @@ def find_cycle_cover(g: SignedMultigraph, targets: Iterable[int]) -> Optional[tu
         if not (1 <= t <= g.n):
             raise ValueError(f"target vertex {t} out of range")
     adj = g.adjacency()
-
-    def search(uncovered: list[int], used: set[int]) -> Optional[list[tuple[int, ...]]]:
-        if not uncovered:
-            return []
-        t = uncovered[0]
-        for cyc in _cycles_through(t, adj, used):
-            cset = set(cyc)
-            rest = [x for x in uncovered if x not in cset]
-            sub = search(rest, used | cset)
-            if sub is not None:
-                return [cyc] + sub
-        return None
-
-    found = search(todo, set())
-    if found is None:
-        return None
-    return tuple(found)
+    if not todo:
+        return ()
+    # one frame per cycle of the cover: (targets left before it, the
+    # cycles still to try through the smallest of them)
+    frames = [(todo, _cycles_through(todo[0], adj, set()))]
+    cover: list[tuple[int, ...]] = []
+    while frames:
+        uncovered, cycles = frames[-1]
+        del cover[len(frames) - 1:]
+        cyc = next(cycles, None)
+        if cyc is None:
+            frames.pop()
+            continue
+        cover.append(cyc)
+        used = set().union(*cover)
+        rest = [x for x in uncovered if x not in used]
+        if not rest:
+            return tuple(cover)
+        frames.append((rest, _cycles_through(rest[0], adj, used)))
+    return None
 
 
 def cover_edge_indices(g: SignedMultigraph, cycles: Iterable[tuple[int, ...]]) -> set[int]:

@@ -1,0 +1,22 @@
+"""Every resource limit of the package, each defined once with its reason.
+
+The DP budget is the only limit on what ``check`` recomputes.
+"""
+
+# DP state expansions per scan: past it the scan raises, so a run never ends silently wrong.
+DEFAULT_BUDGET = 10**8
+
+# List assignments an exhaustive choosability sweep may enumerate before it refuses.
+DEFAULT_ASSIGNMENT_BUDGET = 5_000_000
+
+# Vertices above which 2^n subset indexes (transfer matrices, window conditions) are refused.
+SUBSET_VERTEX_CAP = 20
+
+# Vertices up to which the chain and cover provers record a transfer trace (blocks up to C(12, 6) = 924).
+TRACE_VERTEX_CAP = 12
+
+# Vertices of a path-product box: keeps the pure-Python max-flow orientation at desk scale.
+BOX_VERTEX_CAP = 4096
+
+# Vertices of an odd-cycle product: keeps the chess construction's pure-Python graph at desk scale.
+ODD_PRODUCT_VERTEX_CAP = 20000

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .certificates import encode_int, finalize_certificate
-from .coefficients import ExponentVector, coefficient
+from .coefficients import ExponentVector
 from .errors import GraphPolyError, InvariantViolationError
 from .graphio import graph_digest, to_json_obj
 from .graphs import (
@@ -32,14 +32,10 @@ from .graphs import (
     degeneracy_order,
     is_bipartite,
 )
+from .limits import BOX_VERTEX_CAP, ODD_PRODUCT_VERTEX_CAP, SUBSET_VERTEX_CAP, TRACE_VERTEX_CAP
 
 FORWARD = True
 BACKWARD = False
-
-# Direct coefficient re-verification of an orientation witness is attempted
-# only up to this many edges; larger graphs keep the orientation itself as
-# the witness.
-COEFF_VERIFY_EDGE_LIMIT = 26
 
 
 @dataclass(frozen=True)
@@ -229,15 +225,11 @@ class WindowConditionsReport:
 
 
 def check_window_conditions(
-    g: SignedMultigraph,
-    lower: Sequence[int],
-    upper: Sequence[int],
-    *,
-    vertex_cap: int = 20,
+    g: SignedMultigraph, lower: Sequence[int], upper: Sequence[int]
 ) -> WindowConditionsReport:
-    """Check both counting conditions for all 2^n subsets (n <= vertex_cap)."""
-    if g.n > vertex_cap:
-        raise GraphPolyError(f"exhaustive subset check refused for n={g.n} > {vertex_cap}")
+    """Check both counting conditions for all 2^n subsets (n <= SUBSET_VERTEX_CAP)."""
+    if g.n > SUBSET_VERTEX_CAP:
+        raise GraphPolyError(f"exhaustive subset check refused for n={g.n} > {SUBSET_VERTEX_CAP}")
     lower = tuple(int(x) for x in lower)
     upper = tuple(int(x) for x in upper)
     masks = [(1 << (u - 1)) | (1 << (v - 1)) for u, v, _ in g.edges]
@@ -280,7 +272,7 @@ def path_product(ks: Sequence[int]) -> SignedMultigraph:
     return g
 
 
-def box_orientation(ks: Sequence[int], *, size_cap: int = 4096) -> Optional[Orientation]:
+def box_orientation(ks: Sequence[int]) -> Optional[Orientation]:
     """Orientation of the path product with all outdegrees in {n-1, n}.
 
     Feasible exactly when the reciprocals of the side lengths sum to at
@@ -293,8 +285,8 @@ def box_orientation(ks: Sequence[int], *, size_cap: int = 4096) -> Optional[Orie
     total = 1
     for k in ks:
         total *= k
-    if total > size_cap:
-        raise GraphPolyError(f"box with {total} vertices exceeds cap {size_cap}")
+    if total > BOX_VERTEX_CAP:
+        raise GraphPolyError(f"box with {total} vertices exceeds cap {BOX_VERTEX_CAP}")
     n = len(ks)
     g = path_product(ks)
     return orient_with_bounds(g, [n - 1] * g.n, [n] * g.n)
@@ -304,7 +296,7 @@ def reciprocal_sum_ok(ks: Sequence[int]) -> bool:
     return sum(Fraction(1, k) for k in ks) <= 1
 
 
-def odd_cycle_product_orientation(ks: Sequence[int], *, size_cap: int = 20000) -> Orientation:
+def odd_cycle_product_orientation(ks: Sequence[int]) -> Orientation:
     """Orientation of the product of cycles C_(2k_i+1) with no odd directed cycle.
 
     Requires sum of 1/k_i <= 1.  The torus is split into 2^n boxes by
@@ -328,8 +320,8 @@ def odd_cycle_product_orientation(ks: Sequence[int], *, size_cap: int = 20000) -
     total = 1
     for L in lengths:
         total *= L
-    if total > size_cap:
-        raise GraphPolyError(f"product with {total} vertices exceeds cap {size_cap}")
+    if total > ODD_PRODUCT_VERTEX_CAP:
+        raise GraphPolyError(f"product with {total} vertices exceeds cap {ODD_PRODUCT_VERTEX_CAP}")
 
     g = build_cycle(lengths[0]) if n else None
     for L in lengths[1:]:
@@ -508,14 +500,14 @@ def acyclic_orientation(g: SignedMultigraph) -> Orientation:
 # certificates
 # ---------------------------------------------------------------------------
 
-def orientation_certificate(
-    ori: Orientation, *, budget: Optional[int] = None
-) -> dict:
+def orientation_certificate(ori: Orientation) -> dict:
     """Certificate that coefficient(G, outdegrees) != 0, so AT(G) <= max+1.
 
-    Rejects orientations with odd directed cycles.  The coefficient is
-    recomputed and embedded when the edge count is within the direct
-    verification limit; otherwise the orientation itself stays the witness.
+    Rejects orientations with odd directed cycles.  The orientation itself
+    is the witness: with no odd directed cycle its even and odd Eulerian
+    subgraphs differ in number, so the coefficient at its outdegree vector
+    is nonzero (Alon and Tarsi, 1992).  No coefficient value is computed
+    or carried.
     """
     if has_odd_directed_cycle(ori):
         raise ValueError("orientation has an odd directed cycle; no certificate")
@@ -530,15 +522,6 @@ def orientation_certificate(
         "at_bound": max(d, default=0) + 1,
         "witness_exponent": list(d),
     }
-    if g.num_edges <= COEFF_VERIFY_EDGE_LIMIT:
-        value = coefficient(g, d, budget=budget)
-        if value == 0:
-            raise InvariantViolationError(
-                "odd-cycle-free orientation with zero coefficient; engine bug"
-            )
-        cert["witness_value"] = encode_int(value)
-    else:
-        cert["witness_value"] = None
     return finalize_certificate(cert)
 
 
@@ -559,7 +542,6 @@ def cycle_product_chain(
     even_lengths: Sequence[int],
     *,
     budget: Optional[int] = None,
-    trace_vertex_cap: int = 12,
 ) -> dict:
     """Certificate chain for a product of odd and even cycles.
 
@@ -577,11 +559,10 @@ def cycle_product_chain(
     witness is the orientation outdegree vector, whose maximum can reach
     (factors) + 1, so the certified upper bound is one larger there.
 
-    Trace steps are verified numerically while the intermediate product is
-    small (at most trace_vertex_cap vertices) and recorded as structural
-    beyond that.
+    Steps on at most TRACE_VERTEX_CAP vertices record their trace;
+    larger ones are structural (Phi != 0, so tr Phi^k != 0).
     """
-    from .transfer import build_phi, trace_power  # local: avoid import cycle
+    from .transfer import build_phi, nonzero_trace
 
     odd_ks = [int(k) for k in odd_ks]
     evens = [int(x) for x in even_lengths]
@@ -597,7 +578,7 @@ def cycle_product_chain(
     steps: list[dict] = []
     if odd_ks:
         ori = odd_cycle_product_orientation(odd_ks)
-        base_cert = orientation_certificate(ori, budget=budget)
+        base_cert = orientation_certificate(ori)
         current = ori.graph
         remaining = list(evens)
     else:
@@ -610,21 +591,15 @@ def cycle_product_chain(
                 for u, v, _ in cyc.edges
             ),
         )
-        base_cert = orientation_certificate(rot, budget=budget)
+        base_cert = orientation_certificate(rot)
         current = cyc
         remaining = list(evens[1:])
 
     for L in remaining:
         step: dict = {"even_length": L}
-        if current.n <= trace_vertex_cap:
-            phi = build_phi(current, budget=budget)
-            tr = trace_power(phi, L)
-            if tr == 0:
-                raise InvariantViolationError(
-                    "nonzero almost-central window but zero trace; engine bug"
-                )
+        if current.n <= TRACE_VERTEX_CAP:
             step["verification"] = "trace"
-            step["trace_value"] = encode_int(tr)
+            step["trace_value"] = encode_int(nonzero_trace(build_phi(current, budget=budget), L))
         else:
             step["verification"] = "structural"
             step["trace_value"] = None

@@ -41,10 +41,7 @@ from .coefficients import (
 )
 from .errors import GraphPolyError, InvariantViolationError
 from .graphs import SignedMultigraph, build_cycle, build_digon, cartesian_product
-
-# Full 4^n storage is never built; above this vertex count even the
-# per-size blocks are refused.
-DEFAULT_VERTEX_CAP = 20
+from .limits import SUBSET_VERTEX_CAP
 
 SparseBlock = list[dict[int, int]]  # row index -> {col index: value}
 
@@ -63,7 +60,6 @@ class PhiMatrix:
     n: int
     a: ExponentVector
     sigma: int
-    edge_parity: int
     blocks: dict[int, SparseBlock]
     subsets: dict[int, list[int]]
     index: dict[int, dict[int, int]]
@@ -86,22 +82,18 @@ class PhiMatrix:
         return {s: sum(len(r) for r in rows) for s, rows in self.blocks.items()}
 
 
-def build_phi(
-    q: SignedMultigraph,
-    *,
-    budget: Optional[int] = None,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
-) -> PhiMatrix:
+def build_phi(q: SignedMultigraph, *, budget: Optional[int] = None) -> PhiMatrix:
     """Construct the transfer matrix of q (all degrees must be even).
 
     One windowed support scan supplies every entry: the exponent
     a + 1_T - 1_S determines S \\ T, T \\ S and leaves S intersect T free,
     so each scanned coefficient fans out over the subsets of its
-    half-degree positions.
+    half-degree positions.  Graphs on more than SUBSET_VERTEX_CAP
+    vertices are refused.
     """
-    if q.n > vertex_cap:
+    if q.n > SUBSET_VERTEX_CAP:
         raise GraphPolyError(
-            f"transfer matrix on {q.n} vertices refused (cap {vertex_cap}); "
+            f"transfer matrix on {q.n} vertices refused (cap {SUBSET_VERTEX_CAP}); "
             f"the subset index would have 2^{q.n} entries"
         )
     a = central_exponent(q)  # also validates even degrees
@@ -151,7 +143,6 @@ def build_phi(
         n=n,
         a=a,
         sigma=mirror_sign(q),
-        edge_parity=q.num_edges % 2,
         blocks=blocks,
         subsets=subsets,
         index=index,
@@ -267,6 +258,19 @@ def trace_power(phi: PhiMatrix, k: int) -> int:
     return sum(_block_trace(rows, k // 2) for rows in phi.blocks.values())
 
 
+def nonzero_trace(phi: PhiMatrix, k: int) -> int:
+    """tr(Phi^k) for a prover step that needs it nonzero.
+
+    A nonzero (skew-)symmetric Phi is not nilpotent, so for even k the
+    trace is +-||Phi^(k/2)||_F^2 != 0; a zero trace from a nonzero Phi is
+    an engine bug and raises.
+    """
+    tr = trace_power(phi, k)
+    if tr == 0:
+        raise InvariantViolationError("nonzero almost-central window but zero trace; engine bug")
+    return tr
+
+
 def product_central_via_trace(
     q: SignedMultigraph, k: int, *, budget: Optional[int] = None
 ) -> int:
@@ -312,11 +316,6 @@ def even_cycle_certificate(
     witness = phi.scan.witness()
     if witness is None:
         return None
-    tr = trace_power(phi, k)
-    if tr == 0:
-        raise InvariantViolationError(
-            "nonzero almost-central window but zero trace; engine bug"
-        )
     cert = {
         "kind": "trace",
         "graph": to_json_obj(q),
@@ -324,7 +323,7 @@ def even_cycle_certificate(
         "k": k,
         "witness_exponent": list(witness),
         "witness_value": encode_int(phi.scan.entries[witness]),
-        "trace_value": encode_int(tr),
+        "trace_value": encode_int(nonzero_trace(phi, k)),
         "at_bound": q.max_degree() // 2 + 2,
     }
     return finalize_certificate(cert)

@@ -9,9 +9,13 @@ from graphpoly.certificates import (
     finalize_certificate,
 )
 from graphpoly.choosability import at_certificate_exact, coefficient_choosability_certificate
+from graphpoly.cli import main
+from graphpoly.coefficients import central_exponent, coefficient
 from graphpoly.doubling import build_plan, cycle_cover_certificate, epsilon_search
+from graphpoly.graphio import canonical_json, graph_digest, parse_graph_spec, to_json_obj
 from graphpoly.graphs import build_complete, build_cycle, build_cycle_power
 from graphpoly.orientations import (
+    acyclic_orientation,
     cycle_product_chain,
     odd_cycle_product_orientation,
     orientation_certificate,
@@ -125,3 +129,135 @@ def test_unknown_kind_fails():
     )
     cert["kind"] = "sorcery"
     assert not check_certificate(cert).ok
+
+
+# ---------------------------------------------------------------------------
+# forged certificates: every stated coefficient and trace is recomputed
+# ---------------------------------------------------------------------------
+
+def _forged_coefficient(spec, witness, value):
+    g = parse_graph_spec(spec)
+    return finalize_certificate({
+        "kind": "coefficient",
+        "graph": to_json_obj(g),
+        "graph_digest": graph_digest(g),
+        "witness_exponent": list(witness),
+        "witness_value": str(value),
+        "claim": "f-choosable",
+        "f": [max(witness) + 1] * g.n,
+        "at_bound": max(witness) + 1,
+    })
+
+
+def test_forged_coefficient_on_many_edges_fails():
+    # K5 x C4 has 60 edges and a zero central coefficient
+    g = parse_graph_spec("product:complete:5:cycle:4")
+    xi = central_exponent(g)
+    assert coefficient(g, xi) == 0
+    result = check_certificate(_forged_coefficient("product:complete:5:cycle:4", xi, 1))
+    assert not result.ok
+
+
+def test_forged_coefficient_value_off_by_one_fails():
+    honest = coefficient_choosability_certificate(parse_graph_spec("product:cycle:4:cycle:4"), [3] * 16)
+    forged = _forged_coefficient("product:cycle:4:cycle:4", honest["witness_exponent"],
+                                 int(honest["witness_value"]) + 1)
+    assert check_certificate(honest).ok
+    result = check_certificate(forged)
+    assert not result.ok
+    assert "recomputed" in result.errors[0]
+
+
+def test_forged_trace_beyond_the_subset_cap_fails():
+    # C21: the witness coefficient is genuine, the trace is made up and
+    # build_phi refuses 21 vertices, so nothing vouches for it
+    g = build_cycle(21)
+    xi = (2, 0) + (1,) * 19
+    assert coefficient(g, xi) == 1
+    cert = finalize_certificate({
+        "kind": "trace",
+        "graph": to_json_obj(g),
+        "graph_digest": graph_digest(g),
+        "k": 4,
+        "witness_exponent": list(xi),
+        "witness_value": "1",
+        "trace_value": "1",
+        "at_bound": 3,
+    })
+    result = check_certificate(cert)
+    assert not result.ok
+    assert not result.notes
+
+
+def test_orientation_certificate_with_witness_value_fails():
+    cert = orientation_certificate(acyclic_orientation(parse_graph_spec("petersen")))
+    assert "witness_value" not in cert
+    result = check_certificate(cert)
+    assert result.ok, result.errors
+    assert any("structural" in n and "Alon-Tarsi" in n for n in result.notes)
+    stated = finalize_certificate(dict(cert, witness_value="1"))
+    assert not check_certificate(stated).ok
+
+
+def test_check_out_of_budget_exits_3(tmp_path, capsys):
+    # K6 at (3,3,3,3,3,0) has coefficient 0; a budget of 5 cannot show it
+    path = tmp_path / "forged_k6.json"
+    path.write_text(canonical_json(_forged_coefficient("complete:6", (3, 3, 3, 3, 3, 0), 1)))
+    assert main(["check", str(path), "--budget", "5"]) == 3
+    err = capsys.readouterr().err
+    assert "budget exceeded" in err
+    assert "Traceback" not in err
+    assert main(["check", str(path)]) == 1
+
+
+def _redigested(cert, **changes):
+    return finalize_certificate(dict(copy.deepcopy(cert), **changes))
+
+
+def test_chain_ch_lower_is_pinned():
+    cert = cycle_product_chain([1], [4])
+    assert not check_certificate(_redigested(cert, ch_lower=7)).ok
+    assert not check_certificate(_redigested(cycle_product_chain([], [4, 4]), ch_lower=3)).ok
+
+
+def test_chain_step_kind_is_pinned():
+    cert = cycle_product_chain([1], [4])
+    steps = copy.deepcopy(cert["steps"])
+    steps[0]["verification"] = "structural"
+    assert not check_certificate(_redigested(cert, steps=steps)).ok
+    steps[0]["verification"] = "guessed"
+    assert not check_certificate(_redigested(cert, steps=steps)).ok
+
+
+def test_chain_structural_step_needs_an_almost_central_base():
+    # C7^3 has 343 vertices, so its one step is structural; an acyclic
+    # base orientation of the same graph proves a coefficient far from
+    # the centre, which says nothing about Phi
+    cert = cycle_product_chain([3, 3, 3], [4])
+    assert cert["steps"][0]["verification"] == "structural"
+    assert check_certificate(cert).ok
+    base = orientation_certificate(acyclic_orientation(odd_cycle_product_orientation([3, 3, 3]).graph))
+    assert check_certificate(base).ok
+    assert not check_certificate(_redigested(cert, base_certificate=base)).ok
+    steps = copy.deepcopy(cert["steps"])
+    steps[0]["trace_value"] = "1"
+    assert not check_certificate(_redigested(cert, steps=steps)).ok
+
+
+def test_cover_trace_is_stated_only_where_recorded():
+    # the doubled C13 has 13 vertices, one over the trace cap
+    cert = cycle_cover_certificate(build_cycle(13))
+    assert cert["trace_value"] is None
+    assert check_certificate(cert).ok
+    assert not check_certificate(_redigested(cert, trace_value="1")).ok
+
+
+def test_fplan_witness_without_pairing_is_checked():
+    # at the central exponent the plan has no pairing, so the witness is
+    # tau itself and is compared with the plan's recomputed tau_value
+    g = parse_graph_spec("product:cycle:4:cycle:4")
+    cert = epsilon_search(build_plan(g, central_exponent(g)))
+    assert cert["epsilon"] == ""
+    assert check_certificate(cert).ok
+    raised = _redigested(cert, witness_value=str(int(cert["witness_value"]) + 1))
+    assert not check_certificate(raised).ok

@@ -34,6 +34,12 @@ def test_list_coloring_basic():
     assert ok and coloring == (7,)
 
 
+def test_list_coloring_long_path():
+    # the backtracking once recursed once per vertex and crashed here
+    ok, coloring = list_coloring_exists(build_path(1200), [[1, 2]] * 1200)
+    assert ok and coloring == (1, 2) * 600
+
+
 def test_list_coloring_witness_is_proper():
     g = build_complete(4)
     lists = [[1, 2, 3, 4], [1, 2], [2, 3], [3, 4]]

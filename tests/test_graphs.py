@@ -139,6 +139,11 @@ def test_find_cycle_cover_tree_fails():
     assert find_cycle_cover(build_path(3), [2]) is None
 
 
+def test_find_cycle_cover_long_cycle():
+    # the cycle search once recursed once per path vertex and crashed here
+    assert find_cycle_cover(build_cycle(1500), [1]) == (tuple(range(1, 1501)),)
+
+
 def test_find_cycle_cover_petersen_two_factor():
     pet = build_petersen()
     cover = find_cycle_cover(pet, range(1, 11))

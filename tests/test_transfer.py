@@ -66,7 +66,7 @@ def test_build_phi_rejects_odd_degrees():
 
 def test_build_phi_vertex_cap():
     with pytest.raises(GraphPolyError):
-        build_phi(build_cycle(12), vertex_cap=10)
+        build_phi(build_cycle(21))
 
 
 def _phi_entry_direct(q, s_mask, t_mask):
