@@ -88,6 +88,5 @@ from .transfer import (
     build_phi,
     cycle_product_graph,
     even_cycle_certificate,
-    product_central_via_trace,
     trace_power,
 )

@@ -48,7 +48,7 @@ from .orientations import (
     orientation_certificate,
     orient_with_bounds,
 )
-from .transfer import build_phi, even_cycle_certificate, trace_power
+from .transfer import build_phi, check_trace_request, even_cycle_certificate, trace_power
 
 EXIT_OK = 0
 EXIT_NO_CERTIFICATE = 1
@@ -213,6 +213,8 @@ def _cmd_at(args, run: _Run) -> int:
 def _cmd_phi(args, run: _Run) -> int:
     g = load_graph(args.graph)
     run.graph(g)
+    if args.trace is not None:
+        check_trace_request(g.n, args.trace)
     phi = build_phi(g, budget=args.budget)
     result = {
         "n": phi.n,

@@ -12,6 +12,10 @@ DEFAULT_ASSIGNMENT_BUDGET = 5_000_000
 # Vertices above which 2^n subset indexes (transfer matrices, window conditions) are refused.
 SUBSET_VERTEX_CAP = 20
 
+# Rows of a block that a trace holds dense: C(14, 7) = 3432 takes 94 MB per float64 copy, with a
+# few copies live; C(16, 8) = 12870 would take 1.3 GB per copy.
+DENSE_BLOCK_DIM_CAP = 3432
+
 # Vertices up to which the chain and cover provers record a transfer trace (blocks up to C(12, 6) = 924).
 TRACE_VERTEX_CAP = 12
 

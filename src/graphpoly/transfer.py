@@ -14,6 +14,8 @@ central coefficient of the polynomial of Q's graph producted with the
 k-cycle; nonzero entries therefore certify nonzero central coefficients
 for every even cycle length at once.
 
+Blocks are sparse, in coordinate form with each entry an index into the
+scanned coefficients, and one numpy pass over the scan builds them all.
 Traces are exact.  Each block is raised to the power k/2 in float64 BLAS
 modulo word-size primes p with dim * ((p-1)/2)^2 < 2^53: on symmetric
 residues every partial sum of a product is an integer below 2^53, so no
@@ -24,10 +26,10 @@ and is checked against one spare prime.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 import numpy as np
@@ -41,45 +43,71 @@ from .coefficients import (
 )
 from .errors import GraphPolyError, InvariantViolationError
 from .graphs import SignedMultigraph, build_cycle, build_digon, cartesian_product
-from .limits import SUBSET_VERTEX_CAP
+from .limits import DENSE_BLOCK_DIM_CAP, SUBSET_VERTEX_CAP
 
-SparseBlock = list[dict[int, int]]  # row index -> {col index: value}
+
+@dataclass(eq=False)
+class Block:
+    """The block of Phi on the subsets of size s, in coordinate form.
+
+    Entry (row[e], col[e]) is (-1)^s * values[value[e]], values being the
+    scan's coefficients (shared by all blocks); other entries are zero.
+    len() is the dimension; iteration yields each row's nonzero count.
+    """
+
+    dim: int
+    row: np.ndarray
+    col: np.ndarray
+    value: np.ndarray
+    values: list[int] = field(repr=False)
+
+    def __len__(self) -> int:
+        return self.dim
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(np.bincount(self.row, minlength=self.dim).tolist())
 
 
 @dataclass
 class PhiMatrix:
     """Block-diagonal transfer matrix of a generalized graph polynomial.
 
-    blocks[s] is the sparse matrix restricted to subsets of size s, with
-    subsets enumerated in itertools.combinations order (subsets[s] lists
-    the bitmasks; index[s] maps a bitmask back to its row).  sigma is +1
-    when the matrix is symmetric and -1 when skew-symmetric.
+    blocks[s] is the Block of the subsets of size s, ranked in increasing
+    order of their bitmasks.  sigma is +1 when the matrix is symmetric
+    and -1 when skew-symmetric.
     """
 
-    graph: SignedMultigraph
     n: int
     a: ExponentVector
     sigma: int
-    blocks: dict[int, SparseBlock]
-    subsets: dict[int, list[int]]
-    index: dict[int, dict[int, int]]
+    blocks: dict[int, Block]
     scan: SupportMap
 
     def entry(self, s_mask: int, t_mask: int) -> int:
-        s_size = bin(s_mask).count("1")
-        if s_size != bin(t_mask).count("1"):
-            return 0
-        idx = self.index[s_size]
-        return self.blocks[s_size][idx[s_mask]].get(idx[t_mask], 0)
+        xi = tuple(x + (t_mask >> i & 1) - (s_mask >> i & 1) for i, x in enumerate(self.a))
+        return (-1) ** s_mask.bit_count() * self.scan.entries.get(xi, 0)
 
     def nnz(self) -> int:
-        return sum(len(row) for rows in self.blocks.values() for row in rows)
-
-    def is_zero(self) -> bool:
-        return self.nnz() == 0
+        return sum(self.block_nnz().values())
 
     def block_nnz(self) -> dict[int, int]:
-        return {s: sum(len(r) for r in rows) for s, rows in self.blocks.items()}
+        return {s: b.row.size for s, b in self.blocks.items()}
+
+
+@functools.cache
+def _subsets(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(masks, rank): the subsets of range(n) by size, increasing within a
+    size, and each mask's place among those of its size.  Built on first use."""
+    masks = np.arange(1 << n)
+    size = np.zeros_like(masks)
+    for i in range(n):
+        size += masks >> i & 1
+    order = np.argsort(size, kind="stable")
+    rank = np.empty(masks.size, dtype=np.int32)  # C(20, 10) < 2^31
+    rank[order] = masks - (np.cumsum(np.bincount(size)) - np.bincount(size))[size[order]]
+    order.setflags(write=False)
+    rank.setflags(write=False)
+    return order, rank
 
 
 def build_phi(q: SignedMultigraph, *, budget: Optional[int] = None) -> PhiMatrix:
@@ -99,55 +127,33 @@ def build_phi(q: SignedMultigraph, *, budget: Optional[int] = None) -> PhiMatrix
     a = central_exponent(q)  # also validates even degrees
     n = q.n
     scan = almost_central_scan(q, budget=budget)
+    values = list(scan.entries.values())
+    rank = _subsets(n)[1]
 
-    subsets: dict[int, list[int]] = {}
-    index: dict[int, dict[int, int]] = {}
-    blocks: dict[int, SparseBlock] = {}
-    for s in range(n + 1):
-        masks = []
-        for comb in itertools.combinations(range(n), s):
-            m = 0
-            for i in comb:
-                m |= 1 << i
-            masks.append(m)
-        subsets[s] = masks
-        index[s] = {m: i for i, m in enumerate(masks)}
-        blocks[s] = [dict() for _ in masks]
+    # per entry: S \ T where xi - a = -1, T \ S where it is +1, free where 0
+    d = np.array(list(scan.entries), dtype=np.int64).reshape(len(values), n) - a
+    weight = 1 << np.arange(n, dtype=np.int64)
+    s0, t0, free = ((d == x) @ weight for x in (-1, 1, 0))
+    nfree, base = (d == 0).sum(axis=1), (d == -1).sum(axis=1)
 
-    for xi, c in scan.entries.items():
-        s0 = 0
-        t0 = 0
-        free = []
-        for i in range(n):
-            d = xi[i] - a[i]
-            if d == -1:
-                s0 |= 1 << i
-            elif d == 1:
-                t0 |= 1 << i
-            else:
-                free.append(i)
-        base = bin(s0).count("1")
-        for r in range(len(free) + 1):
-            for comb in itertools.combinations(free, r):
-                x = 0
-                for i in comb:
-                    x |= 1 << i
-                s_mask = s0 | x
-                t_mask = t0 | x
-                size = base + r
-                val = -c if size % 2 else c
-                blocks[size][index[size][s_mask]][index[size][t_mask]] = val
-
-    return PhiMatrix(
-        graph=q,
-        n=n,
-        a=a,
-        sigma=mirror_sign(q),
-        blocks=blocks,
-        subsets=subsets,
-        index=index,
-        scan=scan,
-    )
+    parts = [[(np.zeros(0, np.int32),) * 3] for _ in range(n + 1)]  # (row, col, value) per block
+    for f, b in sorted(set(zip(nfree.tolist(), base.tolist()))):
+        ids = np.flatnonzero((nfree == f) & (base == b)).astype(np.int32)
+        # x[e, c]: subset j[c] of entry e's free set, spread one free bit at a time
+        j = _subsets(f)[0]
+        x = np.zeros((ids.size, j.size), dtype=np.int64)
+        rest = free[ids]
+        for i in range(f):
+            low = rest & -rest
+            rest ^= low
+            x |= np.outer(low, j >> i & 1)
+        # j lists the subsets by size, so each size is one run of columns
+        for r, xr in enumerate(np.split(x, np.cumsum([math.comb(f, i) for i in range(f)]), axis=1)):
+            piece = rank[s0[ids, None] | xr], rank[t0[ids, None] | xr], np.repeat(ids, xr.shape[1])
+            parts[b + r].append(tuple(m.ravel() for m in piece))
+    blocks = {s: Block(math.comb(n, s), *map(np.concatenate, zip(*pieces)), values)
+              for s, pieces in enumerate(parts)}
+    return PhiMatrix(n=n, a=a, sigma=mirror_sign(q), blocks=blocks, scan=scan)
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +186,12 @@ def _word_primes(dim: int) -> Iterator[int]:
 
 
 def _sym_mod(m: np.ndarray, p: int) -> np.ndarray:
-    """Entries of m (integers below 2^53) reduced into [-(p-1)/2, (p-1)/2]."""
-    # the float quotient errs by less than 1/p, so r lands within one of the range
-    r = m - p * np.rint(m / p)
-    r[r > p // 2] -= p
-    r[r < -(p // 2)] += p
-    return r
+    """Entries of m (integers below 2^53) reduced in place into [-(p-1)/2, (p-1)/2]."""
+    # the float quotient errs by less than 1/p, so m lands within one of the range
+    m -= p * np.rint(m / p)
+    m[m > p // 2] -= p
+    m[m < -(p // 2)] += p
+    return m
 
 
 def _trace_square_power_mod(a: np.ndarray, half: int, p: int) -> int:
@@ -203,22 +209,25 @@ def _trace_square_power_mod(a: np.ndarray, half: int, p: int) -> int:
     return int(_sym_mod((result * result.T).sum(axis=1), p).sum()) % p
 
 
-def _block_trace(rows: SparseBlock, half: int) -> int:
+def _block_trace(block: Block, half: int) -> int:
     """Exact tr(B^(2 half)) of one block B.
 
     |tr B^(2h)| <= ||B^h||_F^2 <= ||B||_F^(2h) by Cauchy-Schwarz and
     submultiplicativity, so residues modulo primes whose product exceeds
     twice that bound fix the trace by the CRT.  One spare prime that the
-    reconstruction did not use checks the result.
+    reconstruction did not use checks the result.  The sign (-1)^s of
+    the block cancels in an even power, so the coefficients enter unsigned.
     """
-    dim = len(rows)
-    values = list(itertools.chain.from_iterable(row.values() for row in rows))
-    if not values:
+    dim = len(block)
+    if not block.row.size:
         return 0
-    cols = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.intp, count=len(values))
-    flat = np.repeat(np.arange(dim) * dim, list(map(len, rows))) + cols
-    exact = np.array(values, dtype=object)  # Python ints, never cast before reduction
-    bound = 2 * sum(map(operator.mul, values, values)) ** half
+    count = np.bincount(block.value, minlength=len(block.values))
+    used = np.flatnonzero(count)
+    exact = np.array([block.values[e] for e in used.tolist()], dtype=object)  # never cast
+    # ||B||_F^2 counts each coefficient once per entry that holds it, in Python ints
+    bound = 2 * np.dot(count[used].astype(object), exact * exact) ** half
+    flat = np.ravel_multi_index((block.row, block.col), (dim, dim))
+    residue, a = np.zeros(count.size), np.zeros(dim * dim)  # refilled for each prime
 
     residues: list[tuple[int, int]] = []
     modulus = 1
@@ -227,9 +236,9 @@ def _block_trace(rows: SparseBlock, half: int) -> int:
             raise InvariantViolationError(
                 f"prime {p} on a {dim}x{dim} block breaks the 2^53 exactness bound"
             )
-        a = np.zeros(dim * dim)
-        a[flat] = (exact % p).astype(np.float64)
-        residues.append((p, _trace_square_power_mod(_sym_mod(a.reshape(dim, dim), p), half, p)))
+        residue[used] = (exact % p).astype(np.float64)
+        a[flat] = _sym_mod(residue, p)[block.value]
+        residues.append((p, _trace_square_power_mod(a.reshape(dim, dim), half, p)))
         if modulus > bound:  # p was the spare
             break
         modulus *= p
@@ -245,17 +254,22 @@ def _block_trace(rows: SparseBlock, half: int) -> int:
     return total
 
 
-def trace_power(phi: PhiMatrix, k: int) -> int:
-    """Exact trace of Phi^k for even k >= 2.
-
-    Phi is block diagonal, so this is the sum of the block traces
-    tr((B^(k/2))^2), each computed on float64 BLAS modulo primes p with
-    dim * ((p-1)/2)^2 < 2^53 and reassembled by the CRT over primes whose
-    product exceeds 2 * ||B||_F^k (see _block_trace).
-    """
+def check_trace_request(n: int, k: int) -> None:
+    """Refuse, before any work, a trace of Phi^k on n vertices with k odd or
+    below 2, or with a middle block over DENSE_BLOCK_DIM_CAP rows."""
     if k < 2 or k % 2:
         raise ValueError(f"trace exponent must be an even integer >= 2, got {k}")
-    return sum(_block_trace(rows, k // 2) for rows in phi.blocks.values())
+    dim = math.comb(n, n // 2)
+    if dim > DENSE_BLOCK_DIM_CAP:
+        raise GraphPolyError(f"trace on {n} vertices refused: a dense {dim}x{dim} block takes "
+                             f"{8 * dim * dim / 1e9:.1f} GB (dense cap {DENSE_BLOCK_DIM_CAP} rows)")
+
+
+def trace_power(phi: PhiMatrix, k: int) -> int:
+    """Exact tr(Phi^k) for even k >= 2: the sum of the block traces (see
+    _block_trace), once check_trace_request admits it."""
+    check_trace_request(phi.n, k)
+    return sum(_block_trace(block, k // 2) for block in phi.blocks.values())
 
 
 def nonzero_trace(phi: PhiMatrix, k: int) -> int:
@@ -269,19 +283,6 @@ def nonzero_trace(phi: PhiMatrix, k: int) -> int:
     if tr == 0:
         raise InvariantViolationError("nonzero almost-central window but zero trace; engine bug")
     return tr
-
-
-def product_central_via_trace(
-    q: SignedMultigraph, k: int, *, budget: Optional[int] = None
-) -> int:
-    """tr(Phi^k); its absolute value is the central coefficient magnitude
-    of the polynomial of (q's graph) producted with the k-cycle.
-
-    The sign may differ from the canonical convention of the product graph
-    (factor ordering across the cycle seam), so equality claims across
-    engines are on absolute values.
-    """
-    return trace_power(build_phi(q, budget=budget), k)
 
 
 def cycle_product_graph(q: SignedMultigraph, k: int) -> SignedMultigraph:
@@ -310,8 +311,7 @@ def even_cycle_certificate(
     from .certificates import encode_int, finalize_certificate
     from .graphio import graph_digest, to_json_obj
 
-    if k < 2 or k % 2:
-        raise ValueError(f"cycle length must be an even integer >= 2, got {k}")
+    check_trace_request(q.n, k)
     phi = build_phi(q, budget=budget)
     witness = phi.scan.witness()
     if witness is None:

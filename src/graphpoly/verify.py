@@ -22,7 +22,7 @@ from .graphio import from_json_obj, graph_digest
 from .graphs import SignedMultigraph, build_cycle, cartesian_product, cover_edge_indices, double_edges
 from .limits import TRACE_VERTEX_CAP
 from .orientations import at_lower_bound, has_odd_directed_cycle, orientation_from_bitstring, reciprocal_sum_ok
-from .transfer import build_phi, trace_power
+from .transfer import build_phi, check_trace_request, trace_power
 
 
 def _load_graph(result: CheckResult, cert: dict) -> Optional[SignedMultigraph]:
@@ -68,8 +68,10 @@ def _check_witness_coefficient(
 def _check_trace(result: CheckResult, g: SignedMultigraph, k: int, stated, budget) -> None:
     """tr(Phi^k) of g, recomputed, must be nonzero and equal the stated value.
 
-    A graph that build_phi refuses fails the check (through verify).
+    A graph that build_phi or check_trace_request refuses fails the
+    check (through verify).
     """
+    check_trace_request(g.n, k)
     tr = trace_power(build_phi(g, budget=budget), k)
     if tr == 0:
         result.fail("recomputed trace is zero")

@@ -44,6 +44,14 @@ def expand_polynomial(g: SignedMultigraph) -> dict[tuple[int, ...], int]:
     return poly
 
 
+def block_entries(s: int, block) -> dict[tuple[int, int], int]:
+    """The nonzero entries {(row, col): value} of a transfer-matrix block on
+    the subsets of size s, read from its coordinate arrays."""
+    sign = -1 if s % 2 else 1
+    coords = zip(block.row.tolist(), block.col.tolist())
+    return {ij: sign * block.values[v] for ij, v in zip(coords, block.value.tolist())}
+
+
 def random_simple_graph(rng: random.Random, n: int, m: int) -> SignedMultigraph:
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
     rng.shuffle(pairs)

@@ -44,7 +44,7 @@ from graphpoly.orientations import (
 )
 from graphpoly.transfer import build_phi, trace_power
 
-from conftest import even_degree_zoo, expand_polynomial, random_simple_graph
+from conftest import block_entries, even_degree_zoo, expand_polynomial, random_simple_graph
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -102,11 +102,11 @@ def test_criterion_04_phi_invariants_over_zoo():
         if q.is_diff_only():
             assert sigma == (-1) ** q.num_edges, name
         assert phi.sigma == sigma, name
-        for s in range(q.n + 1):
-            for i in range(len(phi.subsets[s])):
-                for j, val in phi.blocks[s][i].items():
-                    assert phi.blocks[s][j].get(i, 0) == sigma * val, name
-        nz = not phi.is_zero()
+        for s, block in phi.blocks.items():
+            entries = block_entries(s, block)
+            for (i, j), val in entries.items():
+                assert entries.get((j, i), 0) == sigma * val, name
+        nz = phi.nnz() != 0
         assert (trace_power(phi, 2) != 0) == nz, name
         if q.n <= 8:
             assert (trace_power(phi, 4) != 0) == nz, name

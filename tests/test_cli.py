@@ -1,4 +1,9 @@
+import contextlib
+import io
 import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphpoly.cli import main
 
@@ -113,6 +118,34 @@ def test_phi_summary(capsys):
     assert payload["result"]["symmetry"] == "skew-symmetric"
     assert payload["result"]["nonzero_entries"] == 12
     assert payload["result"]["trace_value"] == "-12"
+
+
+def test_phi_trace_over_the_dense_block_cap_is_refused(capsys):
+    # C(16, 8) = 12870 rows, 1.3 GB per dense copy: refused before the build
+    code, out, err = run_cli(capsys, "phi", "cycle:16", "--trace", "4")
+    assert code == 2
+    assert "12870x12870" in err and "dense cap" in err
+    assert not out
+
+
+_FACTORS = [("cycle:3", 3), ("cycle:4", 4), ("complete:2", 2), ("complete:3", 3),
+            ("complete:4", 4), ("path:3", 3), ("digon", 2)]
+_SMALL_SPECS = st.one_of(
+    st.integers(3, 8).map("cycle:{}".format),
+    st.integers(1, 8).map("complete:{}".format),
+    st.tuples(st.integers(3, 8), st.integers(1, 3)).map(lambda t: "cyclepower:{}:{}".format(*t)),
+    st.sampled_from([f"product:{a}:{b}" for a, m in _FACTORS for b, k in _FACTORS if m * k <= 8]),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(["phi", "at"]), _SMALL_SPECS, st.integers(-2, 9))
+def test_transfer_cli_fuzz_exits_on_a_documented_code(command, spec, k):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, spec, "--trace", str(k)])
+    assert code in range(5), (command, spec, k)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_orient_window(capsys):
