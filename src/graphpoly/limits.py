@@ -12,6 +12,9 @@ DEFAULT_ASSIGNMENT_BUDGET = 5_000_000
 # Vertices above which 2^n subset indexes (transfer matrices, window conditions) are refused.
 SUBSET_VERTEX_CAP = 20
 
+# Nonzeros of a transfer matrix, checked before its fan-out: the build peaks near 20 bytes each.
+PHI_NNZ_CAP = 50_000_000
+
 # Rows of a block that a trace holds dense: C(14, 7) = 3432 takes 94 MB per float64 copy, with a
 # few copies live; C(16, 8) = 12870 would take 1.3 GB per copy.
 DENSE_BLOCK_DIM_CAP = 3432

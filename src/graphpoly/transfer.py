@@ -15,7 +15,9 @@ k-cycle; nonzero entries therefore certify nonzero central coefficients
 for every even cycle length at once.
 
 Blocks are sparse, in coordinate form with each entry an index into the
-scanned coefficients, and one numpy pass over the scan builds them all.
+scanned coefficients.  One numpy pass over the scan builds those of size
+s <= n/2; by the mirror law c(2a - xi) = sigma c(xi), checked on the scan,
+block n - s is (-1)^n sigma J B_s J (J reverses the ranks), so only they are powered.
 Traces are exact.  Each block is raised to the power k/2 in float64 BLAS
 modulo word-size primes p with dim * ((p-1)/2)^2 < 2^53: on symmetric
 residues every partial sum of a product is an integer below 2^53, so no
@@ -30,7 +32,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -43,7 +45,7 @@ from .coefficients import (
 )
 from .errors import GraphPolyError, InvariantViolationError
 from .graphs import SignedMultigraph, build_cycle, build_digon, cartesian_product
-from .limits import DENSE_BLOCK_DIM_CAP, SUBSET_VERTEX_CAP
+from .limits import DENSE_BLOCK_DIM_CAP, PHI_NNZ_CAP, SUBSET_VERTEX_CAP
 
 
 @dataclass(eq=False)
@@ -73,8 +75,8 @@ class PhiMatrix:
     """Block-diagonal transfer matrix of a generalized graph polynomial.
 
     blocks[s] is the Block of the subsets of size s, ranked in increasing
-    order of their bitmasks.  sigma is +1 when the matrix is symmetric
-    and -1 when skew-symmetric.
+    order of their bitmasks; for 2s > n it is the mirror of blocks[n - s].
+    sigma is +1 when the matrix is symmetric and -1 when skew-symmetric.
     """
 
     n: int
@@ -116,8 +118,8 @@ def build_phi(q: SignedMultigraph, *, budget: Optional[int] = None) -> PhiMatrix
     One windowed support scan supplies every entry: the exponent
     a + 1_T - 1_S determines S \\ T, T \\ S and leaves S intersect T free,
     so each scanned coefficient fans out over the subsets of its
-    half-degree positions.  Graphs on more than SUBSET_VERTEX_CAP
-    vertices are refused.
+    half-degree positions, in the blocks with 2s <= n (the others are their
+    mirrors).  Over SUBSET_VERTEX_CAP vertices or PHI_NNZ_CAP nonzeros, q is refused.
     """
     if q.n > SUBSET_VERTEX_CAP:
         raise GraphPolyError(
@@ -125,35 +127,49 @@ def build_phi(q: SignedMultigraph, *, budget: Optional[int] = None) -> PhiMatrix
             f"the subset index would have 2^{q.n} entries"
         )
     a = central_exponent(q)  # also validates even degrees
-    n = q.n
+    n, sigma = q.n, mirror_sign(q)
     scan = almost_central_scan(q, budget=budget)
-    values = list(scan.entries.values())
+    keys, values = list(scan.entries), list(scan.entries.values())
     rank = _subsets(n)[1]
 
     # per entry: S \ T where xi - a = -1, T \ S where it is +1, free where 0
-    d = np.array(list(scan.entries), dtype=np.int64).reshape(len(values), n) - a
+    d = np.empty((len(keys), n), dtype=np.int8)
+    for lo in range(0, len(keys), 65536):  # bounds the int64 staging copy
+        d[lo:lo + 65536] = np.array(keys[lo:lo + 65536], dtype=np.int64) - a
     weight = 1 << np.arange(n, dtype=np.int64)
     s0, t0, free = ((d == x) @ weight for x in (-1, 1, 0))
     nfree, base = (d == 0).sum(axis=1), (d == -1).sum(axis=1)
+    if (nnz := int(np.left_shift(1, nfree).sum())) > PHI_NNZ_CAP:  # e fills 2^|free_e| places
+        raise GraphPolyError(f"transfer matrix of {nnz} nonzeros refused (cap {PHI_NNZ_CAP})")
 
-    parts = [[(np.zeros(0, np.int32),) * 3] for _ in range(n + 1)]  # (row, col, value) per block
-    for f, b in sorted(set(zip(nfree.tolist(), base.tolist()))):
+    # the mirror law c(2a - xi) = sigma c(xi) pairs each entry with the entry of -d
+    key = (d + 1) @ 3 ** np.arange(n, dtype=np.int64)
+    order = np.argsort(key).astype(np.int32)
+    mirror = order[np.searchsorted(key, 3**n - 1 - key, sorter=order).clip(max=len(keys) - 1)]
+    exact = np.array(values, dtype=object)
+    if np.any(key[mirror] != 3**n - 1 - key) or np.any(exact[mirror] != sigma * exact):
+        raise InvariantViolationError("scan breaks the mirror law c(2a - xi) = sigma c(xi)")
+    parts = [[(np.zeros(0, np.int32),) * 3] for _ in range(n // 2 + 1)]  # (row, col, value)
+    for f, b in sorted({(f, b) for f, b in zip(nfree.tolist(), base.tolist()) if 2 * b <= n}):
         ids = np.flatnonzero((nfree == f) & (base == b)).astype(np.int32)
-        # x[e, c]: subset j[c] of entry e's free set, spread one free bit at a time
-        j = _subsets(f)[0]
+        # x[e, c]: subset j[c] of entry e's free set, spread one free bit at a time;
+        # j lists the subsets by size, so each size is one run of columns
+        sizes = [math.comb(f, r) for r in range(min(f, n // 2 - b) + 1)]
+        j = _subsets(f)[0][:sum(sizes)]
         x = np.zeros((ids.size, j.size), dtype=np.int64)
         rest = free[ids]
         for i in range(f):
             low = rest & -rest
             rest ^= low
             x |= np.outer(low, j >> i & 1)
-        # j lists the subsets by size, so each size is one run of columns
-        for r, xr in enumerate(np.split(x, np.cumsum([math.comb(f, i) for i in range(f)]), axis=1)):
+        for r, xr in enumerate(np.split(x, np.cumsum(sizes[:-1]), axis=1)):
             piece = rank[s0[ids, None] | xr], rank[t0[ids, None] | xr], np.repeat(ids, xr.shape[1])
             parts[b + r].append(tuple(m.ravel() for m in piece))
     blocks = {s: Block(math.comb(n, s), *map(np.concatenate, zip(*pieces)), values)
               for s, pieces in enumerate(parts)}
-    return PhiMatrix(n=n, a=a, sigma=mirror_sign(q), blocks=blocks, scan=scan)
+    blocks |= {n - s: Block(b.dim, b.dim - 1 - b.row, b.dim - 1 - b.col, mirror[b.value], values)
+               for s, b in reversed(blocks.items()) if 2 * s < n}  # J B J reverses both ranks
+    return PhiMatrix(n=n, a=a, sigma=sigma, blocks=blocks, scan=scan)
 
 
 # ---------------------------------------------------------------------------
@@ -185,33 +201,36 @@ def _word_primes(dim: int) -> Iterator[int]:
         yield found[i]
 
 
-def _sym_mod(m: np.ndarray, p: int) -> np.ndarray:
+def _sym_mod(m: np.ndarray, p: int, scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """Entries of m (integers below 2^53) reduced in place into [-(p-1)/2, (p-1)/2]."""
     # the float quotient errs by less than 1/p, so m lands within one of the range
-    m -= p * np.rint(m / p)
-    m[m > p // 2] -= p
-    m[m < -(p // 2)] += p
+    q = np.rint(np.divide(m, p, out=scratch), out=scratch)
+    m -= np.multiply(q, p, out=q)
+    np.subtract(m, p, out=m, where=m > p // 2)
+    np.add(m, p, out=m, where=m < -(p // 2))
     return m
 
 
 def _trace_square_power_mod(a: np.ndarray, half: int, p: int) -> int:
     """tr((a^half)^2) mod p by square-and-multiply, reducing after each product."""
+    scratch = np.empty_like(a)
     result: Optional[np.ndarray] = None
     while True:
         if half & 1:
-            result = a if result is None else _sym_mod(result @ a, p)
+            result = a if result is None else _sym_mod(result @ a, p, scratch)
         half >>= 1
         if not half:
             break
-        a = _sym_mod(a @ a, p)
+        a = _sym_mod(a @ a, p, scratch)
     # tr(A A) = sum_ij A_ij A_ji; each row sum of A o A^T has dim terms of
     # size at most ((p-1)/2)^2, so it is exact with no (skew-)symmetry assumed
-    return int(_sym_mod((result * result.T).sum(axis=1), p).sum()) % p
+    return int(_sym_mod(np.multiply(result, result.T, out=scratch).sum(axis=1), p).sum()) % p
 
 
-def _block_trace(block: Block, half: int) -> int:
+def _block_trace(block: Block, half: int, squares: np.ndarray, residues: Callable) -> int:
     """Exact tr(B^(2 half)) of one block B.
 
+    squares and residues(p) hold the coefficients squared and modulo p.
     |tr B^(2h)| <= ||B^h||_F^2 <= ||B||_F^(2h) by Cauchy-Schwarz and
     submultiplicativity, so residues modulo primes whose product exceeds
     twice that bound fix the trace by the CRT.  One spare prime that the
@@ -221,30 +240,28 @@ def _block_trace(block: Block, half: int) -> int:
     dim = len(block)
     if not block.row.size:
         return 0
-    count = np.bincount(block.value, minlength=len(block.values))
+    count = np.bincount(block.value, minlength=squares.size)
     used = np.flatnonzero(count)
-    exact = np.array([block.values[e] for e in used.tolist()], dtype=object)  # never cast
     # ||B||_F^2 counts each coefficient once per entry that holds it, in Python ints
-    bound = 2 * np.dot(count[used].astype(object), exact * exact) ** half
+    bound = 2 * np.dot(count[used].astype(object), squares[used]) ** half
     flat = np.ravel_multi_index((block.row, block.col), (dim, dim))
-    residue, a = np.zeros(count.size), np.zeros(dim * dim)  # refilled for each prime
+    a = np.zeros(dim * dim)  # refilled at the same places for each prime
 
-    residues: list[tuple[int, int]] = []
+    found: list[tuple[int, int]] = []
     modulus = 1
     for p in _word_primes(dim):
         if dim * ((p - 1) // 2) ** 2 >= _FLOAT_EXACT:
             raise InvariantViolationError(
                 f"prime {p} on a {dim}x{dim} block breaks the 2^53 exactness bound"
             )
-        residue[used] = (exact % p).astype(np.float64)
-        a[flat] = _sym_mod(residue, p)[block.value]
-        residues.append((p, _trace_square_power_mod(a.reshape(dim, dim), half, p)))
+        a[flat] = residues(p)[block.value]
+        found.append((p, _trace_square_power_mod(a.reshape(dim, dim), half, p)))
         if modulus > bound:  # p was the spare
             break
         modulus *= p
 
-    spare, spare_residue = residues.pop()
-    total = sum(r * (modulus // p) * pow(modulus // p, -1, p) for p, r in residues) % modulus
+    spare, spare_residue = found.pop()
+    total = sum(r * (modulus // p) * pow(modulus // p, -1, p) for p, r in found) % modulus
     if total > modulus // 2:
         total -= modulus
     if total % spare != spare_residue:
@@ -266,10 +283,15 @@ def check_trace_request(n: int, k: int) -> None:
 
 
 def trace_power(phi: PhiMatrix, k: int) -> int:
-    """Exact tr(Phi^k) for even k >= 2: the sum of the block traces (see
-    _block_trace), once check_trace_request admits it."""
+    """Exact tr(Phi^k) for even k >= 2, once check_trace_request admits it: twice
+    the trace of each block B_s with 2s < n (its mirror's is the same), plus the
+    middle block's, from coefficients squared once and reduced once per prime."""
     check_trace_request(phi.n, k)
-    return sum(_block_trace(block, k // 2) for block in phi.blocks.values())
+    exact = np.array(phi.blocks[0].values, dtype=object)  # never cast
+    residues = functools.cache(lambda p: _sym_mod((exact % p).astype(np.float64), p))
+    squares = exact * exact
+    return sum((1 if 2 * s == phi.n else 2) * _block_trace(block, k // 2, squares, residues)
+               for s, block in phi.blocks.items() if 2 * s <= phi.n)
 
 
 def nonzero_trace(phi: PhiMatrix, k: int) -> int:

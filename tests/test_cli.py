@@ -128,6 +128,16 @@ def test_phi_trace_over_the_dense_block_cap_is_refused(capsys):
     assert not out
 
 
+def test_phi_over_the_nonzero_cap_is_refused(capsys, monkeypatch):
+    from graphpoly import transfer
+
+    monkeypatch.setattr(transfer, "PHI_NNZ_CAP", 100)  # Phi of C5 has 180 nonzeros
+    code, out, err = run_cli(capsys, "phi", "cycle:5")
+    assert code == 2
+    assert "180 nonzeros refused (cap 100)" in err
+    assert "Traceback" not in err and not out
+
+
 _FACTORS = [("cycle:3", 3), ("cycle:4", 4), ("complete:2", 2), ("complete:3", 3),
             ("complete:4", 4), ("path:3", 3), ("digon", 2)]
 _SMALL_SPECS = st.one_of(

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphpoly.certificates import check_certificate
-from graphpoly.coefficients import central_exponent, coefficient, mirror_sign
+from graphpoly.coefficients import SupportMap, central_exponent, coefficient, mirror_sign
 from graphpoly.errors import GraphPolyError, InvariantViolationError
 from graphpoly.graphs import (
     DIFF,
@@ -276,6 +276,31 @@ def even_degree_relabellings(draw):
 def test_blocks_match_per_entry_fan_out_on_relabellings(named):
     name, q = named
     _assert_blocks_match_oracle(build_phi(q), name)
+
+
+def test_upper_blocks_mirror_the_lower_ones(zoo12):
+    # Phi(V \ S, V \ T) = (-1)^n sigma Phi(S, T), and complementing reverses the rank order
+    for name, q in zoo12:
+        phi = build_phi(q)
+        for s in range(q.n + 1):
+            last = len(phi.blocks[s]) - 1
+            mirrored = {(last - i, last - j): (-1) ** q.n * phi.sigma * v
+                        for (i, j), v in block_entries(s, phi.blocks[s]).items()}
+            assert block_entries(q.n - s, phi.blocks[q.n - s]) == mirrored, (name, s)
+
+
+def test_build_phi_checks_the_mirror_law_on_the_scan(monkeypatch):
+    from graphpoly import transfer
+
+    q = build_cycle_power(8, 2)
+    scan = transfer.almost_central_scan(q)
+    xi = next(x for x in scan.entries if x != central_exponent(q))  # its mirror is another entry
+    altered = SupportMap({**scan.entries, xi: 2 * scan.entries[xi]})
+    dropped = SupportMap({x: c for x, c in scan.entries.items() if x != xi})
+    for forged in (altered, dropped):
+        monkeypatch.setattr(transfer, "almost_central_scan", lambda q, budget=None, scan=forged: scan)
+        with pytest.raises(InvariantViolationError, match="mirror law"):
+            build_phi(q)
 
 
 def test_blocks_keep_the_read_contract_of_the_benchmark(zoo12):
