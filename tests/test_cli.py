@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -156,6 +157,54 @@ def test_transfer_cli_fuzz_exits_on_a_documented_code(command, spec, k):
         code = main([command, spec, "--trace", str(k)])
     assert code in range(5), (command, spec, k)
     assert "Traceback" not in err.getvalue()
+
+
+_ORIENT_SPECS = st.one_of(
+    st.integers(3, 8).map(lambda n: (f"cycle:{n}", n)),
+    st.integers(1, 8).map(lambda n: (f"complete:{n}", n)),
+    st.sampled_from([(f"product:{a}:{b}", m * k) for a, m in _FACTORS for b, k in _FACTORS if m * k <= 8]),
+)
+
+
+def _bound_vector(n):
+    """Comma-separated bounds, mostly one per vertex; entries may be negative or huge."""
+    entries = st.one_of(st.integers(-1, 5), st.just(10**20))
+    length = st.one_of(st.just(n), st.integers(0, 9))
+    return length.flatmap(lambda k: st.lists(entries, min_size=k, max_size=k)).map(
+        lambda v: ",".join(map(str, v)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data(), _ORIENT_SPECS, st.booleans())
+def test_orient_cli_fuzz_exits_on_a_documented_code(data, spec_n, check_conditions):
+    spec, n = spec_n
+    lower, upper = data.draw(_bound_vector(n)), data.draw(_bound_vector(n))
+    argv = ["orient", spec, f"--lower={lower}", f"--upper={upper}"] + ["--check-conditions"] * check_conditions
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in range(5), argv
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("bounds, message", [
+    (["--upper", "1,2"], "one entry per vertex"),
+    (["--upper", "1,2,2,2,2,2,2"], "one entry per vertex"),
+    (["--lower", "2,0,0,0,0", "--upper", "1,2,2,2,2"], "0 <= lower <= upper"),
+])
+def test_orient_check_conditions_refuses_malformed_bounds(capsys, bounds, message):
+    code, out, err = run_cli(capsys, "orient", "cycle:5", *bounds, "--check-conditions")
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err and not out
+
+
+def test_orient_check_conditions_at_the_vertex_cap(capsys):
+    upper = ",".join(["0"] + ["1"] * 19)
+    code, payload, _ = run_json(capsys, "orient", "cycle:20", "--upper", upper, "--check-conditions")
+    assert code == 1
+    assert payload["result"] == {"all_subsets_pass": False, "failing_subset": list(range(1, 21)),
+                                 "condition": 1, "lhs": 20, "rhs": 19, "subsets_checked": 1 << 20}
 
 
 def test_orient_window(capsys):

@@ -3,10 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphpoly.certificates import check_certificate
 from graphpoly.coefficients import coefficient
 from graphpoly.graphs import (
+    DIFF,
+    SUM,
     build_complete,
     build_cycle,
     build_path,
@@ -15,6 +19,7 @@ from graphpoly.graphs import (
 )
 from graphpoly.orientations import (
     Orientation,
+    WindowConditionsReport,
     acyclic_orientation,
     at_lower_bound,
     box_orientation,
@@ -73,6 +78,71 @@ def directed_cycles_bruteforce(ori):
 # orient_with_bounds and the subset conditions
 # ---------------------------------------------------------------------------
 
+def window_conditions_loop(g, lower, upper):
+    """One subset at a time in increasing bitmask order (test oracle for
+    check_window_conditions)."""
+    masks = [(1 << (u - 1)) | (1 << (v - 1)) for u, v, _ in g.edges]
+    checked = 0
+    for w in range(1 << g.n):
+        checked += 1
+        inside = 0
+        touching = 0
+        for em in masks:
+            if em & w == em:
+                inside += 1
+            if em & w:
+                touching += 1
+        su = sum(upper[i] for i in range(g.n) if w >> i & 1)
+        sl = sum(lower[i] for i in range(g.n) if w >> i & 1)
+        subset = tuple(i + 1 for i in range(g.n) if w >> i & 1)
+        if inside > su:
+            return WindowConditionsReport(False, subset, 1, inside, su, checked)
+        if touching < sl:
+            return WindowConditionsReport(False, subset, 2, touching, sl, checked)
+    return WindowConditionsReport(True, None, None, None, None, checked)
+
+
+@st.composite
+def multigraph_windows(draw):
+    """A multigraph on <= 9 vertices (parallel edges, SUM/DIFF tags) and a
+    window 0 <= lower <= upper around its degrees."""
+    n = draw(st.integers(1, 9))
+    edges = []
+    if n > 1:
+        pair = st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True)
+        tagged = st.tuples(pair, st.sampled_from([SUM, DIFF]))
+        edges = [(u, v, tag) for (u, v), tag in draw(st.lists(tagged, max_size=18))]
+    g = make_graph(n, edges)
+    lower = [draw(st.integers(0, d + 1)) for d in g.degree_vector()]
+    upper = [lo + draw(st.integers(0, 3)) for lo in lower]
+    return g, lower, upper
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(multigraph_windows())
+def test_window_conditions_match_the_loop(window):
+    g, lower, upper = window
+    assert check_window_conditions(g, lower, upper) == window_conditions_loop(g, lower, upper)
+
+
+def test_window_violation_past_the_first_chunk():
+    # C15 plus a second 14-15 edge; only subsets holding both 14 and 15 can
+    # break condition 1, the first of them at bitmask 2^13 + 2^14 = 24576.
+    g = make_graph(15, list(build_cycle(15).edges) + [(14, 15)])
+    upper = list(g.degree_vector())
+    upper[13], upper[14] = 1, 0
+    report = check_window_conditions(g, [0] * 15, upper)
+    assert report == WindowConditionsReport(False, (14, 15), 1, 2, 1, 24577)
+    assert report == window_conditions_loop(g, [0] * 15, upper)
+
+
+def test_window_conditions_keep_huge_bounds_exact():
+    big = 10**30
+    report = check_window_conditions(build_path(3), [0, big, 0], [big, big, big])
+    assert report == WindowConditionsReport(False, (2,), 2, 2, big, 3)
+    assert check_window_conditions(build_path(3), [0] * 3, [big] * 3).ok
+
+
 def test_orient_cycle_exact_window():
     c4 = build_cycle(4)
     ori = orient_with_bounds(c4, [1] * 4, [1] * 4)
@@ -117,10 +187,10 @@ def test_flow_agrees_with_subset_conditions_random():
 
 
 def test_orient_bounds_validation():
-    with pytest.raises(ValueError):
-        orient_with_bounds(build_path(2), [2, 0], [1, 1])
-    with pytest.raises(ValueError):
-        orient_with_bounds(build_path(2), [0], [1])
+    for solver in (orient_with_bounds, check_window_conditions):
+        for lower, upper in [([2, 0], [1, 1]), ([0], [1]), ([0, 0], [1, 1, 1]), ([-1, 0], [1, 1])]:
+            with pytest.raises(ValueError):
+                solver(build_path(2), lower, upper)
 
 
 # ---------------------------------------------------------------------------
