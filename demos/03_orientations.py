@@ -2,8 +2,8 @@
 
 An orientation with no odd directed cycle pins a nonzero coefficient at
 its outdegree vector, turning combinatorial constructions into coloring
-bounds.  Degree-window orientations come from a circulation reduction;
-the classical two subset-counting conditions are checked independently.
+bounds.  Degree-window orientations come from path reversal; the
+classical two subset-counting conditions are checked independently.
 """
 
 from fractions import Fraction

@@ -23,8 +23,6 @@ from .coefficients import (
     alon_tarsi_number_exact,
     central_exponent,
     coefficient,
-    coefficient_crosscheck,
-    mirror_coefficient_check,
     mirror_sign,
     support,
 )

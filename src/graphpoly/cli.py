@@ -238,6 +238,17 @@ def _cmd_orient(args, run: _Run) -> int:
         print("orient: choose --lower/--upper, --box KS, or --odd-product KS",
               file=sys.stderr)
         return EXIT_USAGE
+    builder = None if modes[0] else "--box" if args.box is not None else "--odd-product"
+    conflict = None
+    if builder and args.graph is not None:
+        conflict = f"{builder} builds its own graph; drop the graph {args.graph!r}"
+    elif builder and args.check_conditions:
+        conflict = f"--check-conditions applies to --lower/--upper, not to {builder}"
+    elif not builder and args.graph is None:
+        conflict = "--lower/--upper need a graph"
+    if conflict:
+        print(f"orient: {conflict}", file=sys.stderr)
+        return EXIT_USAGE
     if args.box is not None:
         run.param(box=list(args.box))
         ori = box_orientation(args.box)

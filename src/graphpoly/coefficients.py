@@ -150,11 +150,6 @@ def _coefficient_enumeration(g: SignedMultigraph, xi: ExponentVector, budget: in
     return total
 
 
-def coefficient_crosscheck(g: SignedMultigraph, xi: Sequence[int], *, budget: Optional[int] = None) -> int:
-    """Run both engines and return the agreed value (raises on mismatch)."""
-    return coefficient(g, xi, method="both", budget=budget)
-
-
 # ---------------------------------------------------------------------------
 # the DP kernel and its edge-order planner
 # ---------------------------------------------------------------------------
@@ -472,17 +467,3 @@ def mirror_sign(g: SignedMultigraph) -> int:
     diff_edges = sum(1 for _, _, tag in g.edges if tag == DIFF)
     return -1 if diff_edges % 2 else 1
 
-
-def mirror_coefficient_check(
-    g: SignedMultigraph, xi: Sequence[int], *, budget: Optional[int] = None
-) -> bool:
-    """Verify [x^xi]F = (-1)^|E| [x^(deg - xi)]F for a DIFF-only graph."""
-    if not g.is_diff_only():
-        raise ValueError("mirror check as stated applies to DIFF-only graphs")
-    xi = _check_exponent(g, xi)
-    deg = g.degree_vector()
-    if any(x > d for x, d in zip(xi, deg)):
-        return coefficient(g, xi, budget=budget) == 0
-    mirrored = tuple(d - x for d, x in zip(deg, xi))
-    sign = -1 if g.num_edges % 2 else 1
-    return coefficient(g, xi, budget=budget) == sign * coefficient(g, mirrored, budget=budget)

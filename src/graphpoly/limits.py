@@ -23,7 +23,7 @@ DENSE_BLOCK_DIM_CAP = 3432
 # Vertices up to which the chain and cover provers record a transfer trace (blocks up to C(12, 6) = 924).
 TRACE_VERTEX_CAP = 12
 
-# Vertices of a path-product box: keeps the pure-Python max-flow orientation at desk scale.
+# Vertices of a path-product box: keeps the pure-Python path-reversal orientation at desk scale.
 BOX_VERTEX_CAP = 4096
 
 # Vertices of an odd-cycle product: keeps the chess construction's pure-Python graph at desk scale.

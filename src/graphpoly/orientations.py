@@ -1,16 +1,16 @@
 """Degree-constrained orientations, box constructions, and AT certificates.
 
-An orientation assigns each edge a direction; FORWARD means u -> v for the
+An orientation assigns each edge a direction; True means u -> v for the
 canonical edge (u, v) with u < v.  The bridge to coefficients: summing the
 signed endpoint choices of the graph polynomial over all orientations with
 a fixed outdegree vector d gives [x^d]F_G, and an orientation without odd
 directed cycles forces that coefficient to be nonzero.  That turns any
 such orientation into a machine-checkable Alon-Tarsi bound.
 
-Degree-window orientations (l_v <= outdeg(v) <= u_v) are found by a
-reduction to maximum flow with lower bounds (a small deterministic Dinic
-solver); the classical two counting conditions over all vertex subsets
-are implemented as an independent exhaustive checker.
+Degree-window orientations (l_v <= outdeg(v) <= u_v) are found by path
+reversal from a greedy start (Hakimi 1965); the classical two counting
+conditions over all vertex subsets are implemented as an independent
+exhaustive checker.
 """
 
 from __future__ import annotations
@@ -36,9 +36,6 @@ from .graphs import (
 )
 from .limits import BOX_VERTEX_CAP, ODD_PRODUCT_VERTEX_CAP, SUBSET_VERTEX_CAP, TRACE_VERTEX_CAP
 
-FORWARD = True
-BACKWARD = False
-
 # Subsets per numpy chunk of the window check: of 2^10..2^16, 2^14 ran fastest on C4xC4; under 1 MB live.
 _WINDOW_CHUNK = 1 << 14
 
@@ -48,7 +45,7 @@ class Orientation:
     """A direction per canonical edge of a graph."""
 
     graph: SignedMultigraph
-    directions: tuple[bool, ...]  # True = FORWARD (u -> v)
+    directions: tuple[bool, ...]  # True means u -> v
 
     def __post_init__(self):
         if len(self.directions) != self.graph.num_edges:
@@ -81,66 +78,6 @@ def orientation_from_bitstring(g: SignedMultigraph, bits: str) -> Orientation:
     return Orientation(g, tuple(b == "1" for b in bits))
 
 
-# ---------------------------------------------------------------------------
-# max flow with lower bounds
-# ---------------------------------------------------------------------------
-
-class _Dinic:
-    """Deterministic integer max-flow (adjacency in insertion order)."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add_edge(self, u: int, v: int, c: int) -> int:
-        i = len(self.to)
-        self.head[u].append(i)
-        self.to.append(v)
-        self.cap.append(c)
-        self.head[v].append(i + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        return i
-
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        while True:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = [s]
-            for v in queue:
-                for i in self.head[v]:
-                    if self.cap[i] > 0 and level[self.to[i]] < 0:
-                        level[self.to[i]] = level[v] + 1
-                        queue.append(self.to[i])
-            if level[t] < 0:
-                return flow
-            it = [0] * self.n
-
-            def dfs(v: int, f: int) -> int:
-                if v == t:
-                    return f
-                while it[v] < len(self.head[v]):
-                    i = self.head[v][it[v]]
-                    w = self.to[i]
-                    if self.cap[i] > 0 and level[w] == level[v] + 1:
-                        d = dfs(w, min(f, self.cap[i]))
-                        if d > 0:
-                            self.cap[i] -= d
-                            self.cap[i ^ 1] += d
-                            return d
-                    it[v] += 1
-                return 0
-
-            while True:
-                f = dfs(s, 1 << 60)
-                if f == 0:
-                    break
-                flow += f
-
-
 def _window_bounds(g: SignedMultigraph, lower: Sequence[int], upper: Sequence[int]) -> tuple[tuple, tuple]:
     """The bounds as int tuples; ValueError unless one entry per vertex and 0 <= lower <= upper."""
     lower, upper = tuple(int(x) for x in lower), tuple(int(x) for x in upper)
@@ -156,62 +93,63 @@ def orient_with_bounds(
 ) -> Optional[Orientation]:
     """Orientation with lower[v] <= outdeg(v) <= upper[v], or None if infeasible.
 
-    Standard circulation reduction: a unit per edge must flow to one of its
-    endpoints, and each vertex passes between lower[v] and upper[v] units to
-    the sink.  Infeasibility is a value, not an error; run
-    check_window_conditions for the violating subset.
+    Path reversal (Hakimi 1965): each edge first leaves the endpoint whose
+    outdegree so far minus upper bound is smaller (u on ties); then, vertex
+    by vertex, a BFS path from a vertex over its upper bound to one below it
+    is reversed, and after that a path to a vertex under its lower bound
+    from one above it.  A search that finds no such path reaches a vertex
+    set that violates one of the two counting conditions, so None is exact.
+    Infeasibility is a value, not an error; run check_window_conditions for
+    the violating subset.
     """
     lower, upper = _window_bounds(g, lower, upper)
-    m = g.num_edges
-    # nodes: 0 super-source, 1 super-sink, 2 source, 3 sink,
-    #        4..4+m-1 edges, 4+m..4+m+n-1 vertices
-    SS, TT, S, T = 0, 1, 2, 3
-    e_node = lambda i: 4 + i
-    v_node = lambda v: 4 + m + v - 1
-    net = _Dinic(4 + m + g.n)
-    excess = [0] * (4 + m + g.n)
-
-    for i in range(m):
-        # source -> edge with bounds [1, 1]: becomes pure excess
-        excess[e_node(i)] += 1
-        excess[S] -= 1
-    choice_arcs: list[tuple[int, int]] = []
-    for i, (u, v, _) in enumerate(g.edges):
-        # The unit leaving through an endpoint makes that endpoint the tail.
-        a_u = net.add_edge(e_node(i), v_node(u), 1)
-        a_v = net.add_edge(e_node(i), v_node(v), 1)
-        choice_arcs.append((a_u, a_v))
-    for v in range(1, g.n + 1):
-        l, u = lower[v - 1], upper[v - 1]
-        if u > l:
-            net.add_edge(v_node(v), T, u - l)
-        excess[T] += l
-        excess[v_node(v)] -= l
-    net.add_edge(T, S, m + 1)
-
-    need = 0
-    for node, ex in enumerate(excess):
-        if ex > 0:
-            net.add_edge(SS, node, ex)
-            need += ex
-        elif ex < 0:
-            net.add_edge(node, TT, -ex)
-    if net.max_flow(SS, TT) != need:
+    if sum(lower) > g.num_edges or sum(upper) < g.num_edges:  # the conditions on W = V
         return None
+    out = [0] * (g.n + 1)
+    tails: list[int] = []
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(g.n + 1)]
+    for i, (u, v, _) in enumerate(g.edges):
+        tail = u if out[u] - upper[u - 1] <= out[v] - upper[v - 1] else v
+        tails.append(tail)
+        out[tail] += 1
+        incident[u].append((i, v))
+        incident[v].append((i, u))
 
-    directions = []
-    for i, (a_u, a_v) in enumerate(choice_arcs):
-        used_u = net.cap[a_u] == 0  # saturated: unit went to u, tail = u
-        if used_u:
-            directions.append(FORWARD)
-        else:
-            if net.cap[a_v] != 0:
-                raise InvariantViolationError("edge unit unrouted in feasible flow")
-            directions.append(BACKWARD)
-    ori = Orientation(g, tuple(directions))
+    def reverse_path(s: int, forward: bool, target) -> bool:
+        """BFS from s along (or against) the arcs to a target vertex; reverse the path found."""
+        via: list[Optional[tuple[int, int]]] = [None] * (g.n + 1)
+        via[s] = (-1, s)
+        queue = [s]
+        for x in queue:
+            for i, y in incident[x]:
+                if via[y] is not None or (tails[i] == x) != forward:
+                    continue
+                via[y] = (i, x)
+                if target(y):
+                    out[s] += -1 if forward else 1
+                    out[y] += 1 if forward else -1
+                    while y != s:
+                        i, x = via[y]
+                        tails[i] = y if forward else x
+                        y = x
+                    return True
+                queue.append(y)
+        return False
+
+    # A reversal moves one unit of outdegree between the path's ends and never past a bound,
+    # so a vertex once inside its bound stays there and one pass over the vertices suffices.
+    for v in range(1, g.n + 1):
+        while out[v] > upper[v - 1]:
+            if not reverse_path(v, True, lambda y: out[y] < upper[y - 1]):
+                return None
+    for v in range(1, g.n + 1):
+        while out[v] < lower[v - 1]:
+            if not reverse_path(v, False, lambda y: out[y] > lower[y - 1]):
+                return None
+    ori = Orientation(g, tuple(t == u for t, (u, _, _) in zip(tails, g.edges)))
     d = ori.outdegree_vector()
     if any(not (l <= x <= u) for x, l, u in zip(d, lower, upper)):
-        raise InvariantViolationError("flow produced out-of-window outdegrees")
+        raise InvariantViolationError("path reversal produced out-of-window outdegrees")
     return ori
 
 
@@ -222,7 +160,7 @@ class WindowConditionsReport:
     For every W: |E(W)| <= sum of upper over W, and the number of edges
     touching W must be >= sum of lower over W.  These are necessary and
     sufficient for a degree-window orientation (Frank's orientation
-    theorem), which the flow solver realizes constructively.
+    theorem); the path-reversal solver realizes it constructively.
     """
 
     ok: bool
@@ -291,8 +229,8 @@ def box_orientation(ks: Sequence[int]) -> Optional[Orientation]:
     """Orientation of the path product with all outdegrees in {n-1, n}.
 
     Feasible exactly when the reciprocals of the side lengths sum to at
-    most 1; infeasibility is returned as None (decided by the flow solver,
-    not by the reciprocal test).
+    most 1; infeasibility is returned as None (decided by the path-reversal
+    solver, not by the reciprocal test).
     """
     ks = [int(k) for k in ks]
     if not ks or any(k < 1 for k in ks):

@@ -239,6 +239,22 @@ def test_orient_odd_product(capsys):
     assert payload["result"]["at_bound"] == 4  # max outdegree 3, plus 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["cycle:4", "--box", "2,2"], "--box builds its own graph; drop the graph 'cycle:4'"),
+    (["cycle:4", "--odd-product", "2,2"], "--odd-product builds its own graph; drop the graph 'cycle:4'"),
+    (["--box", "2,2", "--check-conditions"], "--check-conditions applies to --lower/--upper, not to --box"),
+    (["--odd-product", "2,2", "--check-conditions"],
+     "--check-conditions applies to --lower/--upper, not to --odd-product"),
+    (["--lower", "1,1"], "--lower/--upper need a graph"),
+    (["--upper", "1,1", "--check-conditions"], "--lower/--upper need a graph"),
+])
+def test_orient_refuses_arguments_its_mode_ignores(capsys, argv, message):
+    code, out, err = run_cli(capsys, "orient", *argv)
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err and not out
+
+
 def test_choosable_exhaustive(capsys):
     code, payload, _ = run_json(
         capsys, "choosable", "cycle:4", "--f", "2", "--exhaustive"

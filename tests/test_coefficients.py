@@ -11,8 +11,6 @@ from graphpoly.coefficients import (
     alon_tarsi_number_exact,
     central_exponent,
     coefficient,
-    coefficient_crosscheck,
-    mirror_coefficient_check,
     mirror_sign,
     support,
 )
@@ -103,7 +101,7 @@ def test_engines_agree_on_random_graphs():
         sup = support(g, g.degree_vector())
         assert sup.entries == oracle
         for xi in list(oracle)[:8]:
-            assert coefficient_crosscheck(g, xi) == oracle[xi]
+            assert coefficient(g, xi, method="both") == oracle[xi]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -118,6 +116,17 @@ def test_engines_agree_property(data):
     g = make_graph(n, [(u, v, SUM if t else "diff") for (u, v), t in zip(edges, tags)])
     oracle = expand_polynomial(g)
     assert support(g, g.degree_vector()).entries == oracle
+
+
+def mirror_coefficient_check(g, xi):
+    """[x^xi]F = (-1)^|E| [x^(deg - xi)]F for a DIFF-only graph (test oracle)."""
+    assert g.is_diff_only()
+    deg = g.degree_vector()
+    if any(x > d for x, d in zip(xi, deg)):
+        return coefficient(g, xi) == 0
+    mirrored = tuple(d - x for d, x in zip(deg, xi))
+    sign = -1 if g.num_edges % 2 else 1
+    return coefficient(g, xi) == sign * coefficient(g, mirrored)
 
 
 def test_mirror_symmetry_across_support():

@@ -122,7 +122,12 @@ def multigraph_windows(draw):
 @given(multigraph_windows())
 def test_window_conditions_match_the_loop(window):
     g, lower, upper = window
-    assert check_window_conditions(g, lower, upper) == window_conditions_loop(g, lower, upper)
+    report = check_window_conditions(g, lower, upper)
+    assert report == window_conditions_loop(g, lower, upper)
+    ori = orient_with_bounds(g, lower, upper)
+    assert (ori is not None) == report.ok
+    if ori is not None:
+        assert all(lo <= d <= up for d, lo, up in zip(ori.outdegree_vector(), lower, upper))
 
 
 def test_window_violation_past_the_first_chunk():
