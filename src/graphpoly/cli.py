@@ -443,6 +443,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except MemoryError:
+        # the budget bounds work, not memory: a run can still outgrow the machine
+        print("error: out of memory; retry with a smaller input", file=sys.stderr)
+        return EXIT_BUDGET
     except InvariantViolationError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

@@ -227,10 +227,13 @@ def _trace_square_power_mod(a: np.ndarray, half: int, p: int) -> int:
     return int(_sym_mod(np.multiply(result, result.T, out=scratch).sum(axis=1), p).sum()) % p
 
 
-def _block_trace(block: Block, half: int, squares: np.ndarray, residues: Callable) -> int:
-    """Exact tr(B^(2 half)) of one block B.
+def _block_trace(
+    block: Block, half: int, squares: np.ndarray, residues: Callable, width: int
+) -> int:
+    """Exact tr(B^(2 half)) of one block B of at most width rows.
 
-    squares and residues(p) hold the coefficients squared and modulo p.
+    squares and residues(p) hold the coefficients squared and modulo p;
+    the primes are those of width, so every block of one Phi shares them.
     |tr B^(2h)| <= ||B^h||_F^2 <= ||B||_F^(2h) by Cauchy-Schwarz and
     submultiplicativity, so residues modulo primes whose product exceeds
     twice that bound fix the trace by the CRT.  One spare prime that the
@@ -249,7 +252,7 @@ def _block_trace(block: Block, half: int, squares: np.ndarray, residues: Callabl
 
     found: list[tuple[int, int]] = []
     modulus = 1
-    for p in _word_primes(dim):
+    for p in _word_primes(width):
         if dim * ((p - 1) // 2) ** 2 >= _FLOAT_EXACT:
             raise InvariantViolationError(
                 f"prime {p} on a {dim}x{dim} block breaks the 2^53 exactness bound"
@@ -285,12 +288,14 @@ def check_trace_request(n: int, k: int) -> None:
 def trace_power(phi: PhiMatrix, k: int) -> int:
     """Exact tr(Phi^k) for even k >= 2, once check_trace_request admits it: twice
     the trace of each block B_s with 2s < n (its mirror's is the same), plus the
-    middle block's, from coefficients squared once and reduced once per prime."""
+    middle block's, from coefficients squared once and, since every block takes
+    the primes of the middle (largest) block, reduced once per prime."""
     check_trace_request(phi.n, k)
     exact = np.array(phi.blocks[0].values, dtype=object)  # never cast
     residues = functools.cache(lambda p: _sym_mod((exact % p).astype(np.float64), p))
     squares = exact * exact
-    return sum((1 if 2 * s == phi.n else 2) * _block_trace(block, k // 2, squares, residues)
+    width = math.comb(phi.n, phi.n // 2)
+    return sum((1 if 2 * s == phi.n else 2) * _block_trace(block, k // 2, squares, residues, width)
                for s, block in phi.blocks.items() if 2 * s <= phi.n)
 
 

@@ -139,6 +139,19 @@ def test_phi_over_the_nonzero_cap_is_refused(capsys, monkeypatch):
     assert "Traceback" not in err and not out
 
 
+def test_out_of_memory_exits_3(capsys, monkeypatch):
+    from graphpoly import transfer
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(transfer, "almost_central_scan", exhausted)
+    code, out, err = run_cli(capsys, "phi", "cycle:5")
+    assert code == 3
+    assert err.startswith("error: out of memory")
+    assert "Traceback" not in err and not out
+
+
 _FACTORS = [("cycle:3", 3), ("cycle:4", 4), ("complete:2", 2), ("complete:3", 3),
             ("complete:4", 4), ("path:3", 3), ("digon", 2)]
 _SMALL_SPECS = st.one_of(

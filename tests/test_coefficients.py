@@ -1,4 +1,5 @@
 import random
+from math import comb
 from unittest import mock
 
 import pytest
@@ -217,6 +218,35 @@ def test_budget_guard_raises():
         coefficient(g, central_exponent(g), budget=50)
     with pytest.raises(BudgetExceededError):
         support(build_complete(5), (4,) * 5, budget=10)
+
+
+def test_budget_trips_at_the_same_expansion_count():
+    g = cartesian_product(build_cycle_power(10, 2), build_cycle(4))
+    with pytest.raises(BudgetExceededError) as info:
+        coefficient(g, central_exponent(g), budget=10**6)
+    assert info.value.explored == 1053970
+
+
+def test_coefficients_past_int64_are_exact():
+    # C(70, 35) ~ 1.1e20 > 2^63: the DP must leave int64 before it wraps
+    digon = make_graph(2, [(1, 2)] * 70)
+    assert coefficient(digon, (35, 35)) == -comb(70, 35)
+
+
+def test_keys_past_62_bits_are_exact():
+    # K_{2,40} with leaves 1..40 and hubs 41, 42; 34 leaves take both of their
+    # edges and 6 take one, each hub taking 3 of those 6: (-1)^6 C(6, 3)
+    g = make_graph(42, [(leaf, hub) for leaf in range(1, 41) for hub in (41, 42)])
+    xi = (2,) * 34 + (1,) * 6 + (3, 3)
+    assert coefficient(g, xi) == comb(6, 3)
+
+    def hub_first(graph, floor, cap):
+        # every leaf field opens before any closes: 34 two-bit and 6 one-bit
+        # fields and a two-bit hub field make keys of 76 bits
+        return sorted(range(graph.num_edges), key=lambda i: graph.edges[i][1])
+
+    with mock.patch.object(coefficients, "_plan_order", hub_first):
+        assert coefficient(g, xi) == comb(6, 3)
 
 
 def test_doubled_graph_big_coefficients():
