@@ -4,7 +4,9 @@ These oracles exist to validate the certificate pipelines at desk scale:
 a coefficient certificate claims f-choosability, and this module can
 either confirm it against every list assignment from a finite universe
 (tiny graphs) or hammer it with seeded random assignments (anything
-larger).
+larger).  The list coloring is MRV backtracking whose remaining-value
+counts are updated incrementally, per list color and neighbour, as
+vertices are colored and uncolored.
 """
 
 from __future__ import annotations
@@ -30,38 +32,57 @@ def list_coloring_exists(
 
     Vertices are colored in minimum-remaining-values order with
     lowest-index tie-breaking, colors in ascending order, so the witness
-    coloring is deterministic.
+    coloring is deterministic.  The remaining values are kept up to date,
+    as in DSATUR: each vertex counts, per list color, its colored
+    neighbours holding that color, so coloring or uncoloring a vertex
+    updates only its neighbours.
     """
     if len(lists) != g.n:
         raise ValueError("one color list per vertex required")
     lists = [sorted(set(l)) for l in lists]
     if any(not l for l in lists):
         raise ValueError("empty color list")
-    adj = g.adjacency()
-    coloring: dict[int, int] = {}
+    return _mrv_coloring(g.adjacency(), lists)
 
-    def feasible_colors(v: int) -> list[int]:
-        used = {coloring[w] for w in adj[v] if w in coloring}
-        return [c for c in lists[v - 1] if c not in used]
+
+def _mrv_coloring(
+    adj: list[list[int]], lists: ListAssignment
+) -> tuple[bool, Optional[tuple[int, ...]]]:
+    """`list_coloring_exists` on nonempty ascending lists without repeats."""
+    n = len(lists)
+    held = [{}] + [dict.fromkeys(l, 0) for l in lists]  # list color -> colored neighbours with it
+    free = [0] + [len(l) for l in lists]  # list colors no colored neighbour holds
+    parked = 1 + max(map(len, lists), default=0)  # added to free[v] while v is colored
+    coloring: list[Optional[int]] = [None] * (n + 1)
+
+    def paint(v: int, c: int, step: int) -> None:
+        # step 1 colors v with c, step -1 takes c off v again
+        for w in adj[v]:
+            k = held[w].get(c)
+            if k is not None:
+                held[w][c] = k + step
+                if k == 0 or k + step == 0:  # c became taken or free at w
+                    free[w] -= step
 
     stack: list[tuple[int, Iterator[int]]] = []  # per colored vertex: colors left to try
-    while True:
-        todo = [v for v in range(1, g.n + 1) if v not in coloring]
-        if not todo:
-            return True, tuple(coloring[v] for v in range(1, g.n + 1))
-        v = min(todo, key=lambda x: (len(feasible_colors(x)), x))
-        stack.append((v, iter(feasible_colors(v))))
+    while len(stack) < n:
+        v = min(range(1, n + 1), key=free.__getitem__)
+        stack.append((v, iter([c for c, k in held[v].items() if not k])))
+        free[v] += parked
         # the deepest vertex with a color left takes it; exhausted ones are undone
         while stack:
             v, colors = stack[-1]
-            c = next(colors, None)
+            if coloring[v] is not None:
+                paint(v, coloring[v], -1)
+            c = coloring[v] = next(colors, None)
             if c is not None:
-                coloring[v] = c
+                paint(v, c, 1)
                 break
             stack.pop()
-            coloring.pop(v, None)
+            free[v] -= parked
         else:
             return False, None
+    return True, tuple(coloring[1:])
 
 
 def default_universe(f: Sequence[int]) -> int:
@@ -100,8 +121,9 @@ def find_uncolorable_assignment(
         total *= len(choices)
         if total > budget:
             raise BudgetExceededError(budget, total, "list assignments")
+    adj = g.adjacency()
     for assignment in itertools.product(*per_vertex):
-        ok, _ = list_coloring_exists(g, assignment)
+        ok, _ = _mrv_coloring(adj, assignment)
         if not ok:
             return assignment
     return None
@@ -209,18 +231,22 @@ def random_list_stress(
     u = default_universe(f) if universe_size is None else int(universe_size)
     if u < max(f):
         raise ValueError("universe smaller than the largest list size")
+    trials = int(trials)
+    if trials < 0:
+        raise ValueError(f"trial count must be non-negative, got {trials}")
     rng = random.Random(seed)
     colors = list(range(1, u + 1))
+    adj = g.adjacency()
     failures = []
-    for t in range(int(trials)):
+    for t in range(trials):
         assignment = tuple(tuple(sorted(rng.sample(colors, k))) for k in f)
-        ok, _ = list_coloring_exists(g, assignment)
+        ok, _ = _mrv_coloring(adj, assignment)
         if not ok:
             failures.append({"trial": t, "lists": [list(a) for a in assignment]})
     return {
         "graph_digest": graph_digest(g),
         "f": list(f),
-        "trials": int(trials),
+        "trials": trials,
         "seed": int(seed),
         "universe": u,
         "failures": failures,

@@ -12,6 +12,7 @@ violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -326,6 +327,9 @@ def _cmd_choosable(args, run: _Run) -> int:
     if args.lists:
         with open(args.lists) as fh:
             lists = json.load(fh)
+        if not (isinstance(lists, list) and len(lists) == g.n and all(
+                isinstance(l, list) and all(type(c) is int for c in l) for l in lists)):
+            raise ValueError(f"--lists needs a JSON array of {g.n} arrays of integers")
         ok, coloring = list_coloring_exists(g, lists)
         run.emit({"colorable": ok, "coloring": list(coloring) if coloring else None})
         return EXIT_OK if ok else EXIT_NO_CERTIFICATE
@@ -360,6 +364,7 @@ def _add_global_options(parser, *, suppress: bool) -> None:
     parser.add_argument("--out", default=d, help="write the certificate to this file")
 
 
+@functools.cache  # parse_args keeps no state in the parser, so one serves every main() call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphpoly",

@@ -1,4 +1,9 @@
+import itertools
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphpoly.certificates import check_certificate
 from graphpoly.choosability import (
@@ -15,6 +20,8 @@ from graphpoly.choosability import (
 from graphpoly.coefficients import alon_tarsi_number_exact
 from graphpoly.errors import BudgetExceededError
 from graphpoly.graphs import (
+    DIFF,
+    SUM,
     build_complete,
     build_cycle,
     build_path,
@@ -22,6 +29,86 @@ from graphpoly.graphs import (
     coloring_number,
     make_graph,
 )
+
+
+def list_coloring_loop(g, lists):
+    """MRV backtracking that recomputes every vertex's feasible colors at
+    every step (test oracle for list_coloring_exists)."""
+    lists = [sorted(set(l)) for l in lists]
+    adj = g.adjacency()
+    coloring = {}
+
+    def feasible_colors(v):
+        used = {coloring[w] for w in adj[v] if w in coloring}
+        return [c for c in lists[v - 1] if c not in used]
+
+    stack = []
+    while True:
+        todo = [v for v in range(1, g.n + 1) if v not in coloring]
+        if not todo:
+            return True, tuple(coloring[v] for v in range(1, g.n + 1))
+        v = min(todo, key=lambda x: (len(feasible_colors(x)), x))
+        stack.append((v, iter(feasible_colors(v))))
+        while stack:
+            v, colors = stack[-1]
+            c = next(colors, None)
+            if c is not None:
+                coloring[v] = c
+                break
+            stack.pop()
+            coloring.pop(v, None)
+        else:
+            return False, None
+
+
+@st.composite
+def multigraph_lists(draw):
+    """A multigraph on <= 9 vertices (parallel edges, SUM/DIFF tags) and one
+    list per vertex, with repeated colors, from a small palette."""
+    n = draw(st.integers(0, 9))
+    edges = []
+    if n > 1:
+        pair = st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True)
+        tagged = st.tuples(pair, st.sampled_from([SUM, DIFF]))
+        edges = [(u, v, tag) for (u, v), tag in draw(st.lists(tagged, max_size=24))]
+    palette = draw(st.integers(1, 5))
+    lists = draw(st.lists(st.lists(st.integers(0, palette), min_size=1, max_size=6),
+                          min_size=n, max_size=n))
+    return make_graph(n, edges), lists
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(multigraph_lists())
+def test_list_coloring_matches_the_loop(case):
+    g, lists = case
+    assert list_coloring_exists(g, lists) == list_coloring_loop(g, lists)
+
+
+# C6 with 2-lists is left out: the oracle alone takes about 5 s over its 6^6 assignments
+@pytest.mark.parametrize("n, f", [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3), (6, 3)])
+def test_uncolorable_assignment_matches_the_loop(n, f):
+    g = build_cycle(n)
+    choices = list(itertools.combinations(range(1, 5), f))
+    first = next((a for a in itertools.product(*[choices] * n) if not list_coloring_loop(g, a)[0]), None)
+    assert find_uncolorable_assignment(g, [f] * n, 4) == first
+
+
+def test_stress_failures_match_the_loop():
+    g = cartesian_product(build_cycle(3), build_cycle(3))
+    report = random_list_stress(g, [2] * 9, 500, seed=1)
+    rng = random.Random(1)
+    expected = []
+    for t in range(500):
+        lists = [sorted(rng.sample(range(1, 5), 2)) for _ in range(9)]
+        if not list_coloring_loop(g, lists)[0]:
+            expected.append({"trial": t, "lists": lists})
+    assert report["failures"] == expected
+    assert len(expected) == 174  # the recorded seed replays
+
+
+def test_stress_refuses_a_negative_trial_count():
+    with pytest.raises(ValueError, match="non-negative"):
+        random_list_stress(build_cycle(3), [3] * 3, -2, seed=0)
 
 
 def test_list_coloring_basic():

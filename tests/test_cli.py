@@ -200,6 +200,48 @@ def test_orient_cli_fuzz_exits_on_a_documented_code(data, spec_n, check_conditio
     assert "Traceback" not in err.getvalue()
 
 
+_CHOOSABLE_SPECS = st.one_of(
+    st.integers(3, 5).map(lambda n: (f"cycle:{n}", n)),
+    st.integers(1, 4).map(lambda n: (f"complete:{n}", n)),
+    st.sampled_from([("digon", 2), ("path:3", 3), ("product:complete:2:complete:2", 4)]),
+)
+_JSON_VALUES = st.recursive(
+    st.one_of(st.integers(-2, 4), st.floats(-2, 4), st.booleans(), st.none(), st.text(max_size=2)),
+    lambda inner: st.lists(inner, max_size=4), max_leaves=10)
+
+
+def _color_lists(n):
+    """JSON for --lists: mostly one integer list per vertex, else any JSON value."""
+    return st.one_of(st.lists(st.lists(st.integers(0, 4), max_size=3), min_size=n, max_size=n),
+                     _JSON_VALUES)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data(), _CHOOSABLE_SPECS, st.integers(-1, 4),
+       st.sampled_from(["--stress", "--exhaustive", "--lists", "--certificate"]))
+def test_choosable_cli_fuzz_exits_on_a_documented_code(tmp_path_factory, data, spec_n, f, mode):
+    spec, n = spec_n
+    argv = ["choosable", spec, "--f", str(f), mode]
+    trials = data.draw(st.integers(-3, 20))
+    if mode == "--stress":
+        argv.append(str(trials))
+    elif mode == "--lists":
+        path = tmp_path_factory.mktemp("lists") / "lists.json"
+        path.write_text(json.dumps(data.draw(_color_lists(n))))
+        argv.append(str(path))
+    # exhaustive sweeps stay small only in small universes
+    universe = data.draw(st.integers(-1, 4) if mode == "--exhaustive" else st.none() | st.integers(-1, 8))
+    if universe is not None:
+        argv += ["--universe", str(universe)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in range(5), argv
+    assert "Traceback" not in err.getvalue()
+    if code in (0, 1) and mode == "--stress":  # an answer, so the trial count was valid
+        assert json.loads(out.getvalue())["result"]["trials"] == trials >= 0
+
+
 @pytest.mark.parametrize("bounds, message", [
     (["--upper", "1,2"], "one entry per vertex"),
     (["--upper", "1,2,2,2,2,2,2"], "one entry per vertex"),
@@ -356,3 +398,37 @@ def test_text_format(capsys):
     code, out, _ = run_cli(capsys, "--format", "text", "at", "cycle:4", "--exact")
     assert code == 0
     assert "alon_tarsi_number: 2" in out
+
+
+def test_parser_reuse_leaks_no_flags(capsys):
+    stress = ["choosable", "cycle:3", "--f", "3", "--stress", "5"]
+    code, out, _ = run_cli(capsys, "--format", "text", "--seed", "9", "--budget", "5", *stress)
+    assert code == 0 and "seed: 9" in out
+    code, out, _ = run_cli(capsys, *stress, "--seed", "9", "--budget", "5", "--format", "text")
+    assert code == 0 and "seed: 9" in out
+    code, payload, _ = run_json(capsys, *stress)
+    assert code == 0
+    assert (payload["manifest"]["seed"], payload["manifest"]["budget"]) == (None, None)
+    assert payload["result"]["seed"] == 0
+    code, out, err = run_cli(capsys, "choosable", "cycle:3", "--stress", "five")
+    assert code == 2 and not out and "invalid int value" in err
+    code, payload, _ = run_json(capsys, "choosable", "cycle:4", "--f", "2", "--exhaustive")
+    assert code == 0 and payload["result"]["f_choosable"] is True
+
+
+def test_choosable_lists_refuses_malformed_json(tmp_path, capsys):
+    path = tmp_path / "lists.json"
+    for text in ["[[[1]],[2],[3]]", "5", "[[1.5,2],[2],[3]]", "[[1],[2]]", "[[true],[2],[3]]"]:
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "choosable", "cycle:3", "--lists", str(path))
+        assert code == 2, text
+        assert err == "error: --lists needs a JSON array of 3 arrays of integers\n" and not out
+    path.write_text("[[1,2],[2,3],[1,3]]")
+    code, payload, _ = run_json(capsys, "choosable", "cycle:3", "--lists", str(path))
+    assert code == 0 and payload["result"]["coloring"] == [1, 2, 3]
+
+
+def test_choosable_stress_refuses_a_negative_trial_count(capsys):
+    code, out, err = run_cli(capsys, "choosable", "cycle:3", "--f", "3", "--stress", "-2")
+    assert code == 2 and not out
+    assert err == "error: trial count must be non-negative, got -2\n"
