@@ -20,7 +20,7 @@ from .coefficients import support
 from .errors import BudgetExceededError
 from .graphs import SignedMultigraph, coloring_number
 from .graphio import graph_digest, to_json_obj
-from .limits import DEFAULT_ASSIGNMENT_BUDGET
+from .limits import DEFAULT_ASSIGNMENT_BUDGET, LIST_COLOR_CAP
 
 ListAssignment = Sequence[Sequence[int]]
 
@@ -97,6 +97,20 @@ def default_universe(f: Sequence[int]) -> int:
     return min(sum(f), 2 * max(f))
 
 
+def _list_sizes(g: SignedMultigraph, f: Sequence[int], universe_size: Optional[int]) -> tuple[list[int], int]:
+    """f as ints and the universe size, each checked, with the lists' colors under LIST_COLOR_CAP."""
+    f = [int(x) for x in f]
+    if len(f) != g.n or any(x < 1 for x in f):
+        raise ValueError("list sizes must be positive, one per vertex")
+    u = default_universe(f) if universe_size is None else int(universe_size)
+    if u < max(f):
+        raise ValueError("universe smaller than the largest list size")
+    if max(u, sum(f)) > LIST_COLOR_CAP:
+        raise ValueError(f"lists of {sum(f)} colors from a universe of {u} refused "
+                         f"(cap {LIST_COLOR_CAP} colors)")
+    return f, u
+
+
 def find_uncolorable_assignment(
     g: SignedMultigraph,
     f: Sequence[int],
@@ -107,20 +121,18 @@ def find_uncolorable_assignment(
     """First list assignment with sizes f admitting no proper coloring.
 
     Enumerates every assignment with lists drawn from {1..universe}, in
-    lexicographic order; returns None if all are colorable.
+    lexicographic order; returns None if all are colorable.  Their number,
+    the product of C(u, f_v), is counted against the budget first.
     """
-    f = [int(x) for x in f]
-    if len(f) != g.n or any(x < 1 for x in f):
-        raise ValueError("list sizes must be positive, one per vertex")
-    u = default_universe(f) if universe_size is None else int(universe_size)
-    if u < max(f):
-        raise ValueError("universe smaller than the largest list size")
-    per_vertex = [list(itertools.combinations(range(1, u + 1), k)) for k in f]
+    f, u = _list_sizes(g, f, universe_size)
     total = 1
-    for choices in per_vertex:
-        total *= len(choices)
-        if total > budget:
-            raise BudgetExceededError(budget, total, "list assignments")
+    for k in f:
+        # times C(u, i) / C(u, i - 1) >= 1 for i <= u/2: the count so far never falls
+        for i in range(1, min(k, u - k) + 1):
+            total = total * (u - i + 1) // i
+            if total > budget:
+                raise BudgetExceededError(budget, total, "list assignments")
+    per_vertex = [list(itertools.combinations(range(1, u + 1), k)) for k in f]
     adj = g.adjacency()
     for assignment in itertools.product(*per_vertex):
         ok, _ = _mrv_coloring(adj, assignment)
@@ -172,16 +184,16 @@ def coefficient_choosability_certificate(
         return None  # no candidate exponent can reach total degree |E|
     deg = g.degree_vector()
     cap = tuple(min(x - 1, d) for x, d in zip(f, deg))
-    sup = support(g, cap, budget=budget)
-    if not sup.entries:
+    found = support(g, cap, budget=budget).witness()
+    if found is None:
         return None
-    witness = sup.witness()
+    witness, value = found
     cert = {
         "kind": "coefficient",
         "graph": to_json_obj(g),
         "graph_digest": graph_digest(g),
         "witness_exponent": list(witness),
-        "witness_value": encode_int(sup.entries[witness]),
+        "witness_value": encode_int(value),
         "claim": "f-choosable",
         "f": list(f),
         "at_bound": max(witness) + 1,
@@ -225,12 +237,7 @@ def random_list_stress(
     replayable.  Against a held coefficient certificate any failure is a
     soundness bug, not a statistical event.
     """
-    f = [int(x) for x in f]
-    if len(f) != g.n or any(x < 1 for x in f):
-        raise ValueError("list sizes must be positive, one per vertex")
-    u = default_universe(f) if universe_size is None else int(universe_size)
-    if u < max(f):
-        raise ValueError("universe smaller than the largest list size")
+    f, u = _list_sizes(g, f, universe_size)
     trials = int(trials)
     if trials < 0:
         raise ValueError(f"trial count must be non-negative, got {trials}")

@@ -135,28 +135,16 @@ def _cmd_coeff(args, run: _Run) -> int:
             )
         run.emit(result)
         return EXIT_OK
-    if args.almost_central:
-        scan = almost_central_scan(g, budget=args.budget)
-        run.param(window="almost-central")
-        run.emit({
-            "entries": [
-                {"exponent": list(k), "coefficient": encode_int(v)}
-                for k, v in scan.sorted_items()
-            ],
-            "count": len(scan),
-        })
-        return EXIT_OK
-    if args.support is not None:
-        cap = args.support
-        run.param(cap=list(cap))
-        sup = support(g, cap, budget=args.budget)
-        run.emit({
-            "entries": [
-                {"exponent": list(k), "coefficient": encode_int(v)}
-                for k, v in sup.sorted_items()
-            ],
-            "count": len(sup),
-        })
+    if args.almost_central or args.support is not None:
+        if args.almost_central:
+            sup = almost_central_scan(g, budget=args.budget)
+            run.param(window="almost-central")
+        else:
+            sup = support(g, args.support, budget=args.budget)
+            run.param(cap=list(args.support))
+        run.emit({"entries": [{"exponent": list(k), "coefficient": encode_int(v)}
+                              for k, v in sup.sorted_items()],
+                  "count": len(sup)})
         return EXIT_OK
     print("coeff: need --exponent, --almost-central, or --support", file=sys.stderr)
     return EXIT_USAGE

@@ -16,7 +16,8 @@ Two independent engines are provided and must agree:
   order, and keys each state by one integer of per-vertex bit fields (a
   mixed-radix key) that holds only the vertices whose count is not yet
   determined; each edge maps a whole layer of states with numpy array
-  operations;
+  operations.  A scan returns its last layer as arrays (a SupportMap)
+  and decodes exponent tuples only when a caller asks for them;
 * a direct depth-first enumeration of per-edge choices with feasibility
   pruning but no state merging.
 
@@ -35,9 +36,9 @@ before the bound would fail; the enumeration uses Python integers only.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -56,12 +57,6 @@ def _check_exponent(g: SignedMultigraph, xi: Sequence[int]) -> ExponentVector:
     if any(x < 0 for x in xi):
         raise ValueError("exponents must be non-negative")
     return xi
-
-
-def _edge_choices(edge):
-    """(vertex, sign) choices for one factor: pick x_v (+1) or x_u (+-1)."""
-    u, v, tag = edge
-    return ((v, 1), (u, -1 if tag == DIFF else 1))
 
 
 def coefficient(
@@ -89,7 +84,7 @@ def coefficient(
         return 0
     if method == "enumerate":
         return _coefficient_enumeration(g, xi, budget)
-    value = _scan(g, xi, xi, budget).get(xi, 0)
+    value = int(_scan(g, xi, xi, budget).coef.sum())  # every count is fixed: at most one entry
     if method == "both":
         other = _coefficient_enumeration(g, xi, budget)
         if value != other:
@@ -113,7 +108,8 @@ def _coefficient_enumeration(g: SignedMultigraph, xi: ExponentVector, budget: in
         remaining[v] += 1
     counts = [0] * (g.n + 1)
     target = (0,) + xi  # 1-based
-    choices = [_edge_choices(e) for e in edges]
+    # (vertex, sign) choices per factor: pick x_v (+1) or x_u (-1 on a DIFF edge)
+    choices = [((v, 1), (u, -1 if tag == DIFF else 1)) for u, v, tag in edges]
     endpoints = [(u, v) for u, v, _ in edges]
     nodes = 1
     if nodes > budget:
@@ -164,7 +160,7 @@ def _coefficient_enumeration(g: SignedMultigraph, xi: ExponentVector, budget: in
 
 def _scan(
     g: SignedMultigraph, floor: ExponentVector, cap: ExponentVector, budget: int
-) -> dict[ExponentVector, int]:
+) -> SupportMap:
     """Nonzero coefficients x^xi with floor <= xi <= cap, by one DP pass.
 
     States are partial products over the edges processed so far, held as
@@ -183,26 +179,26 @@ def _scan(
     the same expressions, once a bound checked before each edge no longer
     rules out overflow: keys once their fields span more than 62 bits,
     coefficients once twice the largest magnitude could reach 2^63 (a new
-    coefficient is the sum of at most two old ones).
+    coefficient is the sum of at most two old ones).  The last layer and
+    its field layout are returned as they are, as a SupportMap.
     """
     n = g.n
     edges = g.edges
     deg = (0,) + g.degree_vector()  # 1-based, like lo and hi
     lo = (0,) + floor
     hi = (0,) + tuple(min(c, d) for c, d in zip(cap, deg[1:]))
-    if any(lo[t] > deg[t] for t in range(1, n + 1)):
-        return {}
+    feasible = all(lo[t] <= deg[t] for t in range(1, n + 1))
 
     done = [0] * (n + 1)
     shift = [0] * (n + 1)
     mask = [0] * (n + 1)
     free: dict[int, list[int]] = {}  # field width -> shifts of cleared fields
     top = 0
-    keys = np.zeros(1, dtype=np.int64)
-    coef = np.ones(1, dtype=np.int64)
+    keys = np.zeros(int(feasible), dtype=np.int64)
+    coef = np.ones(int(feasible), dtype=np.int64)
     bound = 1  # no coefficient exceeds it in magnitude
     expansions = 0
-    for i in _plan_order(g, floor, cap):
+    for i in _plan_order(g, floor, cap) if feasible else ():
         u, v, tag = edges[i]
         for t in (u, v):
             if not done[t]:
@@ -237,18 +233,9 @@ def _scan(
         bound *= 2
         keys, coef = _edge_step(keys, coef, field_u, field_v, d_hi, d_lo, tag == DIFF)
         if not keys.size:
-            return {}
-
-    out: dict[ExponentVector, int] = {}
-    for start in range(0, keys.size, 65536):  # bounds the columns held as lists
-        chunk = keys[start:start + 65536]
-        # one list per vertex, zipped into the rows: a list per row would be
-        # tracked by the cyclic GC, whose passes then dominate the decode
-        columns = [(chunk >> shift[t] & mask[t]).tolist() if lo[t] != hi[t] else repeat(lo[t])
-                   for t in range(1, n + 1)]
-        rows = zip(*columns) if n else [()]
-        out.update(zip(rows, coef[start:start + 65536].tolist()))
-    return out
+            break
+    fixed = tuple(lo[t] if lo[t] == hi[t] else None for t in range(1, n + 1))  # one-value windows
+    return SupportMap(keys, coef, tuple(shift[1:]), tuple(mask[1:]), fixed)
 
 
 def _edge_step(keys: np.ndarray, coef: np.ndarray, field_u: tuple, field_v: tuple,
@@ -400,21 +387,54 @@ def _rcm_order(g: SignedMultigraph, start: int) -> list[int]:
 # support scans
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SupportMap:
-    """Nonzero coefficients inside a per-variable window.
+    """Nonzero coefficients inside a per-variable window: the DP's last layer.
 
-    entries maps exponent vectors to coefficients (never zero).
+    keys are sorted distinct state keys, one per exponent, and coef their
+    coefficients (never zero), each int64 or Python ints.  Vertex t's
+    exponent (t from 0) is keys >> shift[t] & mask[t], or fixed[t] when its
+    window held one value.  Only entries decodes exponent tuples, once.
     """
 
-    entries: dict[ExponentVector, int]
+    keys: np.ndarray
+    coef: np.ndarray
+    shift: tuple[int, ...]
+    mask: tuple[int, ...]
+    fixed: tuple[Optional[int], ...]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.keys.size
 
-    def witness(self) -> Optional[ExponentVector]:
-        """Lexicographically smallest exponent, or None if empty."""
-        return min(self.entries) if self.entries else None
+    def column(self, t: int, keys: np.ndarray) -> np.ndarray:
+        """Vertex t's exponent (t from 0) in each row of keys, a slice of self.keys."""
+        x = self.fixed[t]
+        return keys >> self.shift[t] & self.mask[t] if x is None else np.full(keys.shape, x)
+
+    def witness(self) -> Optional[tuple[ExponentVector, int]]:
+        """(exponent, coefficient) at the lexicographically smallest exponent, or None:
+        the rows with vertex 1's least exponent, among them vertex 2's least, and so on."""
+        if not self.keys.size:
+            return None
+        keys, xi = self.keys, []
+        for t in range(len(self.shift)):
+            col = self.column(t, keys)
+            xi.append(int(col.min()))
+            keys = keys[col == xi[-1]]
+        return tuple(xi), int(self.coef[np.searchsorted(self.keys, keys[0])])
+
+    @functools.cached_property
+    def entries(self) -> dict[ExponentVector, int]:
+        """{exponent vector: coefficient}, decoded from the whole layer on first read."""
+        out: dict[ExponentVector, int] = {}
+        for start in range(0, self.keys.size, 65536):  # bounds the columns held as lists
+            chunk = self.keys[start:start + 65536]
+            # one list per vertex, zipped into the rows: a list per row would be
+            # tracked by the cyclic GC, whose passes then dominate the decode
+            columns = [self.column(t, chunk).tolist() for t in range(len(self.shift))]
+            rows = zip(*columns) if columns else [()]
+            out.update(zip(rows, self.coef[start:start + 65536].tolist()))
+        return out
 
     def sorted_items(self) -> list[tuple[ExponentVector, int]]:
         return sorted(self.entries.items())
@@ -440,7 +460,7 @@ def support(
     if any(f > c for f, c in zip(floor_t, cap)):
         raise ValueError("floor exceeds cap")
     budget = DEFAULT_BUDGET if budget is None else budget
-    return SupportMap(_scan(g, floor_t, cap, budget))
+    return _scan(g, floor_t, cap, budget)
 
 
 def almost_central_scan(g: SignedMultigraph, *, budget: Optional[int] = None) -> SupportMap:
@@ -490,9 +510,9 @@ def alon_tarsi_number_exact(
     k_max = g.max_degree() + 1  # cap = degree always has the full support
     for k in range(k_min, k_max + 1):
         cap = tuple(min(k - 1, d) for d in deg)
-        sup = support(g, cap, budget=budget)
-        if sup.entries:
-            return k, sup.witness()
+        found = support(g, cap, budget=budget).witness()
+        if found is not None:
+            return k, found[0]
     raise InvariantViolationError("support empty even at cap = degree vector")
 
 

@@ -52,9 +52,8 @@ def squared_central_check(g: SignedMultigraph, *, budget: Optional[int] = None) 
     """
     doubled = double_edges(g)
     direct = coefficient(doubled, central_exponent(doubled), budget=budget)
-    deg = g.degree_vector()
-    full = support(g, deg, budget=budget)
-    via_squares = mirror_sign(g) * sum(c * c for c in full.entries.values())
+    exact = support(g, g.degree_vector(), budget=budget).coef.astype(object)
+    via_squares = mirror_sign(g) * int((exact * exact).sum())
     if direct != via_squares:
         raise InvariantViolationError(
             f"squared-central mismatch: direct {direct} vs sum-of-squares {via_squares}"
@@ -95,11 +94,12 @@ def cycle_cover_certificate(
     gprime = double_edges(g, doubled_idx)
     phi = build_phi(gprime, budget=budget) if gprime.n <= TRACE_VERTEX_CAP else None
     scan = almost_central_scan(gprime, budget=budget) if phi is None else phi.scan
-    if not scan.entries:
+    found = scan.witness()
+    if found is None:
         raise InvariantViolationError(
             "cycle cover exists but the doubled graph has an empty almost-central window"
         )
-    witness = scan.witness()
+    witness, value = found
     cert = {
         "kind": "prop_cover",
         "graph": to_json_obj(g),
@@ -107,7 +107,7 @@ def cycle_cover_certificate(
         "cover_cycles": [list(c) for c in cover],
         "doubled_edge_indices": doubled_idx,
         "witness_exponent": list(witness),
-        "witness_value": encode_int(scan.entries[witness]),
+        "witness_value": encode_int(value),
         "at_bound": delta + 1,
         "k": k,
         "trace_value": None if phi is None else encode_int(nonzero_trace(phi, k)),
@@ -151,22 +151,9 @@ class ChoosabilityPlan:
         return len(self.a_side)
 
     def as_json(self) -> dict:
-        return {
-            "graph": to_json_obj(self.graph),
-            "tau": list(self.tau),
-            "tau_value": encode_int(self.tau_value),
-            "on_center": list(self.on_center),
-            "below": list(self.below),
-            "half_below": list(self.half_below),
-            "above": list(self.above),
-            "half_above": list(self.half_above),
-            "spill_below": list(self.spill_below),
-            "spill_above": list(self.spill_above),
-            "a_side": list(self.a_side),
-            "b_side": list(self.b_side),
-            "pairing": [list(p) for p in self.pairing],
-            "f": list(self.f),
-        }
+        parts = {k: [list(p) for p in v] if k == "pairing" else list(v)
+                 for k, v in vars(self).items() if isinstance(v, tuple)}
+        return {"graph": to_json_obj(self.graph), "tau_value": encode_int(self.tau_value), **parts}
 
 
 def build_plan(
@@ -257,9 +244,8 @@ def plan_polynomial(plan: ChoosabilityPlan, signs: Sequence[str]) -> SignedMulti
     sign of a DIFF factor written canonically does not affect which
     coefficients vanish).
     """
-    extra = []
-    for (a, b), s in zip(plan.pairing, signs):
-        extra.append((min(a, b), max(a, b), SUM if s == "+" else DIFF))
+    # make_graph puts each pair in u < v order
+    extra = [(a, b, SUM if s == "+" else DIFF) for (a, b), s in zip(plan.pairing, signs)]
     return make_graph(plan.graph.n, list(plan.graph.edges) + extra)
 
 

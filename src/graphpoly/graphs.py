@@ -144,12 +144,7 @@ def build_cycle_power(n: int, p: int) -> SignedMultigraph:
         raise ValueError(f"power must be >= 1, got {p}")
     if n <= 2 * p:
         raise ValueError(f"need n >= 2p+1, got n={n}, p={p}")
-    edges = []
-    for i in range(1, n + 1):
-        for d in range(1, p + 1):
-            j = (i - 1 + d) % n + 1
-            edges.append((i, j))
-    return make_graph(n, edges)
+    return make_graph(n, [(i, (i - 1 + d) % n + 1) for i in range(1, n + 1) for d in range(1, p + 1)])
 
 
 def build_petersen() -> SignedMultigraph:

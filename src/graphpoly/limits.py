@@ -3,11 +3,18 @@
 The DP budget is the only limit on what ``check`` recomputes.
 """
 
-# DP state expansions per scan: past it the scan raises, so a run never ends silently wrong.
+# DP state expansions per scan: past it the scan raises, so a run never ends silently wrong.  The
+# DP peaks near 90 bytes per state of its largest layer (keys, coefficients and their per-edge
+# copies), and each state costs two expansions, so the default admits layers of up to 5*10^7
+# states, about 4.5 GB.
 DEFAULT_BUDGET = 10**8
 
 # List assignments an exhaustive choosability sweep may enumerate before it refuses.
 DEFAULT_ASSIGNMENT_BUDGET = 5_000_000
+
+# Colors of a list assignment, in its universe and summed over its lists: sweeps and stress trials
+# hold each as a Python int in lists, tuples and dicts, about 100 bytes, so 10^6 take about 100 MB.
+LIST_COLOR_CAP = 10**6
 
 # Vertices above which 2^n subset indexes (transfer matrices, window conditions) are refused; at
 # 20 the chunked window check takes about 0.12 s on 2 cores (numpy 2.4), and each vertex doubles it.

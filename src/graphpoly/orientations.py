@@ -53,10 +53,7 @@ class Orientation:
 
     def arcs(self) -> list[tuple[int, int]]:
         """(tail, head) per edge, aligned with graph.edges."""
-        out = []
-        for (u, v, _), fwd in zip(self.graph.edges, self.directions):
-            out.append((u, v) if fwd else (v, u))
-        return out
+        return [(u, v) if fwd else (v, u) for (u, v, _), fwd in zip(self.graph.edges, self.directions)]
 
     def outdegree_vector(self) -> ExponentVector:
         d = [0] * self.graph.n
@@ -290,11 +287,7 @@ def odd_cycle_product_orientation(ks: Sequence[int]) -> Orientation:
         return tuple(reversed(out))
 
     def box_bits(coords: Sequence[int]) -> int:
-        bits = 0
-        for j, (c, k) in enumerate(zip(coords, ks)):
-            if c > k:
-                bits |= 1 << j
-        return bits
+        return sum(1 << j for j, (c, k) in enumerate(zip(coords, ks)) if c > k)
 
     # One window orientation per box shape; shapes repeat across boxes.
     shape_cache: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}

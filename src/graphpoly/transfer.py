@@ -53,7 +53,8 @@ class Block:
     """The block of Phi on the subsets of size s, in coordinate form.
 
     Entry (row[e], col[e]) is (-1)^s * values[value[e]], values being the
-    scan's coefficients (shared by all blocks); other entries are zero.
+    scan's coefficient array (shared by all blocks, int64 unless an entry
+    needs Python ints); other entries are zero.
     len() is the dimension; iteration yields each row's nonzero count.
     """
 
@@ -61,7 +62,7 @@ class Block:
     row: np.ndarray
     col: np.ndarray
     value: np.ndarray
-    values: list[int] = field(repr=False)
+    values: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return self.dim
@@ -84,10 +85,6 @@ class PhiMatrix:
     sigma: int
     blocks: dict[int, Block]
     scan: SupportMap
-
-    def entry(self, s_mask: int, t_mask: int) -> int:
-        xi = tuple(x + (t_mask >> i & 1) - (s_mask >> i & 1) for i, x in enumerate(self.a))
-        return (-1) ** s_mask.bit_count() * self.scan.entries.get(xi, 0)
 
     def nnz(self) -> int:
         return sum(self.block_nnz().values())
@@ -119,7 +116,9 @@ def build_phi(q: SignedMultigraph, *, budget: Optional[int] = None) -> PhiMatrix
     a + 1_T - 1_S determines S \\ T, T \\ S and leaves S intersect T free,
     so each scanned coefficient fans out over the subsets of its
     half-degree positions, in the blocks with 2s <= n (the others are their
-    mirrors).  Over SUBSET_VERTEX_CAP vertices or PHI_NNZ_CAP nonzeros, q is refused.
+    mirrors).  S \\ T, T \\ S and the free set are read from the scan's key
+    fields, and the nonzeros counted from them before any block exists.
+    Over SUBSET_VERTEX_CAP vertices or PHI_NNZ_CAP nonzeros, q is refused.
     """
     if q.n > SUBSET_VERTEX_CAP:
         raise GraphPolyError(
@@ -129,29 +128,32 @@ def build_phi(q: SignedMultigraph, *, budget: Optional[int] = None) -> PhiMatrix
     a = central_exponent(q)  # also validates even degrees
     n, sigma = q.n, mirror_sign(q)
     scan = almost_central_scan(q, budget=budget)
-    keys, values = list(scan.entries), list(scan.entries.values())
+    keys, values = scan.keys, scan.coef
     rank = _subsets(n)[1]
 
-    # per entry: S \ T where xi - a = -1, T \ S where it is +1, free where 0
-    d = np.empty((len(keys), n), dtype=np.int8)
-    for lo in range(0, len(keys), 65536):  # bounds the int64 staging copy
-        d[lo:lo + 65536] = np.array(keys[lo:lo + 65536], dtype=np.int64) - a
-    weight = 1 << np.arange(n, dtype=np.int64)
-    s0, t0, free = ((d == x) @ weight for x in (-1, 1, 0))
-    nfree, base = (d == 0).sum(axis=1), (d == -1).sum(axis=1)
-    if (nnz := int(np.left_shift(1, nfree).sum())) > PHI_NNZ_CAP:  # e fills 2^|free_e| places
+    # per entry, from its key fields: S \ T where xi - a = -1, T \ S where it is +1, free where 0
+    s0, t0 = np.zeros(len(scan), np.int32), np.zeros(len(scan), np.int32)
+    for lo in range(0, len(scan), 65536):  # bounds the column temporaries
+        chunk = keys[lo:lo + 65536]
+        for i in range(n):
+            x = scan.column(i, chunk)
+            s0[lo:lo + 65536] |= (x < a[i]) << i
+            t0[lo:lo + 65536] |= (x > a[i]) << i
+    free = ((1 << n) - 1) & ~(s0 | t0)
+    nfree, base = np.bitwise_count(free), np.bitwise_count(s0)
+    if (nnz := int(np.left_shift(1, nfree, dtype=np.int64).sum())) > PHI_NNZ_CAP:  # e fills 2^|free_e| places
         raise GraphPolyError(f"transfer matrix of {nnz} nonzeros refused (cap {PHI_NNZ_CAP})")
 
-    # the mirror law c(2a - xi) = sigma c(xi) pairs each entry with the entry of -d
-    key = (d + 1) @ 3 ** np.arange(n, dtype=np.int64)
-    order = np.argsort(key).astype(np.int32)
-    mirror = order[np.searchsorted(key, 3**n - 1 - key, sorter=order).clip(max=len(keys) - 1)]
-    exact = np.array(values, dtype=object)
-    if np.any(key[mirror] != 3**n - 1 - key) or np.any(exact[mirror] != sigma * exact):
+    # xi -> 2a - xi takes each field c to 2a_i - c >= 0, so a key to centre - key with no
+    # borrow (centre < 2^(key bits + 1) fits the keys' dtype): the mirror law holds iff the
+    # keys read backwards are centre - keys, with sigma times the coefficients; e mirrors N - 1 - e
+    centre = sum(2 * x << sh for x, sh, fixed in zip(a, scan.shift, scan.fixed) if fixed is None)
+    if np.any(keys[::-1] != centre - keys) or np.any(values[::-1] != sigma * values):
         raise InvariantViolationError("scan breaks the mirror law c(2a - xi) = sigma c(xi)")
     parts = [[(np.zeros(0, np.int32),) * 3] for _ in range(n // 2 + 1)]  # (row, col, value)
-    for f, b in sorted({(f, b) for f, b in zip(nfree.tolist(), base.tolist()) if 2 * b <= n}):
-        ids = np.flatnonzero((nfree == f) & (base == b)).astype(np.int32)
+    group = nfree.astype(np.int32) * (n + 1) + base  # (|free|, |S \ T|) as one number
+    for f, b in (divmod(x, n + 1) for x in np.unique(group[2 * base <= n]).tolist()):
+        ids = np.flatnonzero(group == f * (n + 1) + b).astype(np.int32)
         # x[e, c]: subset j[c] of entry e's free set, spread one free bit at a time;
         # j lists the subsets by size, so each size is one run of columns
         sizes = [math.comb(f, r) for r in range(min(f, n // 2 - b) + 1)]
@@ -167,7 +169,7 @@ def build_phi(q: SignedMultigraph, *, budget: Optional[int] = None) -> PhiMatrix
             parts[b + r].append(tuple(m.ravel() for m in piece))
     blocks = {s: Block(math.comb(n, s), *map(np.concatenate, zip(*pieces)), values)
               for s, pieces in enumerate(parts)}
-    blocks |= {n - s: Block(b.dim, b.dim - 1 - b.row, b.dim - 1 - b.col, mirror[b.value], values)
+    blocks |= {n - s: Block(b.dim, b.dim - 1 - b.row, b.dim - 1 - b.col, len(scan) - 1 - b.value, values)
                for s, b in reversed(blocks.items()) if 2 * s < n}  # J B J reverses both ranks
     return PhiMatrix(n=n, a=a, sigma=sigma, blocks=blocks, scan=scan)
 
@@ -291,9 +293,9 @@ def trace_power(phi: PhiMatrix, k: int) -> int:
     middle block's, from coefficients squared once and, since every block takes
     the primes of the middle (largest) block, reduced once per prime."""
     check_trace_request(phi.n, k)
-    exact = np.array(phi.blocks[0].values, dtype=object)  # never cast
-    residues = functools.cache(lambda p: _sym_mod((exact % p).astype(np.float64), p))
-    squares = exact * exact
+    values = phi.blocks[0].values
+    residues = functools.cache(lambda p: _sym_mod((values % p).astype(np.float64), p))
+    squares = values.astype(object) ** 2  # the bound's squares, in Python ints
     width = math.comb(phi.n, phi.n // 2)
     return sum((1 if 2 * s == phi.n else 2) * _block_trace(block, k // 2, squares, residues, width)
                for s, block in phi.blocks.items() if 2 * s <= phi.n)
@@ -340,16 +342,17 @@ def even_cycle_certificate(
 
     check_trace_request(q.n, k)
     phi = build_phi(q, budget=budget)
-    witness = phi.scan.witness()
-    if witness is None:
+    found = phi.scan.witness()
+    if found is None:
         return None
+    witness, value = found
     cert = {
         "kind": "trace",
         "graph": to_json_obj(q),
         "graph_digest": graph_digest(q),
         "k": k,
         "witness_exponent": list(witness),
-        "witness_value": encode_int(phi.scan.entries[witness]),
+        "witness_value": encode_int(value),
         "trace_value": encode_int(nonzero_trace(phi, k)),
         "at_bound": q.max_degree() // 2 + 2,
     }

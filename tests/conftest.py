@@ -49,7 +49,13 @@ def block_entries(s: int, block) -> dict[tuple[int, int], int]:
     the subsets of size s, read from its coordinate arrays."""
     sign = -1 if s % 2 else 1
     coords = zip(block.row.tolist(), block.col.tolist())
-    return {ij: sign * block.values[v] for ij, v in zip(coords, block.value.tolist())}
+    return {ij: sign * c for ij, c in zip(coords, block.values[block.value].tolist())}
+
+
+def phi_entry(phi, s_mask: int, t_mask: int) -> int:
+    """Phi(S, T) = (-1)^|S| [x^(a + 1_T - 1_S)] Q, read from the decoded scan entries."""
+    xi = tuple(x + (t_mask >> i & 1) - (s_mask >> i & 1) for i, x in enumerate(phi.a))
+    return (-1) ** s_mask.bit_count() * phi.scan.entries.get(xi, 0)
 
 
 def random_simple_graph(rng: random.Random, n: int, m: int) -> SignedMultigraph:

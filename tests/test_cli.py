@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -432,3 +433,25 @@ def test_choosable_stress_refuses_a_negative_trial_count(capsys):
     code, out, err = run_cli(capsys, "choosable", "cycle:3", "--f", "3", "--stress", "-2")
     assert code == 2 and not out
     assert err == "error: trial count must be non-negative, got -2\n"
+
+
+@pytest.mark.parametrize("f, mode", [
+    ("100000000000", "--stress"),
+    ("100000000000000000000", "--stress"),
+    ("100000000000", "--exhaustive"),
+])
+def test_choosable_refuses_lists_it_cannot_hold(capsys, f, mode):
+    argv = ["choosable", "cycle:3", "--f", f, mode] + (["1"] if mode == "--stress" else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and not out
+    assert err.startswith(f"error: lists of {3 * int(f)} colors from a universe of {2 * int(f)} refused")
+    assert "(cap 1000000 colors)" in err and "Traceback" not in err
+
+
+def test_choosable_exhaustive_counts_assignments_before_listing_them(capsys):
+    # C(60, 30)^3 assignments; the running count stops at C(60, 5) = 5461512
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "choosable", "cycle:3", "--f", "30", "--exhaustive")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and not out and "Traceback" not in err
+    assert err.startswith("budget exceeded: budget of 5000000 list assignments exceeded")

@@ -231,6 +231,11 @@ def test_coefficients_past_int64_are_exact():
     # C(70, 35) ~ 1.1e20 > 2^63: the DP must leave int64 before it wraps
     digon = make_graph(2, [(1, 2)] * 70)
     assert coefficient(digon, (35, 35)) == -comb(70, 35)
+    # x1^i x2^(70-i) has coefficient (-1)^i C(70, i)
+    sup = support(digon, (36, 36), floor=(34, 34))
+    assert sup.coef.dtype == object
+    assert len(sup) == 3 and sup.witness() == ((34, 36), comb(70, 34))
+    assert sup.entries == {(i, 70 - i): (-1) ** i * comb(70, i) for i in (34, 35, 36)}
 
 
 def test_keys_past_62_bits_are_exact():
@@ -247,6 +252,11 @@ def test_keys_past_62_bits_are_exact():
 
     with mock.patch.object(coefficients, "_plan_order", hub_first):
         assert coefficient(g, xi) == comb(6, 3)
+        # the same layout with the hubs free in [2, 4]: C(6, h1) at hub counts (h1, 6 - h1)
+        sup = support(g, xi[:40] + (4, 4), floor=xi[:40] + (2, 2))
+    assert sup.keys.dtype == object
+    assert len(sup) == 3 and sup.witness() == (xi[:40] + (2, 4), comb(6, 2))
+    assert sup.entries == {xi[:40] + (h, 6 - h): comb(6, h) for h in (2, 3, 4)}
 
 
 def test_doubled_graph_big_coefficients():
@@ -303,6 +313,19 @@ def test_support_windows_match_oracle(g, data):
         if all(f <= x <= k for f, x, k in zip(floor, xi, cap))
     }
     assert support(g, cap, floor=floor).entries == expected
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(small_multigraphs(), st.data())
+def test_support_map_reads_from_its_layer_what_its_entries_hold(g, data):
+    # windows with a floor above a degree are empty
+    cap = tuple(data.draw(st.integers(0, d + 1)) for d in g.degree_vector())
+    floor = tuple(data.draw(st.integers(0, c)) for c in cap)
+    sup = support(g, cap, floor=floor)
+    found = sup.witness()  # before the decode, which it must not need
+    entries = sup.entries
+    assert len(sup) == len(entries)
+    assert found == ((min(entries), entries[min(entries)]) if entries else None)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

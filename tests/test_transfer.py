@@ -1,12 +1,14 @@
+import dataclasses
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphpoly.certificates import check_certificate
-from graphpoly.coefficients import SupportMap, central_exponent, coefficient, mirror_sign
+from graphpoly.coefficients import central_exponent, coefficient, mirror_sign
 from graphpoly.errors import GraphPolyError, InvariantViolationError
 from graphpoly.graphs import (
     DIFF,
@@ -27,7 +29,7 @@ from graphpoly.transfer import (
     trace_power,
 )
 
-from conftest import block_entries, even_degree_zoo
+from conftest import block_entries, even_degree_zoo, phi_entry
 
 
 def bit(i):
@@ -37,14 +39,14 @@ def bit(i):
 def test_phi_triangle_entries():
     phi = build_phi(build_cycle(3))
     assert phi.sigma == -1  # three DIFF factors: skew-symmetric
-    assert phi.entry(0, 0) == 0  # central coefficient of the triangle is 0
+    assert phi_entry(phi, 0, 0) == 0  # central coefficient of the triangle is 0
     # Phi({1},{2}) = -[x^(0,2,1)]F = -(-1) = 1 under the canonical sign
-    assert phi.entry(bit(1), bit(2)) == 1
-    assert phi.entry(bit(2), bit(1)) == -1
+    assert phi_entry(phi, bit(1), bit(2)) == 1
+    assert phi_entry(phi, bit(2), bit(1)) == -1
     assert phi.nnz() == 12
     assert phi.block_nnz() == {0: 0, 1: 6, 2: 6, 3: 0}
     for s, t in itertools.product(range(8), repeat=2):
-        assert abs(phi.entry(s, t)) <= 1
+        assert abs(phi_entry(phi, s, t)) <= 1
 
 
 def test_trace_square_triangle_is_minus_12():
@@ -117,9 +119,9 @@ def test_phi_entries_match_direct_definition(zoo8):
                 if bin(s_mask).count("1") != bin(t_mask).count("1"):
                     # block structure: coefficient outside homogeneous degree
                     assert expected == 0, name
-                    assert phi.entry(s_mask, t_mask) == 0, name
+                    assert phi_entry(phi, s_mask, t_mask) == 0, name
                 else:
-                    assert phi.entry(s_mask, t_mask) == expected, (name, s_mask, t_mask)
+                    assert phi_entry(phi, s_mask, t_mask) == expected, (name, s_mask, t_mask)
 
 
 def test_nonzero_trace_law(zoo12):
@@ -294,13 +296,63 @@ def test_build_phi_checks_the_mirror_law_on_the_scan(monkeypatch):
 
     q = build_cycle_power(8, 2)
     scan = transfer.almost_central_scan(q)
-    xi = next(x for x in scan.entries if x != central_exponent(q))  # its mirror is another entry
-    altered = SupportMap({**scan.entries, xi: 2 * scan.entries[xi]})
-    dropped = SupportMap({x: c for x, c in scan.entries.items() if x != xi})
-    for forged in (altered, dropped):
+    # row i holds the i-th decoded exponent; its mirror is another row
+    i = next(i for i, x in enumerate(scan.entries) if x != central_exponent(q))
+    coef = scan.coef.copy()
+    coef[i] *= 2
+    altered = dataclasses.replace(scan, coef=coef)
+    dropped = dataclasses.replace(scan, keys=np.delete(scan.keys, i), coef=np.delete(scan.coef, i))
+    assert altered.entries == {**scan.entries, list(scan.entries)[i]: 2 * scan.coef[i]}
+    assert dropped.entries == {x: c for x, c in scan.entries.items() if x != list(scan.entries)[i]}
+    # one key moved, still sorted, its coefficient kept: only the keys lose their mirror
+    keys = scan.keys.copy()
+    keys[next(j for j in range(len(keys) - 1) if keys[j] + 1 < keys[j + 1])] += 1
+    moved = dataclasses.replace(scan, keys=keys)
+    for forged in (altered, dropped, moved):
         monkeypatch.setattr(transfer, "almost_central_scan", lambda q, budget=None, scan=forged: scan)
         with pytest.raises(InvariantViolationError, match="mirror law"):
             build_phi(q)
+
+
+def test_nonzero_count_before_the_fan_out_is_the_fan_out(zoo12, monkeypatch):
+    # the cap is checked on the count of the key fields; a cap one below the
+    # built Phi's nonzeros must refuse, naming exactly that count
+    from graphpoly import transfer
+
+    for name, q in zoo12:
+        nnz = build_phi(q).nnz()
+        with monkeypatch.context() as m:
+            m.setattr(transfer, "PHI_NNZ_CAP", nnz - 1)
+            with pytest.raises(GraphPolyError, match=rf"of {nnz} nonzeros refused \(cap {nnz - 1}\)$"):
+                build_phi(q)
+
+
+def test_fast_paths_never_decode_the_scan(monkeypatch):
+    from graphpoly import coefficients
+    from graphpoly.choosability import coefficient_choosability_certificate
+    from graphpoly.coefficients import alon_tarsi_number_exact
+    from graphpoly.doubling import cycle_cover_certificate
+
+    c3c4 = cartesian_product(build_cycle(3), build_cycle(4))
+    runs = [
+        lambda: even_cycle_certificate(build_cycle_power(8, 2), 4),
+        lambda: check_certificate(even_cycle_certificate(build_cycle_power(8, 2), 4)).ok,
+        lambda: coefficient(c3c4, central_exponent(c3c4)),
+        lambda: alon_tarsi_number_exact(c3c4),
+        lambda: coefficient_choosability_certificate(c3c4, [3] * 12),
+        lambda: cycle_cover_certificate(build_complete(4)),
+        lambda: cycle_cover_certificate(build_cycle(13)),  # over TRACE_VERTEX_CAP: no Phi
+    ]
+    expected = [run() for run in runs]
+
+    def refuse(self):
+        raise AssertionError("scan decoded")
+
+    monkeypatch.setattr(coefficients.SupportMap, "entries", property(refuse))
+    assert [run() for run in runs] == expected
+    assert expected[1] is True and None not in expected
+    with pytest.raises(AssertionError, match="scan decoded"):
+        build_phi(build_cycle(3)).scan.entries
 
 
 def test_blocks_keep_the_read_contract_of_the_benchmark(zoo12):
