@@ -17,6 +17,7 @@ Kinds:
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -45,12 +46,35 @@ def finalize_certificate(cert: dict) -> dict:
     return cert
 
 
+# Python refuses int <-> str conversions past sys.get_int_max_str_digits()
+# digits, a limit no process can set below this many: longer values are
+# converted in pieces of at most this length, whatever the limit.
+_PIECE_DIGITS = 640
+_PIECE = 10**_PIECE_DIGITS
+
+
 def encode_int(value: int) -> str:
-    return str(int(value))
+    """value in decimal, of any length."""
+    value = int(value)
+    if value < 0:
+        return "-" + encode_int(-value)
+    if value < _PIECE:
+        return str(value)
+    low = value.bit_length() * 3 // 20  # about half its digits
+    high, rest = divmod(value, 10**low)
+    return encode_int(high) + encode_int(rest).zfill(low)
 
 
 def decode_int(text) -> int:
-    return int(text)
+    """The int of a decimal string of any length, or of what int() takes."""
+    if not isinstance(text, str) or len(text) <= _PIECE_DIGITS:
+        return int(text)
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"not a decimal integer: {text[:20]}...")
+    if text[0] == "-":
+        return -decode_int(text[1:])
+    low = len(text) // 2
+    return decode_int(text[:-low]) * 10**low + decode_int(text[-low:])
 
 
 @dataclass

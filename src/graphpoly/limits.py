@@ -23,8 +23,10 @@ SUBSET_VERTEX_CAP = 20
 # Nonzeros of a transfer matrix, checked before its fan-out: the build peaks near 20 bytes each.
 PHI_NNZ_CAP = 50_000_000
 
-# Rows of a block that a trace holds dense: C(14, 7) = 3432 takes 94 MB per float64 copy, with a
-# few copies live; C(16, 8) = 12870 would take 1.3 GB per copy.
+# Rows of a block that a trace holds dense: C(14, 7) = 3432 takes 94 MB per float64 copy, with up
+# to three copies live while the products stay exact and four once they run modulo primes
+# (`phi cycle:14 --trace 4` stays exact and peaks at 325 MB, in 1.1 s on 2 cores); C(16, 8) = 12870
+# would take 1.3 GB per copy.
 DENSE_BLOCK_DIM_CAP = 3432
 
 # Vertices up to which the chain and cover provers record a transfer trace (blocks up to C(12, 6) = 924).

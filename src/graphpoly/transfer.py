@@ -18,12 +18,16 @@ Blocks are sparse, in coordinate form with each entry an index into the
 scanned coefficients.  One numpy pass over the scan builds those of size
 s <= n/2; by the mirror law c(2a - xi) = sigma c(xi), checked on the scan,
 block n - s is (-1)^n sigma J B_s J (J reverses the ranks), so only they are powered.
-Traces are exact.  Each block is raised to the power k/2 in float64 BLAS
-modulo word-size primes p with dim * ((p-1)/2)^2 < 2^53: on symmetric
-residues every partial sum of a product is an integer below 2^53, so no
-rounding occurs.  The block trace is reassembled by the CRT over enough
-primes that their product exceeds 2 * ||B||_F^k, which bounds |tr B^k|,
-and is checked against one spare prime.
+Traces are exact.  Each block is raised to the power k/2 once, in float64
+BLAS on its integer entries: a product whose partial sums stay below 2^53
+is exact, and before every product that bound is checked on the maxima of
+the actual operands.  Only from the first product that would break it on
+are the matrices held so far reduced modulo word-size primes p with
+dim * ((p-1)/2)^2 < 2^53, where symmetric residues keep every partial sum
+below 2^53, and the rest of the chain runs once per prime.  Such a block
+trace is reassembled by the CRT over enough primes that their product
+exceeds 2 * ||B||_F^k, which bounds |tr B^k|, and is checked against one
+spare prime; a chain that stays exact draws no prime.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
+from .certificates import encode_int, finalize_certificate
 from .coefficients import (
     ExponentVector,
     SupportMap,
@@ -175,7 +180,8 @@ def build_phi(q: SignedMultigraph, *, budget: Optional[int] = None) -> PhiMatrix
 
 
 # ---------------------------------------------------------------------------
-# exact traces: float64 BLAS modulo word-size primes, then the CRT
+# exact traces: float64 BLAS on the integers while every product stays below
+# 2^53, then modulo word-size primes and the CRT
 # ---------------------------------------------------------------------------
 
 # Below 2^53 every integer is a float64, so a product whose partial sums
@@ -205,53 +211,91 @@ def _word_primes(dim: int) -> Iterator[int]:
 
 def _sym_mod(m: np.ndarray, p: int, scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """Entries of m (integers below 2^53) reduced in place into [-(p-1)/2, (p-1)/2]."""
-    # the float quotient errs by less than 1/p, so m lands within one of the range
-    q = np.rint(np.divide(m, p, out=scratch), out=scratch)
-    m -= np.multiply(q, p, out=q)
-    np.subtract(m, p, out=m, where=m > p // 2)
-    np.add(m, p, out=m, where=m < -(p // 2))
+    # the float quotient errs by less than 1/p, so truncated it never passes m/p in size:
+    # q * p is exact and leaves m within p of zero, where the rounded quotient is exact
+    for to_int in (np.trunc, np.rint):
+        q = to_int(np.divide(m, p, out=scratch), out=scratch)
+        m -= np.multiply(q, p, out=q)
     return m
 
 
-def _trace_square_power_mod(a: np.ndarray, half: int, p: int) -> int:
-    """tr((a^half)^2) mod p by square-and-multiply, reducing after each product."""
-    scratch = np.empty_like(a)
-    result: Optional[np.ndarray] = None
-    while True:
-        if half & 1:
-            result = a if result is None else _sym_mod(result @ a, p, scratch)
-        half >>= 1
-        if not half:
+def _peak(m: np.ndarray) -> int:
+    """max |m_ij|, read with no temporary."""
+    return int(max(m.max(), -m.min()))
+
+
+def _chain(
+    a: np.ndarray, r: np.ndarray, steps: str, p: Optional[int] = None
+) -> tuple[str, np.ndarray | int]:
+    """Run steps on float64 integer matrices: "s" squares r, "m" multiplies
+    it by a, and "t", the last, takes tr(r r) = sum_ij r_ij r_ji (no
+    (skew-)symmetry assumed).
+
+    A step on operands x, y sums at most dim terms of size at most
+    max|x| * max|y|, so it is exact while dim * max|x| * max|y| < 2^53.
+    Without p, that is checked on the actual operands before each step: the
+    run returns the steps left and r, unreduced, at the first step that
+    breaks it, else ("", the exact trace).  With p, a holds symmetric
+    residues and r is a or exact below 2^53 (reduced into a copy), the
+    residues keep to the bound by the choice of p, and ("", the trace
+    modulo p) is returned.  a and r are never written: the products and
+    reductions take turns in one spare buffer.
+    """
+    dim = len(a)
+    top_a, top_r = (_peak(a), _peak(r)) if p is None else (0, 0)
+    spare = np.empty_like(a)  # its pages are touched only when it is used
+    if p is not None and r is not a:
+        r = _sym_mod(r.copy(), p, spare)
+    for i, step in enumerate(steps):
+        y, top_y = (a, top_a) if step == "m" else (r, top_r)
+        if p is None and dim * top_r * top_y >= _FLOAT_EXACT:
+            return steps[i:], r
+        if step == "t":
             break
-        a = _sym_mod(a @ a, p, scratch)
-    # tr(A A) = sum_ij A_ij A_ji; each row sum of A o A^T has dim terms of
-    # size at most ((p-1)/2)^2, so it is exact with no (skew-)symmetry assumed
-    return int(_sym_mod(np.multiply(result, result.T, out=scratch).sum(axis=1), p).sum()) % p
+        product = np.matmul(r, y, out=spare)
+        spare = np.empty_like(a) if r is a else r
+        r = product if p is None else _sym_mod(product, p, spare)
+        top_r = _peak(r) if p is None else 0
+    rows = np.einsum("ij,ji->i", r, r)  # the row sums of r o r^T, with no dense temporary
+    if p is None:  # each row sum is below 2^53, their total need not be
+        return "", sum(map(int, rows.tolist()))
+    return "", int(_sym_mod(rows, p).sum()) % p
 
 
-def _block_trace(
-    block: Block, half: int, squares: np.ndarray, residues: Callable, width: int
-) -> int:
+def _block_trace(block: Block, half: int, residues: Callable, width: int) -> int:
     """Exact tr(B^(2 half)) of one block B of at most width rows.
 
-    squares and residues(p) hold the coefficients squared and modulo p;
-    the primes are those of width, so every block of one Phi shares them.
+    One _chain builds B^half by square-and-multiply from the leading bit of
+    half and traces it as tr(B^half B^half).  It runs exact on B's integer
+    coefficients while its bound holds; from the first step that breaks it,
+    the rest runs once per word-size prime, on the residues of B and of the
+    power held so far.  B starts reduced when its coefficients are not int64
+    (int64 ones of 2^53 or more break the first step's bound).
     |tr B^(2h)| <= ||B^h||_F^2 <= ||B||_F^(2h) by Cauchy-Schwarz and
     submultiplicativity, so residues modulo primes whose product exceeds
     twice that bound fix the trace by the CRT.  One spare prime that the
-    reconstruction did not use checks the result.  The sign (-1)^s of
-    the block cancels in an even power, so the coefficients enter unsigned.
+    reconstruction did not use checks the result.  residues(p) holds the
+    coefficients modulo p; the primes are those of width, so every block of
+    one Phi shares them.  The sign (-1)^s of the block cancels in an even
+    power, so the coefficients enter unsigned.
     """
     dim = len(block)
     if not block.row.size:
         return 0
-    count = np.bincount(block.value, minlength=squares.size)
+    flat = np.ravel_multi_index((block.row, block.col), (dim, dim))
+    a = np.zeros((dim, dim))  # B, then refilled at the same places with its residues
+    steps = bin(half)[3:].replace("1", "sm").replace("0", "s") + "t"
+    r = a
+    if block.values.dtype != object:
+        a.reshape(-1)[flat] = block.values[block.value]
+        steps, r = _chain(a, a, steps)
+        if not steps:
+            return r
+
+    count = np.bincount(block.value, minlength=block.values.size)
     used = np.flatnonzero(count)
     # ||B||_F^2 counts each coefficient once per entry that holds it, in Python ints
-    bound = 2 * np.dot(count[used].astype(object), squares[used]) ** half
-    flat = np.ravel_multi_index((block.row, block.col), (dim, dim))
-    a = np.zeros(dim * dim)  # refilled at the same places for each prime
-
+    bound = 2 * np.dot(count[used].astype(object), block.values[used].astype(object) ** 2) ** half
     found: list[tuple[int, int]] = []
     modulus = 1
     for p in _word_primes(width):
@@ -259,19 +303,19 @@ def _block_trace(
             raise InvariantViolationError(
                 f"prime {p} on a {dim}x{dim} block breaks the 2^53 exactness bound"
             )
-        a[flat] = residues(p)[block.value]
-        found.append((p, _trace_square_power_mod(a.reshape(dim, dim), half, p)))
+        a.reshape(-1)[flat] = residues(p)[block.value]
+        found.append((p, _chain(a, r, steps, p)[1]))
         if modulus > bound:  # p was the spare
             break
         modulus *= p
 
     spare, spare_residue = found.pop()
-    total = sum(r * (modulus // p) * pow(modulus // p, -1, p) for p, r in found) % modulus
+    total = sum(res * (modulus // p) * pow(modulus // p, -1, p) for p, res in found) % modulus
     if total > modulus // 2:
         total -= modulus
     if total % spare != spare_residue:
         raise InvariantViolationError(
-            f"CRT trace {total} disagrees with its residue modulo the spare prime {spare}"
+            f"CRT trace {encode_int(total)} disagrees with its residue modulo the spare prime {spare}"
         )
     return total
 
@@ -290,14 +334,15 @@ def check_trace_request(n: int, k: int) -> None:
 def trace_power(phi: PhiMatrix, k: int) -> int:
     """Exact tr(Phi^k) for even k >= 2, once check_trace_request admits it: twice
     the trace of each block B_s with 2s < n (its mirror's is the same), plus the
-    middle block's, from coefficients squared once and, since every block takes
-    the primes of the middle (largest) block, reduced once per prime."""
+    middle block's.  Each block is powered once, in float64 products checked
+    exact one by one, and only from the first product past 2^53 on modulo
+    primes; every block takes the primes of the middle (largest) block, so the
+    coefficients are reduced once per prime, on its first use."""
     check_trace_request(phi.n, k)
     values = phi.blocks[0].values
     residues = functools.cache(lambda p: _sym_mod((values % p).astype(np.float64), p))
-    squares = values.astype(object) ** 2  # the bound's squares, in Python ints
     width = math.comb(phi.n, phi.n // 2)
-    return sum((1 if 2 * s == phi.n else 2) * _block_trace(block, k // 2, squares, residues, width)
+    return sum((1 if 2 * s == phi.n else 2) * _block_trace(block, k // 2, residues, width)
                for s, block in phi.blocks.items() if 2 * s <= phi.n)
 
 
@@ -337,7 +382,6 @@ def even_cycle_certificate(
     (that is not a disproof of choosability, just no certificate by this
     route).
     """
-    from .certificates import encode_int, finalize_certificate
     from .graphio import graph_digest, to_json_obj
 
     check_trace_request(q.n, k)

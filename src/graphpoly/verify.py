@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .certificates import CheckResult, certificate_digest, decode_int
+from .certificates import CheckResult, certificate_digest, decode_int, encode_int
 from .coefficients import coefficient
 from .doubling import build_plan, plan_polynomial, plan_target_exponent
 from .errors import BudgetExceededError, GraphPolyError
@@ -76,7 +76,7 @@ def _check_trace(result: CheckResult, g: SignedMultigraph, k: int, stated, budge
     if tr == 0:
         result.fail("recomputed trace is zero")
     elif stated is None or decode_int(stated) != tr:
-        result.fail(f"stated trace {stated} != recomputed {tr}")
+        result.fail(f"stated trace {stated} != recomputed {encode_int(tr)}")
 
 
 def verify(cert: dict, *, budget: Optional[int] = None) -> CheckResult:

@@ -1,11 +1,14 @@
 import copy
 import random
+import sys
 
 import pytest
 
 from graphpoly.certificates import (
     certificate_digest,
     check_certificate,
+    decode_int,
+    encode_int,
     finalize_certificate,
 )
 from graphpoly.choosability import at_certificate_exact, coefficient_choosability_certificate
@@ -115,6 +118,22 @@ def test_redigested_tampering_fails_semantically(certs):
             if not check_certificate(mutated).ok:
                 rejected += 1
     assert rejected > 20  # the vast majority of semantic fields are pinned
+
+
+def test_ints_are_written_and_read_at_any_length_under_any_digit_limit():
+    values = (0, -1, 10**639, -(10**640), 7**30000, -(3**20001))
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        expected = [str(v) for v in values]
+        for cap in (640, limit):  # 640 is the lowest limit a process can set
+            sys.set_int_max_str_digits(cap)
+            assert [encode_int(v) for v in values] == expected
+            assert [decode_int(t) for t in expected] == list(values)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    with pytest.raises(ValueError, match="not a decimal integer"):
+        decode_int("1_" + "0" * 700)
 
 
 def test_missing_digest_fails(certs):

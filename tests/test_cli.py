@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphpoly.certificates import finalize_certificate
 from graphpoly.cli import main
+from graphpoly.graphio import canonical_json
 
 
 def run_cli(capsys, *argv):
@@ -84,6 +86,22 @@ def test_at_trace(capsys):
     code, payload, _ = run_json(capsys, "at", "cycle:5", "--trace", "4")
     assert code == 0
     assert payload["result"]["at_bound_for_product"] == 3
+
+
+@pytest.mark.parametrize("k, digits", [(6000, 4501), (10000, 7501)])
+def test_traces_past_the_int_str_digit_limit_are_written_and_checked(tmp_path, capsys, k, digits):
+    # Python converts at most 4300 digits between int and str by default
+    path = tmp_path / "trace.json"
+    code, payload, _ = run_json(capsys, "at", "cycle:5", "--trace", str(k), "--out", str(path))
+    assert code == 0
+    cert = json.loads(path.read_text())
+    assert len(cert["trace_value"]) == digits == len(payload["result"]["trace_value"])
+    code, payload, _ = run_json(capsys, "check", str(path))
+    assert code == 0 and payload["result"]["pass"]
+    forged = finalize_certificate(dict(cert, trace_value=cert["trace_value"][:-1] + "1"))
+    path.write_text(canonical_json(forged))
+    code, payload, _ = run_json(capsys, "check", str(path))
+    assert code == 1 and payload["result"]["errors"][0].startswith("stated trace")
 
 
 def test_at_trace_no_certificate(capsys):

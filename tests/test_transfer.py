@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphpoly import transfer
 from graphpoly.certificates import check_certificate
 from graphpoly.coefficients import central_exponent, coefficient, mirror_sign
 from graphpoly.errors import GraphPolyError, InvariantViolationError
@@ -408,25 +409,143 @@ def test_trace_power_matches_oracle_on_large_values(q, k):
     assert trace_power(phi, k) == _oracle_trace(_oracle_blocks(phi), k)
 
 
-def test_trace_power_rejects_prime_beyond_float_bound(monkeypatch):
-    from graphpoly import transfer
+def test_sym_mod_is_exact_up_to_2_53():
+    # the chain hands exact entries of up to 2^53 - 1 to the primes; rounding the
+    # quotient to nearest would make q * p pass 2^53 within p/2 of it and lose a unit
+    for dim in (1, 3, 70, 3432):
+        for p in itertools.islice(transfer._word_primes(dim), 40):
+            ints = list(range(2**53 - 1, 2**53 - p, -(p // 97)))
+            ints += [-x for x in ints]
+            got = transfer._sym_mod(np.array(ints, dtype=np.float64), p)
+            assert got.tolist() == [(x + p // 2) % p - p // 2 for x in ints], p
 
-    # 4 * ((2^31 - 2)/2)^2 is far above 2^53
+
+def _reference_sym_mod(m, p, scratch=None):
+    """Entries of m (integers of size below 2^53 - p/2) reduced in place into [-(p-1)/2, (p-1)/2]."""
+    q = np.rint(np.divide(m, p, out=scratch), out=scratch)
+    m -= np.multiply(q, p, out=q)
+    np.subtract(m, p, out=m, where=m > p // 2)
+    np.add(m, p, out=m, where=m < -(p // 2))
+    return m
+
+
+def _reference_trace_mod(a, half, p):
+    """tr((a^half)^2) mod p by square-and-multiply, reducing after each product."""
+    scratch = np.empty_like(a)
+    result = None
+    while True:
+        if half & 1:
+            result = a if result is None else _reference_sym_mod(result @ a, p, scratch)
+        half >>= 1
+        if not half:
+            break
+        a = _reference_sym_mod(a @ a, p, scratch)
+    return int(_reference_sym_mod(np.multiply(result, result.T, out=scratch).sum(axis=1), p).sum()) % p
+
+
+def _reference_trace_power(phi, k):
+    """tr(Phi^k) with every block reduced modulo the CRT primes from the start:
+    the reference for the chain that runs exact until its products pass 2^53."""
+    values = phi.blocks[0].values
+    width = math.comb(phi.n, phi.n // 2)
+    total = 0
+    for s, block in phi.blocks.items():
+        dim = len(block)
+        if 2 * s > phi.n or not block.row.size:
+            continue
+        count = np.bincount(block.value, minlength=values.size)
+        used = np.flatnonzero(count)
+        bound = 2 * np.dot(count[used].astype(object), values[used].astype(object) ** 2) ** (k // 2)
+        flat = np.ravel_multi_index((block.row, block.col), (dim, dim))
+        a = np.zeros(dim * dim)
+        found, modulus = [], 1
+        for p in transfer._word_primes(width):
+            a[flat] = _reference_sym_mod((values % p).astype(np.float64), p)[block.value]
+            found.append((p, _reference_trace_mod(a.reshape(dim, dim), k // 2, p)))
+            if modulus > bound:
+                break
+            modulus *= p
+        spare, spare_residue = found.pop()
+        tr = sum(r * (modulus // p) * pow(modulus // p, -1, p) for p, r in found) % modulus
+        if tr > modulus // 2:
+            tr -= modulus
+        assert tr % spare == spare_residue
+        total += (1 if 2 * s == phi.n else 2) * tr
+    return total
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(even_degree_relabellings(), st.sampled_from([2, 4, 6, 8, 16, 64]))
+def test_trace_power_matches_the_reduce_from_the_start_reference(named, k):
+    name, q = named
+    phi = build_phi(q)
+    assert trace_power(phi, k) == _reference_trace_power(phi, k), (name, k)
+
+
+def _chain_log(monkeypatch):
+    """Record (p, steps given, steps left) of every _chain run."""
+    log, run = [], transfer._chain
+
+    def logged(a, r, steps, p=None):
+        left, value = run(a, r, steps, p)
+        log.append((p, steps, left))
+        return left, value
+
+    monkeypatch.setattr(transfer, "_chain", logged)
+    return log
+
+
+@pytest.mark.parametrize("q, k, regime", [
+    (build_cycle_power(11, 2), 4, "exact"),
+    (build_cycle_power(10, 2), 8, "switch"),  # the trace step of the two largest blocks passes 2^53
+    (build_cycle_power(8, 3), 64, "switch"),
+    (make_graph(3, [(1, 2), (2, 3), (1, 3)] * 26), 4, "reduced"),  # int64 entries of 57 bits
+    (make_graph(3, [(1, 2), (2, 3), (1, 3)] * 40), 4, "reduced"),  # entries of 89 bits
+], ids=["cyclepower11_2-k4", "cyclepower10_2-k8", "cyclepower8_3-k64", "K3x26-k4", "K3x40-k4"])
+def test_trace_power_regimes_match_the_reference(monkeypatch, q, k, regime):
+    phi = build_phi(q)
+    expected = _reference_trace_power(phi, k)
+    log = _chain_log(monkeypatch)
+    assert trace_power(phi, k) == expected
+    exact = [(given, left) for p, given, left in log if p is None]
+    modular = [p for p, _, _ in log if p is not None]
+    if regime == "exact":
+        assert exact and all(left == "" for _, left in exact) and not modular
+    elif regime == "switch":  # some block ran exact products, then continued per prime
+        assert any("" != left != given for given, left in exact) and modular
+    else:  # no product ran unreduced
+        assert all(left == given for given, left in exact) and modular
+
+
+def test_trace_power_rejects_prime_beyond_float_bound(monkeypatch):
+    # cyclepower:8:3 at k = 64 passes 2^53 mid-chain; 70 * ((2^31 - 2)/2)^2 is far above it
     monkeypatch.setattr(transfer, "_word_primes", lambda dim: itertools.repeat(2**31 - 1))
     with pytest.raises(InvariantViolationError, match="2\\^53"):
-        trace_power(build_phi(build_cycle(4)), 4)
+        trace_power(build_phi(build_cycle_power(8, 3)), 64)
+
+
+def _first_residue_off_by_one(monkeypatch):
+    exact = transfer._chain
+    calls = []
+
+    def chain(a, r, steps, p=None):
+        left, value = exact(a, r, steps, p)
+        if p is None:
+            return left, value
+        calls.append(p)
+        return left, (value + (len(calls) == 1)) % p
+
+    monkeypatch.setattr(transfer, "_chain", chain)
 
 
 def test_trace_power_spare_prime_catches_bad_residue(monkeypatch):
-    from graphpoly import transfer
-
-    exact = transfer._trace_square_power_mod
-    calls = []
-
-    def first_residue_off_by_one(a, half, p):
-        calls.append(p)
-        return (exact(a, half, p) + (len(calls) == 1)) % p
-
-    monkeypatch.setattr(transfer, "_trace_square_power_mod", first_residue_off_by_one)
+    _first_residue_off_by_one(monkeypatch)
     with pytest.raises(InvariantViolationError, match="spare prime"):
-        trace_power(build_phi(build_cycle(5)), 4)
+        trace_power(build_phi(build_cycle_power(8, 3)), 64)
+
+
+def test_spare_prime_failure_states_a_trace_past_the_int_str_digit_limit(monkeypatch):
+    # C5 at k = 10000 has a trace of 7501 digits; Python's default limit is 4300
+    _first_residue_off_by_one(monkeypatch)
+    with pytest.raises(InvariantViolationError, match="spare prime"):
+        trace_power(build_phi(build_cycle(5)), 10000)
