@@ -280,3 +280,149 @@ def test_fplan_witness_without_pairing_is_checked():
     assert check_certificate(cert).ok
     raised = _redigested(cert, witness_value=str(int(cert["witness_value"]) + 1))
     assert not check_certificate(raised).ok
+
+
+# ---------------------------------------------------------------------------
+# one re-digested forgery per refusal branch of verify.py, with its exact text
+# ---------------------------------------------------------------------------
+
+def _graph_fields(spec):
+    g = parse_graph_spec(spec)
+    return {"graph": to_json_obj(g), "graph_digest": graph_digest(g)}
+
+
+def _plan_forgery(**changes):
+    cert = copy.deepcopy(all_certificates()["fplan"])
+    cert["plan"].update(changes)
+    return finalize_certificate(cert)
+
+
+def _base_forgery(**changes):
+    cert = cycle_product_chain([1], [4])
+    return _redigested(cert, base_certificate=_redigested(cert["base_certificate"], **changes))
+
+
+def _step_forgery(cert, **changes):
+    steps = copy.deepcopy(cert["steps"])
+    steps[0].update(changes)
+    return _redigested(cert, steps=steps)
+
+
+_C21_REFUSAL = ("verification aborted: trace on 21 vertices refused: a dense 352716x352716 block "
+                "takes 995.3 GB (dense cap 3432 rows)")
+
+_REFUSALS = {
+    # verify
+    "no digest": (lambda c: {k: v for k, v in c["trace"].items() if k != "digest"},
+                  "certificate has no digest"),
+    "digest": (lambda c: dict(c["trace"], k=6), "digest mismatch (certificate was modified)"),
+    "unknown kind": (lambda c: dict(c["trace"], kind="sorcery", digest=certificate_digest(
+                         dict(c["trace"], kind="sorcery"))), "unknown certificate kind 'sorcery'"),
+    "engine refusal": (lambda c: _redigested(c["trace"], **_graph_fields("cycle:21"),
+                                             witness_exponent=[2, 0] + [1] * 19),
+                       _C21_REFUSAL),
+    "missing field": (lambda c: _redigested({k: v for k, v in c["trace"].items() if k != "k"}),
+                      "malformed certificate: KeyError('k')"),
+    # graphs
+    "graph parse": (lambda c: _redigested(c["trace"], graph={"n": -1, "edges": []}),
+                    "graph does not parse: vertex count must be non-negative, got -1"),
+    "graph digest": (lambda c: _redigested(c["trace"], graph_digest="0" * 64), "graph digest mismatch"),
+    # witness coefficients
+    "witness length": (lambda c: _redigested(c["coefficient"], witness_exponent=[1, 1, 1]),
+                       "witness exponent length mismatch"),
+    "zero witness": (lambda c: _redigested(c["coefficient"], witness_exponent=[2, 2, 0, 0]),
+                     "witness exponent (2, 2, 0, 0) has zero coefficient"),
+    "witness value": (lambda c: _redigested(c["coefficient"], witness_value="3"),
+                      "stated witness value 3 != recomputed -2"),
+    # coefficient
+    "f length": (lambda c: _redigested(c["coefficient"], f=[2, 2, 2]), "list-size vector length mismatch"),
+    "f too small": (lambda c: _redigested(c["coefficient"], f=[2, 2, 2, 1]),
+                    "witness exponent exceeds f - 1 somewhere"),
+    "coefficient at_bound": (lambda c: _redigested(c["coefficient"], at_bound=3),
+                             "at_bound does not match the witness exponent"),
+    # trace
+    "odd degrees": (lambda c: _redigested(c["trace"], **_graph_fields("complete:4")),
+                    "trace certificate on a graph with odd degrees"),
+    "odd k": (lambda c: _redigested(c["trace"], k=3), "cycle length 3 is not an even integer >= 2"),
+    "trace witness": (lambda c: _redigested(c["trace"], witness_exponent=[3, 0, 0, 1, 1]),
+                      "witness exponent is not almost-central"),
+    "trace at_bound": (lambda c: _redigested(c["trace"], at_bound=4),
+                       "at_bound does not equal max degree / 2 + 2"),
+    "trace value": (lambda c: _redigested(c["trace"], trace_value="4381"), "stated trace 4381 != recomputed 4380"),
+    # orientation
+    "orientation value": (lambda c: _redigested(c["orientation"], witness_value="1"),
+                          "an orientation certificate states no witness value; the orientation is the witness"),
+    "directions": (lambda c: _redigested(c["orientation"], directions="10"),
+                   "direction bitstring must be 0/1 of edge-count length"),
+    "outdegrees": (lambda c: _redigested(c["orientation"], outdegrees=[0, 1, 2]),
+                   "stated outdegrees disagree with the direction bits"),
+    "orientation witness": (lambda c: _redigested(c["orientation"], witness_exponent=[0, 1, 2]),
+                            "witness exponent is not the outdegree vector"),
+    "odd directed cycle": (lambda c: _redigested(c["orientation"], directions="010", outdegrees=[1, 1, 1],
+                                                 witness_exponent=[1, 1, 1], at_bound=2),
+                           "orientation contains an odd directed cycle"),
+    "orientation at_bound": (lambda c: _redigested(c["orientation"], at_bound=4),
+                             "at_bound does not match the maximum outdegree"),
+    # prop_cover
+    "non-simple": (lambda c: _redigested(c["prop_cover"], **_graph_fields("digon")),
+                   "cover certificate on a non-simple graph"),
+    "cover entry": (lambda c: _redigested(c["prop_cover"], cover_cycles=[[1, 2]]),
+                    "cover entry (1, 2) is not a simple cycle"),
+    "cover overlap": (lambda c: _redigested(c["prop_cover"], cover_cycles=[[1, 2, 3], [1, 2, 4]]),
+                      "cover cycles are not vertex-disjoint"),
+    "cover edge": (lambda c: _redigested(c["prop_cover"], **_graph_fields("cycle:4"), cover_cycles=[[1, 2, 3]]),
+                   "cycle edge (1, 3) not in graph"),
+    "uncovered": (lambda c: _redigested(c["prop_cover"], cover_cycles=[[1, 2, 3]]),
+                  "some maximum-degree vertex is uncovered"),
+    "doubled": (lambda c: _redigested(c["prop_cover"], doubled_edge_indices=[1]),
+                "doubled edges are not exactly the non-cover edges"),
+    "cover at_bound": (lambda c: _redigested(c["prop_cover"], at_bound=5), "at_bound does not equal max degree + 1"),
+    "cover witness": (lambda c: _redigested(c["prop_cover"], witness_exponent=[0, 2, 3, 3]),
+                      "witness is not almost-central for the doubled graph"),
+    "cover trace": (lambda c: _redigested(cycle_cover_certificate(build_cycle(13)), trace_value="1"),
+                    "trace stated for a doubled graph on more than 12 vertices"),
+    # fplan
+    "plan rebuild": (lambda c: _plan_forgery(tau=[0, 0, 0, 0]),
+                     "plan does not rebuild: tau (0, 0, 0, 0) has zero coefficient; a plan needs a support element"),
+    "plan field": (lambda c: _plan_forgery(below=[2]), "plan field below disagrees with canonical reconstruction"),
+    "plan f": (lambda c: _redigested(c["fplan"], f=[4, 4, 4, 5]), "certificate f disagrees with the plan"),
+    "epsilon": (lambda c: _redigested(c["fplan"], epsilon="+"), "epsilon is not a +/- string of pairing length"),
+    "plan witness": (lambda c: _redigested(c["fplan"], witness_exponent=[1, 2, 3, 2]),
+                     "witness exponent is not tau plus the a-side multiset"),
+    # chain
+    "odd factor": (lambda c: _redigested(c["chain"], odd_factors=[4]), "odd factor lengths must be odd and >= 3"),
+    "even factor": (lambda c: _redigested(c["chain"], even_factors=[5]), "even factor lengths must be even and >= 4"),
+    "reciprocal sum": (lambda c: _redigested(c["chain"], odd_factors=[3, 3]),
+                       "odd factors violate the reciprocal-sum condition"),
+    "ch_lower": (lambda c: _redigested(c["chain"], ch_lower=2), "ch_lower is not 3 with an odd factor and 2 without"),
+    "base fails": (lambda c: _base_forgery(at_bound=4),
+                   "base certificate fails: ['at_bound does not match the maximum outdegree']"),
+    "base graph": (lambda c: _redigested(c["chain"], odd_factors=[5]),
+                   "base certificate graph is not the product of the declared factors"),
+    "base witness": (lambda c: _redigested(cycle_product_chain([2, 2], [4]), base_certificate=orientation_certificate(
+                         acyclic_orientation(odd_cycle_product_orientation([2, 2]).graph))),
+                     "base witness is not almost-central"),
+    "step count": (lambda c: _redigested(c["chain"], steps=[]), "one chain step per remaining even factor required"),
+    "step order": (lambda c: _step_forgery(c["chain"], even_length=6),
+                   "step factor order disagrees with the even factor list"),
+    "step kind": (lambda c: _step_forgery(c["chain"], verification="structural"),
+                  "step C_4 on 3 vertices must be trace"),
+    "step trace": (lambda c: _step_forgery(c["chain"], trace_value="37"), "stated trace 37 != recomputed 36"),
+    "structural trace": (lambda c: _step_forgery(cycle_product_chain([3, 3, 3], [4]), trace_value="1"),
+                         "step C_4 on 343 vertices states a trace it cannot have"),
+    "final digest": (lambda c: _redigested(c["chain"], final_graph_digest="0" * 64), "final product digest mismatch"),
+    "at_upper": (lambda c: _redigested(c["chain"], at_upper=4),
+                 "at_upper does not match the witness the chain actually holds"),
+    "at_lower": (lambda c: _redigested(c["chain"], at_lower=2), "at_lower does not match the recomputed lower bound"),
+}
+# Not reachable by a forgery: a nonzero almost-central witness forces a nonzero
+# trace, build_plan makes the augmented degrees 2f - 4, and every chain graph is
+# a product of cycles, so its degrees are even.
+
+
+@pytest.mark.parametrize("name", sorted(_REFUSALS))
+def test_each_refusal_branch_names_its_failure(certs, name):
+    forge, message = _REFUSALS[name]
+    result = check_certificate(forge(certs))
+    assert not result.ok
+    assert result.errors == [message]
