@@ -66,8 +66,10 @@ def encode_int(value: int) -> str:
 
 
 def decode_int(text) -> int:
-    """The int of a decimal string of any length, or of what int() takes."""
-    if not isinstance(text, str) or len(text) <= _PIECE_DIGITS:
+    """The int of a decimal string of any length, or a JSON integer (not a bool) itself."""
+    if type(text) not in (int, str):
+        raise TypeError(f"expected a decimal string, got {text!r}")
+    if type(text) is int or len(text) <= _PIECE_DIGITS:
         return int(text)
     if not re.fullmatch(r"-?[0-9]+", text):
         raise ValueError(f"not a decimal integer: {text[:20]}...")

@@ -329,7 +329,7 @@ def _cmd_choosable(args, run: _Run) -> int:
 def _cmd_check(args, run: _Run) -> int:
     with open(args.certificate) as fh:
         cert = json.load(fh)
-    run.param(certificate=args.certificate, kind=cert.get("kind"))
+    run.param(certificate=args.certificate, kind=cert.get("kind") if isinstance(cert, dict) else None)
     result = check_certificate(cert, budget=args.budget)
     run.emit({
         "kind": result.kind,

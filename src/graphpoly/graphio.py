@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -87,50 +88,47 @@ def graph_digest(g: SignedMultigraph) -> str:
 # generator specs ("cycle:5", "product:cycle:3:cycle:4", ...)
 # ---------------------------------------------------------------------------
 
+# each atom once, as (builder, argument count)
+_ATOMS = {
+    "cycle": (build_cycle, 1),
+    "path": (build_path, 1),
+    "complete": (build_complete, 1),
+    "cyclepower": (build_cycle_power, 2),
+    "digon": (build_digon, 0),
+    "petersen": (build_petersen, 0),
+}
+
+
+def _build_atom(name: str, args: list[str], spec: str) -> SignedMultigraph:
+    builder, count = _ATOMS[name]
+    if len(args) != count:
+        raise ValueError(f"{name} takes {count} argument(s), got {len(args)}, in {spec!r}")
+    return builder(*map(int, args))
+
+
 def parse_graph_spec(spec: str) -> SignedMultigraph:
     """Build a graph from a compact generator spec.
 
     Supported: cycle:N, path:K, complete:N, cyclepower:N:P, digon,
     petersen, and product:<spec>:<spec>[:<spec>...] over the same atoms.
     """
-    parts = spec.strip().lower().split(":")
-    head, args = parts[0], parts[1:]
-    if head == "cycle":
-        return build_cycle(int(args[0]))
-    if head == "path":
-        return build_path(int(args[0]))
-    if head == "complete":
-        return build_complete(int(args[0]))
-    if head == "cyclepower":
-        return build_cycle_power(int(args[0]), int(args[1]))
-    if head == "digon":
-        return build_digon()
-    if head == "petersen":
-        return build_petersen()
+    head, *args = spec.strip().lower().split(":")
+    if head in _ATOMS:
+        return _build_atom(head, args, spec)
     if head == "product":
         # args is a flat list like ["cycle", "3", "cycle", "4"]; regroup by
         # reading one atom (name + its numeric arguments) at a time.
         factors = []
-        i = 0
-        while i < len(args):
-            name = args[i]
-            if name in ("digon", "petersen"):
-                factors.append(parse_graph_spec(name))
-                i += 1
-            elif name == "cyclepower":
-                factors.append(parse_graph_spec(f"cyclepower:{args[i+1]}:{args[i+2]}"))
-                i += 3
-            elif name in ("cycle", "path", "complete"):
-                factors.append(parse_graph_spec(f"{name}:{args[i+1]}"))
-                i += 2
-            else:
+        while args:
+            name = args[0]
+            if name not in _ATOMS:
                 raise ValueError(f"unknown product factor {name!r} in {spec!r}")
+            count = _ATOMS[name][1]
+            factors.append(_build_atom(name, args[1:1 + count], spec))
+            args = args[1 + count:]
         if len(factors) < 2:
             raise ValueError("product needs at least two factors")
-        g = factors[0]
-        for h in factors[1:]:
-            g = cartesian_product(g, h)
-        return g
+        return functools.reduce(cartesian_product, factors)
     raise ValueError(f"unknown graph spec {spec!r}")
 
 

@@ -191,21 +191,27 @@ _FLOAT_EXACT = 2**53
 # dimension bit length -> primes found so far, largest first
 _PRIMES: dict[int, list[int]] = {}
 
+# odd numbers one sieve pass covers: some 1,800 primes near 2^25
+_SIEVE_SPAN = 1 << 14
+
 
 def _word_primes(dim: int) -> Iterator[int]:
     """Odd primes p, largest first, with dim * ((p-1)/2)^2 < 2^53.
 
-    Found on first use by trial division and cached per bit length of dim.
+    Found on first use by a sieve over _SIEVE_SPAN odd numbers at a time,
+    and cached per bit length of dim.
     """
     bits = dim.bit_length()
     found = _PRIMES.setdefault(bits, [])
     for i in itertools.count():
         if i == len(found):
             # dim < 2^bits, so every half-width up to this one qualifies
-            p = found[-1] - 2 if found else 2 * math.isqrt((_FLOAT_EXACT - 1) >> bits) + 1
-            while any(p % q == 0 for q in range(3, math.isqrt(p) + 1, 2)):
-                p -= 2
-            found.append(p)
+            top = found[-1] - 2 if found else 2 * math.isqrt((_FLOAT_EXACT - 1) >> bits) + 1
+            lo = top - 2 * (_SIEVE_SPAN - 1)  # far above sqrt(top)
+            prime = np.ones(_SIEVE_SPAN, dtype=bool)  # prime[j] stands for lo + 2j
+            for q in range(3, math.isqrt(top) + 1, 2):
+                prime[-lo * (q + 1) // 2 % q::q] = False  # lo + 2j = 0 mod q at j = -lo/2 mod q
+            found.extend((lo + 2 * np.flatnonzero(prime)[::-1]).tolist())
         yield found[i]
 
 

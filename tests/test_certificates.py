@@ -1,4 +1,5 @@
 import copy
+import json
 import random
 import sys
 
@@ -414,6 +415,9 @@ _REFUSALS = {
     "at_upper": (lambda c: _redigested(c["chain"], at_upper=4),
                  "at_upper does not match the witness the chain actually holds"),
     "at_lower": (lambda c: _redigested(c["chain"], at_lower=2), "at_lower does not match the recomputed lower bound"),
+    "no factors": (lambda c: _redigested(c["chain"], odd_factors=[], even_factors=[]),
+                   "a chain needs at least one factor"),
+    "not an object": (lambda c: [c["trace"]], "certificate is not a JSON object"),
 }
 # Not reachable by a forgery: a nonzero almost-central witness forces a nonzero
 # trace, build_plan makes the augmented degrees 2f - 4, and every chain graph is
@@ -426,3 +430,86 @@ def test_each_refusal_branch_names_its_failure(certs, name):
     result = check_certificate(forge(certs))
     assert not result.ok
     assert result.errors == [message]
+
+
+# ---------------------------------------------------------------------------
+# numbers are read, never truncated; malformed input ends as a failed verdict
+# ---------------------------------------------------------------------------
+
+def _cover_c13(**changes):
+    return _redigested(cycle_cover_certificate(build_cycle(13)), **changes)
+
+
+def _plan_with(**changes):
+    def forge(c):
+        return _plan_forgery(**changes)
+    return forge
+
+
+_NON_INTEGERS = {
+    "trace k 4.9": (lambda c: _redigested(c["trace"], k=4.9), "malformed certificate: TypeError('expected an integer, got 4.9')"),
+    "trace at_bound 3.0": (lambda c: _redigested(c["trace"], at_bound=3.0),
+                           "malformed certificate: TypeError('expected an integer, got 3.0')"),
+    "witness entry true": (lambda c: _redigested(c["trace"], witness_exponent=[False, 1, 1, 1, 2]),
+                           "malformed certificate: TypeError('expected an integer, got False')"),
+    "witness value 1.0": (lambda c: _redigested(c["trace"], witness_value=1.0),
+                          "malformed certificate: TypeError('expected a decimal string, got 1.0')"),
+    "trace value float": (lambda c: _redigested(c["trace"], trace_value=4380.0),
+                          "malformed certificate: TypeError('expected a decimal string, got 4380.0')"),
+    "graph n 5.0": (lambda c: _redigested(c["trace"], graph=dict(c["trace"]["graph"], n=5.0)),
+                    "graph does not parse: expected an integer, got 5.0"),
+    "cover k x": (lambda c: _cover_c13(k="x"), "malformed certificate: TypeError(\"expected an integer, got 'x'\")"),
+    "cover k null": (lambda c: _cover_c13(k=None), "malformed certificate: TypeError('expected an integer, got None')"),
+    "cover k -1": (lambda c: _cover_c13(k=-1), "cycle length -1 is not an even integer >= 2"),
+    "cover k 5": (lambda c: _cover_c13(k=5), "cycle length 5 is not an even integer >= 2"),
+    "cover k 4.0": (lambda c: _cover_c13(k=4.0), "malformed certificate: TypeError('expected an integer, got 4.0')"),
+    "cover without k": (lambda c: _redigested({k: v for k, v in c["prop_cover"].items() if k != "k"}),
+                        "malformed certificate: KeyError('k')"),
+    "fplan tau float": (_plan_with(tau=[0, 1, 2, 3.5]), "malformed certificate: TypeError('expected an integer, got 3.5')"),
+    "fplan field float": (_plan_with(below=[1.0]), "plan field below disagrees with canonical reconstruction"),
+    "chain ch_lower 3.0": (lambda c: _redigested(c["chain"], ch_lower=3.0),
+                           "malformed certificate: TypeError('expected an integer, got 3.0')"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NON_INTEGERS))
+def test_non_integer_numbers_are_refused_not_truncated(certs, name):
+    forge, message = _NON_INTEGERS[name]
+    assert check_certificate(forge(certs)).errors == [message]
+
+
+def _with_kind(cert, kind):
+    """cert under a kind finalize_certificate refuses, digested all the same."""
+    cert = dict(cert, kind=kind)
+    return dict(cert, digest=certificate_digest(cert))
+
+
+_MALFORMED = {
+    "base not an object": (lambda c: _redigested(c["chain"], base_certificate="x"),
+                           "base certificate fails: ['certificate is not a JSON object']"),
+    "base kind unhashable": (lambda c: _redigested(c["chain"], base_certificate=_with_kind(
+                                 c["chain"]["base_certificate"], [])),
+                             "base certificate fails: " + repr(["malformed certificate: TypeError(\"unhashable type: 'list'\")"])),
+    "kind unhashable": (lambda c: _with_kind(c["trace"], {}),
+                        "malformed certificate: TypeError(\"unhashable type: 'dict'\")"),
+    "short plan edge": (lambda c: _plan_forgery(graph={"n": 4, "edges": [[1, 2]]}),
+                        "graph does not parse: not enough values to unpack (expected 3, got 2)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED))
+def test_malformed_certificates_fail_without_raising(certs, name):
+    forge, message = _MALFORMED[name]
+    assert check_certificate(forge(certs)).errors == [message]
+
+
+@pytest.mark.parametrize("value", [[], "x", 3, None, [{"kind": "trace"}]])
+def test_check_of_a_non_object_prints_a_failed_verdict(tmp_path, capsys, value):
+    path = tmp_path / "cert.json"
+    path.write_text(canonical_json(value))
+    assert main(["check", str(path)]) == 1
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["manifest"]["parameters"]["kind"] is None
+    assert payload["result"]["errors"] == ["certificate is not a JSON object"]
+    assert "Traceback" not in captured.err

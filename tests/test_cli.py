@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import time
@@ -7,8 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphpoly.certificates import finalize_certificate
+from graphpoly.certificates import certificate_digest, finalize_certificate
+from graphpoly.choosability import coefficient_choosability_certificate
 from graphpoly.cli import main
+from graphpoly.doubling import build_plan, cycle_cover_certificate, epsilon_search
+from graphpoly.graphs import build_complete, build_cycle
+from graphpoly.orientations import cycle_product_chain, odd_cycle_product_orientation, orientation_certificate
+from graphpoly.transfer import even_cycle_certificate
 from graphpoly.graphio import canonical_json
 
 
@@ -259,6 +265,87 @@ def test_choosable_cli_fuzz_exits_on_a_documented_code(tmp_path_factory, data, s
     assert "Traceback" not in err.getvalue()
     if code in (0, 1) and mode == "--stress":  # an answer, so the trial count was valid
         assert json.loads(out.getvalue())["result"]["trials"] == trials >= 0
+
+
+_ATOM_ARGS = {"cycle": 1, "path": 1, "complete": 1, "cyclepower": 2, "digon": 0, "petersen": 0}
+
+
+def _atom(name):
+    """name and one argument too few, the right count, or one too many."""
+    count = _ATOM_ARGS[name]
+    args = st.sampled_from(["-1", "0", "1", "2", "3", "5", "x", ""])
+    return st.lists(args, min_size=max(count - 1, 0), max_size=count + 1).map(lambda a: [name, *a])
+
+
+_ATOMS = st.sampled_from(sorted(_ATOM_ARGS)).flatmap(_atom)
+_SPEC_PARTS = _ATOMS | st.lists(_ATOMS, min_size=0, max_size=3).map(
+    lambda atoms: ["product"] + [part for atom in atoms for part in atom])
+
+
+def _quiet_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_SPEC_PARTS, st.booleans(), st.lists(st.integers(0, 3), max_size=6))
+def test_spec_cli_fuzz_exits_on_a_documented_code(parts, as_gen, exponent):
+    spec = ":".join(parts)
+    if as_gen:
+        argv = ["gen", "--", *parts]
+    else:
+        argv = ["coeff", spec, "--budget", "100000", f"--exponent={','.join(map(str, exponent))}"]
+    code, err = _quiet_main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err
+    arity = {len(parts) - 1} if parts[0] in _ATOM_ARGS else set()
+    if arity and arity != {_ATOM_ARGS[parts[0]]}:  # a wrong argument count is a usage error
+        assert code == 2, argv
+
+
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 30) | st.floats(-3, 30) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=12)
+
+
+@functools.cache
+def _honest_certificates():
+    return [
+        even_cycle_certificate(build_cycle(5), 4),
+        orientation_certificate(odd_cycle_product_orientation([1])),
+        cycle_cover_certificate(build_complete(4)),
+        epsilon_search(build_plan(build_complete(4), (0, 1, 2, 3))),
+        coefficient_choosability_certificate(build_cycle(4), [2] * 4),
+        cycle_product_chain([1], [4]),
+    ]
+
+
+def _check_cli(tmp_path_factory, value):
+    path = tmp_path_factory.mktemp("check") / "cert.json"
+    path.write_text(canonical_json(value))
+    code, err = _quiet_main(["check", str(path)])
+    assert code in (0, 1, 2, 3), value
+    assert "Traceback" not in err
+    return code
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_ANY_JSON)
+def test_check_cli_fuzz_on_any_json_value(tmp_path_factory, value):
+    assert _check_cli(tmp_path_factory, value) == 1  # nothing here carries a valid digest
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data(), st.integers(0, 5), _ANY_JSON)
+def test_check_cli_fuzz_on_one_field_mutations(tmp_path_factory, data, which, value):
+    cert = dict(_honest_certificates()[which])
+    key = data.draw(st.sampled_from(sorted(set(cert) - {"digest"})))
+    cert[key] = value
+    cert["digest"] = certificate_digest(cert)
+    _check_cli(tmp_path_factory, cert)
 
 
 @pytest.mark.parametrize("bounds, message", [

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -64,6 +65,21 @@ def test_parse_graph_spec():
     assert parse_graph_spec("cyclepower:6:2").num_edges == 12
     with pytest.raises(ValueError):
         parse_graph_spec("torus:3")
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("cycle", "cycle takes 1 argument(s), got 0"),
+    ("cycle:5:7", "cycle takes 1 argument(s), got 2"),
+    ("cyclepower:5", "cyclepower takes 2 argument(s), got 1"),
+    ("digon:2", "digon takes 0 argument(s), got 1"),
+    ("product:cycle", "cycle takes 1 argument(s), got 0"),
+    ("product:cycle:3:cyclepower:5", "cyclepower takes 2 argument(s), got 1"),
+    ("product:cycle:3:4:cycle:5", "unknown product factor '4'"),
+    ("product:cycle:3", "product needs at least two factors"),
+])
+def test_parse_graph_spec_refuses_a_wrong_argument_count(spec, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_graph_spec(spec)
 
 
 def test_load_graph_file_and_spec(tmp_path):

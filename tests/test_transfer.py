@@ -409,6 +409,20 @@ def test_trace_power_matches_oracle_on_large_values(q, k):
     assert trace_power(phi, k) == _oracle_trace(_oracle_blocks(phi), k)
 
 
+def test_word_primes_match_trial_division():
+    # the sieve must give, in order, every prime the exactness bound admits
+    for dim in (1, 3, 10, 70, 462, 3432):
+        bits = dim.bit_length()
+        p, expected = 2 * math.isqrt((2**53 - 1) >> bits) + 1, []
+        while len(expected) < 200:
+            if all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
+                expected.append(p)
+            p -= 2
+        got = list(itertools.islice(transfer._word_primes(dim), 200))
+        assert got == expected, dim
+        assert dim * ((got[0] - 1) // 2) ** 2 < 2**53
+
+
 def test_sym_mod_is_exact_up_to_2_53():
     # the chain hands exact entries of up to 2^53 - 1 to the primes; rounding the
     # quotient to nearest would make q * p pass 2^53 within p/2 of it and lose a unit
