@@ -59,8 +59,27 @@ def to_json_obj(g: SignedMultigraph) -> dict:
     return {"n": g.n, "edges": [[u, v, tag] for u, v, tag in g.edges]}
 
 
+def _int(value, depth: int = 0, *, optional: bool = False):
+    """An integer field of a graph or certificate: a JSON integer (never a
+    bool), or a list of depth - 1 such fields; None where the field is optional."""
+    if value is None and optional:
+        return None
+    if depth:
+        if not isinstance(value, list):
+            raise TypeError(f"expected a list, got {value!r}")
+        return [_int(x, depth - 1) for x in value]
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def from_json_obj(obj: dict) -> SignedMultigraph:
-    return make_graph(int(obj["n"]), [(e[0], e[1], e[2]) for e in obj["edges"]])
+    """A graph in to_json_obj form, read strictly: n and the endpoints must be
+    JSON integers and each edge a [u, v, tag] triple, or ValueError."""
+    try:
+        return make_graph(_int(obj["n"]), [(_int(u), _int(v), tag) for u, v, tag in obj["edges"]])
+    except (LookupError, TypeError) as exc:
+        raise ValueError(str(exc)) from None
 
 
 def to_dot(g: SignedMultigraph) -> str:

@@ -22,8 +22,8 @@ from .certificates import CheckResult, certificate_digest, decode_int, encode_in
 from .coefficients import coefficient
 from .doubling import build_plan, plan_polynomial, plan_target_exponent
 from .errors import BudgetExceededError, GraphPolyError
-from .graphio import canonical_json, graph_digest
-from .graphs import SignedMultigraph, build_cycle, cartesian_product, cover_edge_indices, double_edges, make_graph
+from .graphio import _int, canonical_json, from_json_obj, graph_digest
+from .graphs import SignedMultigraph, build_cycle, cartesian_product, cover_edge_indices, double_edges
 from .limits import TRACE_VERTEX_CAP
 from .orientations import at_lower_bound, has_odd_directed_cycle, orientation_from_bitstring, reciprocal_sum_ok
 from .transfer import build_phi, check_trace_request, trace_power
@@ -33,25 +33,10 @@ class _Refuted(Exception):
     """A sub-check failed; the message is the verdict's error."""
 
 
-def _int(value, depth: int = 0, *, optional: bool = False):
-    """An integer field: a JSON integer (never a bool), or a list of depth - 1 such fields;
-    None where the field is optional."""
-    if value is None and optional:
-        return None
-    if depth:
-        if not isinstance(value, list):
-            raise TypeError(f"expected a list, got {value!r}")
-        return [_int(x, depth - 1) for x in value]
-    if type(value) is not int:
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
-
-
 def _load_graph(obj: dict) -> SignedMultigraph:
     """obj["graph"], checked against obj["graph_digest"] where that is stated."""
     try:
-        graph = obj["graph"]
-        g = make_graph(_int(graph["n"]), [(_int(u), _int(v), tag) for u, v, tag in graph["edges"]])
+        g = from_json_obj(obj["graph"])
     except (LookupError, TypeError, ValueError) as exc:
         raise _Refuted(f"graph does not parse: {exc}") from None
     if "graph_digest" in obj and graph_digest(g) != obj["graph_digest"]:
@@ -59,7 +44,9 @@ def _load_graph(obj: dict) -> SignedMultigraph:
     return g
 
 
-def _check_witness_coefficient(g: SignedMultigraph, xi, stated, *, budget, value=None) -> None:
+def _check_witness_coefficient(
+    g: SignedMultigraph, xi, stated, *, budget: Optional[int], value: Optional[int] = None
+) -> None:
     """The witness coefficient, recomputed unless the caller has just done so
     as value, must be nonzero and equal the stated value."""
     xi = tuple(xi)
@@ -91,7 +78,11 @@ def _check_almost_central_witness(g: SignedMultigraph, cert: dict, budget, refus
 
 
 def _check_trace(g: SignedMultigraph, k: int, stated, budget) -> None:
-    """tr(Phi^k) of g, recomputed, must be nonzero and equal the stated value."""
+    """tr(Phi^k) of g, recomputed, must be nonzero and equal the stated value.
+
+    A graph that build_phi or check_trace_request refuses fails the check
+    through verify.
+    """
     check_trace_request(g.n, k)
     tr = trace_power(build_phi(g, budget=budget), k)
     if tr == 0:
@@ -166,8 +157,10 @@ def _verify_orientation(cert: dict, budget, notes: list[str]) -> None:
         raise _Refuted("orientation contains an odd directed cycle")
     if _int(cert.get("at_bound"), optional=True) != max(d, default=0) + 1:
         raise _Refuted("at_bound does not match the maximum outdegree")
-    notes.append("witness structural: no odd directed cycle, so the coefficient at the "
-                 "outdegrees is nonzero (Alon-Tarsi theorem)")
+    notes.append(
+        "witness structural: no odd directed cycle, so the coefficient at the "
+        "outdegrees is nonzero (Alon-Tarsi theorem)"
+    )
 
 
 def _verify_prop_cover(cert: dict, budget, notes: list[str]) -> None:
@@ -188,7 +181,8 @@ def _verify_prop_cover(cert: dict, budget, notes: list[str]) -> None:
         in_cover = cover_edge_indices(g, cycles)
     except ValueError as exc:
         raise _Refuted(str(exc)) from None
-    if not {v for v, d in enumerate(deg, 1) if d == delta} <= seen:
+    targets = {v for v in range(1, g.n + 1) if deg[v - 1] == delta}
+    if not targets <= seen:
         raise _Refuted("some maximum-degree vertex is uncovered")
     doubled = sorted(_int(cert["doubled_edge_indices"], 1))
     if doubled != sorted(set(range(g.num_edges)) - in_cover):
@@ -211,8 +205,11 @@ def _verify_fplan(cert: dict, budget, notes: list[str]) -> None:
     except ValueError as exc:
         raise _Refuted(f"plan does not rebuild: {exc}") from None
     rebuilt = plan.as_json()
-    for key in ("on_center", "below", "half_below", "above", "half_above", "spill_below", "spill_above",
-                "a_side", "b_side", "pairing", "f", "tau_value"):
+    for key in (
+        "on_center", "below", "half_below", "above", "half_above",
+        "spill_below", "spill_above", "a_side", "b_side", "pairing", "f",
+        "tau_value",
+    ):
         # as JSON text, where a float or a boolean never equals an integer
         if canonical_json(rebuilt[key]) != canonical_json(plan_obj.get(key)):
             raise _Refuted(f"plan field {key} disagrees with canonical reconstruction")
@@ -256,7 +253,8 @@ def _verify_chain(cert: dict, budget, notes: list[str]) -> None:
     base_graph = _load_graph(cert["base_certificate"])
     # the base must be exactly the product of the declared factors, not
     # merely some graph with a valid orientation certificate
-    if graph_digest(base_graph) != graph_digest(functools.reduce(cartesian_product, map(build_cycle, base_factors))):
+    expected_base = functools.reduce(cartesian_product, map(build_cycle, base_factors))
+    if graph_digest(base_graph) != graph_digest(expected_base):
         raise _Refuted("base certificate graph is not the product of the declared factors")
     # the structural steps need the base witness to be almost-central
     if not _almost_central(_int(cert["base_certificate"]["witness_exponent"], 1), base_graph):

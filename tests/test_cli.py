@@ -58,6 +58,18 @@ def test_gen_json_format(tmp_path, capsys):
     assert obj["n"] == 4 and len(obj["edges"]) == 4
 
 
+@pytest.mark.parametrize("text", [
+    '{"n": 5.7, "edges": [[1, 2.9, "diff", 7]]}',
+    '{"n": 3, "edges": [[1, 2]]}',
+    '{"n": 3}',
+])
+def test_malformed_json_graph_file_exits_2(tmp_path, capsys, text):
+    target = tmp_path / "g.json"
+    target.write_text(text)
+    code, out, err = run_cli(capsys, "coeff", str(target), "--almost-central")
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 def test_coeff_exponent(capsys):
     code, payload, _ = run_json(
         capsys, "coeff", "cycle:3", "--exponent", "2,1,0", "--method", "both"

@@ -43,6 +43,26 @@ def test_json_roundtrip():
     assert from_json_obj(json.loads(json.dumps(obj))) == g
 
 
+@pytest.mark.parametrize("obj", [
+    {"n": 5.7, "edges": [[1, 2.9, "diff", 7]]},  # once read as C_5's edge (1, 2)
+    {"n": 3.0, "edges": [[1, 2, "diff"]]},
+    {"n": True, "edges": []},
+    {"n": "3", "edges": [[1, 2, "diff"]]},
+    {"n": 3, "edges": [[1, 2.0, "diff"]]},
+    {"n": 3, "edges": [[False, 2, "diff"]]},
+    {"n": 3, "edges": [[1, 2]]},
+    {"n": 3, "edges": [[1, 2, "diff", 7]]},
+    {"n": 3, "edges": [12]},
+    {"n": 3, "edges": [[1, 2, "prod"]]},
+    {"n": 3},
+    {"edges": []},
+    [3, []],
+])
+def test_json_reader_refuses_anything_but_integers_and_triples(obj):
+    with pytest.raises(ValueError):
+        from_json_obj(obj)
+
+
 def test_dot_contains_edges():
     dot = to_dot(make_graph(3, [(1, 2), (1, 2), (2, 3, SUM)]))
     assert dot.count("1 -- 2") == 2
