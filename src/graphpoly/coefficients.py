@@ -16,8 +16,12 @@ Two independent engines are provided and must agree:
   order, and keys each state by one integer of per-vertex bit fields (a
   mixed-radix key) that holds only the vertices whose count is not yet
   determined; each edge maps a whole layer of states with numpy array
-  operations.  A scan returns its last layer as arrays (a SupportMap)
-  and decodes exponent tuples only when a caller asks for them;
+  operations.  A bound is tested only from the edge at which some state
+  could break it, and a layer with no repeated key skips the merge, so
+  an edge costs about 22 us plus 0.07 us per state (least-squares fit
+  over the 2,126 edges of one perfbench coeff pass; numpy 2.4, 2 cores).
+  A scan returns its last layer as arrays (a SupportMap) and decodes
+  exponent tuples only when a caller asks for them;
 * a direct depth-first enumeration of per-edge choices with feasibility
   pruning but no state merging.
 
@@ -169,7 +173,8 @@ def _scan(
     bit field in the state key at its first edge, wide enough for
     min(cap, deg); adding the field's place value counts one more choice
     of that vertex.  A branch dies when a count would pass its cap or can
-    no longer reach its floor.  At a vertex's last edge a window
+    no longer reach its floor; each bound is tested only from the edge at
+    which some state could break it.  At a vertex's last edge a window
     [floor, cap] of one value fixes its count, so the field is cleared (by
     the same addition) and handed to a later vertex: keys stay as wide as
     the live frontier.  Two expansions are counted per state per edge
@@ -198,6 +203,13 @@ def _scan(
     coef = np.ones(int(feasible), dtype=np.int64)
     bound = 1  # no coefficient exceeds it in magnitude
     expansions = 0
+
+    def field(t: int) -> tuple:
+        # (shift, mask, cap, need) of an endpoint, the cap None while no
+        # count can pass it and the need None while it is not positive
+        need = lo[t] - deg[t] + done[t]
+        return shift[t], mask[t], hi[t] if done[t] > hi[t] else None, need if need > 0 else None
+
     for i in _plan_order(g, floor, cap) if feasible else ():
         u, v, tag = edges[i]
         for t in (u, v):
@@ -218,20 +230,18 @@ def _scan(
                 d_hi -= lo[t] << shift[t]
                 d_lo -= lo[t] << shift[t]
                 heappush(free.setdefault(hi[t].bit_length(), []), shift[t])
-        field_u = shift[u], mask[u], hi[u], lo[u] - deg[u] + done[u]
-        field_v = shift[v], mask[v], hi[v], lo[v] - deg[v] + done[v]
 
-        expansions += 2 * len(keys)
+        expansions += 2 * keys.size
         if expansions > budget:
             raise BudgetExceededError(budget, expansions)
         if top > 62 and keys.dtype != object:
             keys = keys.astype(object)
         if 2 * bound >= 1 << 63 and coef.dtype != object:
-            bound = int(np.abs(coef).max())  # |coef| < 2^63, so abs cannot wrap
+            bound = int(abs(coef).max())  # |coef| < 2^63, so abs cannot wrap
             if 2 * bound >= 1 << 63:
                 coef = coef.astype(object)
         bound *= 2
-        keys, coef = _edge_step(keys, coef, field_u, field_v, d_hi, d_lo, tag == DIFF)
+        keys, coef = _edge_step(keys, coef, field(u), field(v), d_hi, d_lo, tag == DIFF)
         if not keys.size:
             break
     fixed = tuple(lo[t] if lo[t] == hi[t] else None for t in range(1, n + 1))  # one-value windows
@@ -242,26 +252,45 @@ def _edge_step(keys: np.ndarray, coef: np.ndarray, field_u: tuple, field_v: tupl
                d_hi: int, d_lo: int, diff: bool) -> tuple[np.ndarray, np.ndarray]:
     """The next sorted layer of the DP for the edge uv.
 
-    field_u and field_v are (shift, mask, cap, need) of the endpoints.  A
-    state that chooses v moves to key + d_hi, one that chooses u to
-    key + d_lo with its coefficient negated on a DIFF edge.  The
-    temporaries die on return, before the next edge allocates its own.
+    field_u and field_v are (shift, mask, cap, need) of the endpoints,
+    with None for a bound that no state can break.  A state that chooses
+    v moves to key + d_hi, one that chooses u to key + d_lo with its
+    coefficient negated on a DIFF edge.  The temporaries die on return,
+    before the next edge allocates its own.
     """
     su, mu, cap_u, need_u = field_u
     sv, mv, cap_v, need_v = field_v
-    cu = keys >> su & mu
-    cv = keys >> sv & mv
-    a = (cv < cap_v) & (cu >= need_u)
-    b = (cu < cap_u) & (cv >= need_v)
+    up = down = None  # the states that may choose v, and u; None for all of them
+    # a field compares as it sits in the key: count << shift against bound << shift
+    if cap_v is not None or need_v is not None:
+        cv = keys & mv << sv
+        if cap_v is not None:
+            up = cv < cap_v << sv
+        if need_v is not None:
+            down = cv >= need_v << sv
+    if cap_u is not None or need_u is not None:
+        cu = keys & mu << su
+        if need_u is not None:
+            up = cu >= need_u << su if up is None else up & (cu >= need_u << su)
+        if cap_u is not None:
+            down = cu < cap_u << su if down is None else down & (cu < cap_u << su)
+    up_keys, up_coef = (keys, coef) if up is None else (keys[up], coef[up])
+    down_keys, down_coef = (keys, coef) if down is None else (keys[down], coef[down])
     # each half stays sorted, so the stable sort only merges two runs
-    merged = np.concatenate((keys[a] + d_hi, keys[b] + d_lo))
+    merged = np.concatenate((up_keys + d_hi, down_keys + d_lo))
     if not merged.size:
         return merged, merged
-    order = np.argsort(merged, kind="stable")
+    order = merged.argsort(kind="stable")
     merged = merged[order]
-    values = np.concatenate((coef[a], -coef[b] if diff else coef[b]))[order]
-    # a key occurs at most twice, once from each half
-    first = np.flatnonzero(np.concatenate(([True], merged[1:] != merged[:-1])))
+    values = np.concatenate((up_coef, -down_coef if diff else down_coef))[order]
+    # a key occurs at most twice, once from each half; no coefficient is
+    # zero, so a layer without a repeated key is already the next one
+    head = np.empty(merged.size, dtype=bool)
+    head[0] = True
+    np.not_equal(merged[1:], merged[:-1], out=head[1:])
+    if np.count_nonzero(head) == merged.size:
+        return merged, values
+    first = head.nonzero()[0]
     values = np.add.reduceat(values, first)
     alive = values != 0
     return merged[first[alive]], values[alive]
@@ -276,45 +305,60 @@ def _plan_order(g: SignedMultigraph, floor: ExponentVector, cap: ExponentVector)
     floor <= deg and floor <= cap.
     """
     m = g.num_edges
+    windows = _window_sizes(g, floor, cap)
     canonical = list(range(m))
-    cost = _estimate(g, canonical, floor, cap)
-    # Building and estimating the four other candidates takes about 20 us
-    # per edge, what the array DP spends on about 430 states (0.046 us
-    # each, over 38 us of fixed cost per edge; numpy 2.4).  The estimate
-    # bounds the states from above, so below 400 per edge no order can
-    # save what the planning costs.
+    cost = _estimate(g, canonical, windows)
+    # Building and estimating the four other candidates takes about 9 us
+    # per edge, what the array DP spends on about 130 states (0.07 us
+    # each, over 22 us of fixed cost per edge; numpy 2.4, 2 cores).  The
+    # estimate bounds the states from above, and loosely: on the scans of
+    # a perfbench coeff pass estimated at 130-400 states per edge,
+    # planning would cost 2.2 ms to save 0.2 ms.  So the gate stays at
+    # 400, where it also keeps every edge order and expansion count.
     if cost <= 400 * m:
         return canonical
     deg = g.degree_vector()
     starts = sorted((t for t in range(1, g.n + 1) if deg[t - 1]), key=lambda t: deg[t - 1])
     best = canonical
-    for order in [_greedy_order(g), *(_rcm_order(g, s) for s in starts[:3])]:
-        c = _estimate(g, order, floor, cap)
+    for order in [_greedy_order(g), *_rcm_orders(g, starts[:3])]:
+        c = _estimate(g, order, windows, cost)
         if c < cost:
             best, cost = order, c
     return best
 
 
-def _estimate(g: SignedMultigraph, order: Sequence[int], floor: ExponentVector, cap: ExponentVector) -> int:
-    """Estimated DP work of an edge order.
+def _window_sizes(g: SignedMultigraph, floor: ExponentVector, cap: ExponentVector) -> list:
+    """For each vertex t (from 1), the sizes of its count's window after each
+    of its edges: after k of its d edges the count lies in
+    [max(0, floor - (d - k)), min(k, cap)].  Entry 0 is 1, before any edge."""
+    shared: dict[tuple[int, int, int], list[int]] = {}  # one list per (d, floor, cap)
+    sizes: list = [None]
+    for d, f, c in zip(g.degree_vector(), floor, cap):
+        if (d, f, c) not in shared:
+            shared[d, f, c] = [1] + [min(k, c) - max(0, f - d + k) + 1 for k in range(1, d + 1)]
+        sizes.append(shared[d, f, c])
+    return sizes
 
-    After k of its d edges a vertex's count lies in
-    [max(0, floor - (d - k)), min(k, cap)]; the estimate sums, over the
-    edges, the product of these window sizes after each edge.
+
+def _estimate(g: SignedMultigraph, order: Sequence[int], windows: list, stop: Optional[int] = None) -> int:
+    """Estimated DP work of an edge order, or a partial sum once it reaches stop.
+
+    The estimate sums, over the edges, the product of the vertices' window
+    sizes (see _window_sizes) after each edge.
     """
-    deg = g.degree_vector()
-    done = [0] * g.n
-    window = [1] * g.n
+    edges = g.edges
+    done = [0] * len(windows)
     states = 1
     total = 0
     for i in order:
-        u, v, _ = g.edges[i]
-        for t in (u - 1, v - 1):
-            done[t] += 1
-            w = min(done[t], cap[t]) - max(0, floor[t] - deg[t] + done[t]) + 1
-            states = states // window[t] * w
-            window[t] = w
+        u, v, _ = edges[i]
+        k = done[u] = done[u] + 1
+        states = states // windows[u][k - 1] * windows[u][k]
+        k = done[v] = done[v] + 1
+        states = states // windows[v][k - 1] * windows[v][k]
         total += states
+        if stop is not None and total >= stop:
+            break
     return total
 
 
@@ -322,25 +366,23 @@ def _greedy_order(g: SignedMultigraph) -> list[int]:
     """Edges taken one at a time, each opening the fewest new vertices.
 
     Ties go to the edge whose earlier-opened endpoint opened first, which
-    sweeps the graph breadth first.  Keys only fall as vertices open, so a
-    heap with lazily dropped stale entries keeps this O(m log m).
+    sweeps the graph breadth first.  An edge's key changes only when one of
+    its endpoints opens, which pushes the new key, so a heap that drops
+    every entry but an edge's latest keeps this O(m log m).
     """
     edges = g.edges
     incident = g.incident_edges()
     opened = [0] * (g.n + 1)  # step at which a vertex opened, 0 = not yet
     taken = [False] * len(edges)
-
-    def key(i: int) -> tuple[int, int, int]:
-        ages = [opened[t] for t in edges[i][:2] if opened[t]]
-        return (2 - len(ages), min(ages, default=0), i)
-
+    # (unopened endpoints, the earliest opening step among the opened ones, edge)
     heap = [(2, 0, i) for i in range(len(edges))]  # sorted, so a heap
+    latest = heap[:]
     order = []
     clock = 0
     while heap:
         entry = heappop(heap)
         i = entry[2]
-        if taken[i] or entry != key(i):
+        if taken[i] or entry != latest[i]:
             continue
         taken[i] = True
         order.append(i)
@@ -350,37 +392,47 @@ def _greedy_order(g: SignedMultigraph) -> list[int]:
                 opened[t] = clock
                 for j in incident[t]:
                     if not taken[j]:
-                        heappush(heap, key(j))
+                        a, b = opened[edges[j][0]], opened[edges[j][1]]
+                        latest[j] = key = (2 - (a > 0) - (b > 0), min(a or b, b or a), j)
+                        heappush(heap, key)
     return order
 
 
-def _rcm_order(g: SignedMultigraph, start: int) -> list[int]:
-    """Edges sorted by their later endpoint in a reverse Cuthill-McKee order.
+def _rcm_orders(g: SignedMultigraph, starts: Sequence[int]) -> list[list[int]]:
+    """For each start, the edges sorted by their later endpoint in a reverse
+    Cuthill-McKee order.
 
     Breadth-first search from start, neighbours in increasing degree;
     other components start at their lowest-degree vertex.
     """
     deg = (0,) + g.degree_vector()
-    adj = g.adjacency()
-    seen = [False] * (g.n + 1)
-    visit: list[int] = []
-    for s in [start, *sorted(range(1, g.n + 1), key=deg.__getitem__)]:
-        if seen[s]:
-            continue
-        seen[s] = True
-        visit.append(s)
-        j = len(visit) - 1
-        while j < len(visit):
-            for y in sorted(adj[visit[j]], key=deg.__getitem__):
-                if not seen[y]:
-                    seen[y] = True
-                    visit.append(y)
-            j += 1
-    rank = [0] * (g.n + 1)
-    for r, t in enumerate(reversed(visit)):
-        rank[t] = r
-    ranks = [sorted((rank[u], rank[v])) for u, v, _ in g.edges]
-    return sorted(range(g.num_edges), key=lambda i: (ranks[i][1], ranks[i][0], i))
+    neighbours = [sorted(a, key=deg.__getitem__) for a in g.adjacency()]
+    by_degree = sorted(range(1, g.n + 1), key=deg.__getitem__)
+    orders = []
+    for start in starts:
+        seen = [False] * (g.n + 1)
+        visit: list[int] = []
+        for s in [start, *by_degree]:
+            if seen[s]:
+                continue
+            seen[s] = True
+            visit.append(s)
+            j = len(visit) - 1
+            while j < len(visit):
+                for y in neighbours[visit[j]]:
+                    if not seen[y]:
+                        seen[y] = True
+                        visit.append(y)
+                j += 1
+        rank = [0] * (g.n + 1)
+        for r, t in enumerate(reversed(visit)):
+            rank[t] = r
+        # (later rank, earlier rank) as one integer; the stable sort keeps
+        # equal keys in edge order
+        ranks = ((rank[u], rank[v]) for u, v, _ in g.edges)
+        key = [a * g.n + b if a > b else b * g.n + a for a, b in ranks]
+        orders.append(sorted(range(g.num_edges), key=key.__getitem__))
+    return orders
 
 
 # ---------------------------------------------------------------------------

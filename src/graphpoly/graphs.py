@@ -11,6 +11,7 @@ values produced by the package are comparable bit for bit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -46,6 +47,11 @@ class SignedMultigraph:
         return len(self.edges)
 
     def degree_vector(self) -> tuple[int, ...]:
+        return self._degrees
+
+    @functools.cached_property
+    def _degrees(self) -> tuple[int, ...]:
+        # an immutable value of an immutable graph, so computed once per graph
         deg = [0] * self.n
         for u, v, _ in self.edges:
             deg[u - 1] += 1

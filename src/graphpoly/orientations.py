@@ -70,7 +70,7 @@ class Orientation:
 
 
 def orientation_from_bitstring(g: SignedMultigraph, bits: str) -> Orientation:
-    if len(bits) != g.num_edges or set(bits) - {"0", "1"}:
+    if not isinstance(bits, str) or len(bits) != g.num_edges or set(bits) - {"0", "1"}:
         raise ValueError("direction bitstring must be 0/1 of edge-count length")
     return Orientation(g, tuple(b == "1" for b in bits))
 

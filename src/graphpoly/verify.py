@@ -216,7 +216,7 @@ def _verify_fplan(cert: dict, budget, notes: list[str]) -> None:
     if list(plan.f) != _int(cert["f"], 1):
         raise _Refuted("certificate f disagrees with the plan")
     eps = cert["epsilon"]
-    if len(eps) != plan.m or set(eps) - {"+", "-"}:
+    if not isinstance(eps, str) or len(eps) != plan.m or set(eps) - {"+", "-"}:
         raise _Refuted("epsilon is not a +/- string of pairing length")
     q = plan_polynomial(plan, eps)
     target = plan_target_exponent(plan)

@@ -224,9 +224,17 @@ def test_check_out_of_budget_exits_3(tmp_path, capsys):
     path = tmp_path / "forged_k6.json"
     path.write_text(canonical_json(_forged_coefficient("complete:6", (3, 3, 3, 3, 3, 0), 1)))
     assert main(["check", str(path), "--budget", "5"]) == 3
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert "budget exceeded" in err
     assert "Traceback" not in err
+    # the manifest still comes out, with the verdict unverified
+    payload = json.loads(out)
+    assert payload["manifest"]["command"] == "check"
+    assert payload["manifest"]["budget"] == 5
+    message = ("budget of 5 DP states exceeded (explored 6); raise the budget or use a certificate pipeline")
+    assert payload["result"] == {"kind": "coefficient", "pass": False,
+                                 "errors": [f"unverified: budget exceeded: {message}"], "notes": []}
+    assert err == f"budget exceeded: {message}\n"
     assert main(["check", str(path)]) == 1
 
 
@@ -355,6 +363,8 @@ _REFUSALS = {
                           "an orientation certificate states no witness value; the orientation is the witness"),
     "directions": (lambda c: _redigested(c["orientation"], directions="10"),
                    "direction bitstring must be 0/1 of edge-count length"),
+    "directions list": (lambda c: _redigested(c["orientation"], directions=list(c["orientation"]["directions"])),
+                        "direction bitstring must be 0/1 of edge-count length"),
     "outdegrees": (lambda c: _redigested(c["orientation"], outdegrees=[0, 1, 2]),
                    "stated outdegrees disagree with the direction bits"),
     "orientation witness": (lambda c: _redigested(c["orientation"], witness_exponent=[0, 1, 2]),
@@ -388,6 +398,8 @@ _REFUSALS = {
     "plan field": (lambda c: _plan_forgery(below=[2]), "plan field below disagrees with canonical reconstruction"),
     "plan f": (lambda c: _redigested(c["fplan"], f=[4, 4, 4, 5]), "certificate f disagrees with the plan"),
     "epsilon": (lambda c: _redigested(c["fplan"], epsilon="+"), "epsilon is not a +/- string of pairing length"),
+    "epsilon list": (lambda c: _redigested(c["fplan"], epsilon=list(c["fplan"]["epsilon"])),
+                     "epsilon is not a +/- string of pairing length"),
     "plan witness": (lambda c: _redigested(c["fplan"], witness_exponent=[1, 2, 3, 2]),
                      "witness exponent is not tau plus the a-side multiset"),
     # chain

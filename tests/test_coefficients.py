@@ -366,11 +366,12 @@ def test_coefficient_independent_of_labels_and_edge_order(g, rng):
 )
 def test_planned_order_is_a_permutation_no_costlier_than_canonical(g):
     starts = [t for t in range(1, g.n + 1) if any(t in e[:2] for e in g.edges)]
-    for order in [coefficients._greedy_order(g), *(coefficients._rcm_order(g, s) for s in starts)]:
+    for order in [coefficients._greedy_order(g), *coefficients._rcm_orders(g, starts)]:
         assert sorted(order) == list(range(g.num_edges))
     deg = g.degree_vector()
     for floor, cap in [((0,) * g.n, deg), (tuple(d // 2 for d in deg),) * 2]:
         order = coefficients._plan_order(g, floor, cap)
         assert sorted(order) == list(range(g.num_edges))
-        canonical = coefficients._estimate(g, range(g.num_edges), floor, cap)
-        assert coefficients._estimate(g, order, floor, cap) <= canonical
+        windows = coefficients._window_sizes(g, floor, cap)
+        canonical = coefficients._estimate(g, range(g.num_edges), windows)
+        assert coefficients._estimate(g, order, windows) <= canonical
