@@ -6,7 +6,9 @@ either confirm it against every list assignment from a finite universe
 (tiny graphs) or hammer it with seeded random assignments (anything
 larger).  The list coloring is MRV backtracking whose remaining-value
 counts are updated incrementally, per list color and neighbour, as
-vertices are colored and uncolored.
+vertices are colored and uncolored.  Sweeps and stress trials need only
+a yes or no, so each assignment is colored greedily first and MRV runs
+only when that fails; sweeps skip what color relabelling makes redundant.
 """
 
 from __future__ import annotations
@@ -85,6 +87,21 @@ def _mrv_coloring(
     return True, tuple(coloring[1:])
 
 
+def _greedy_colors(adj: list[list[int]], lists: ListAssignment) -> bool:
+    """True if coloring 1..n in label order, each vertex with its lowest list color that no
+    earlier neighbour holds, colors every vertex; False decides nothing."""
+    coloring: list[Optional[int]] = [None] * len(adj)
+    for v, colors in enumerate(lists, 1):
+        taken = {coloring[w] for w in adj[v]}
+        for c in colors:
+            if c not in taken:
+                coloring[v] = c
+                break
+        else:
+            return False
+    return True
+
+
 def default_universe(f: Sequence[int]) -> int:
     """Default color universe for sweeps: min(sum f, 2 max f).
 
@@ -120,9 +137,12 @@ def find_uncolorable_assignment(
 ) -> Optional[tuple[tuple[int, ...], ...]]:
     """First list assignment with sizes f admitting no proper coloring.
 
-    Enumerates every assignment with lists drawn from {1..universe}, in
+    Walks the assignments with lists drawn from {1..universe} in
     lexicographic order; returns None if all are colorable.  Their number,
-    the product of C(u, f_v), is counted against the budget first.
+    the product of C(u, f_v), is counted against the budget first.  As
+    relabelling colors keeps colorability, the first uncolorable assignment
+    is least in its orbit: vertex 1 holds 1..f_1, vertex 2 holds 1..j and
+    then f_1 + 1 .. f_1 + f_2 - j.  Only such lists are walked there.
     """
     f, u = _list_sizes(g, f, universe_size)
     total = 1
@@ -132,11 +152,15 @@ def find_uncolorable_assignment(
             total = total * (u - i + 1) // i
             if total > budget:
                 raise BudgetExceededError(budget, total, "list assignments")
-    per_vertex = [list(itertools.combinations(range(1, u + 1), k)) for k in f]
+    a = f[0]
+    lead = [[tuple(range(1, a + 1))]]
+    for b in f[1:2]:  # vertex 2: 1..j, then a + 1 .. a + b - j; falling j gives rising lists
+        lead.append([tuple(range(1, j + 1)) + tuple(range(a + 1, a + b - j + 1))
+                     for j in range(min(a, b), max(0, a + b - u) - 1, -1)])
+    per_vertex = lead + [list(itertools.combinations(range(1, u + 1), k)) for k in f[len(lead):]]
     adj = g.adjacency()
     for assignment in itertools.product(*per_vertex):
-        ok, _ = _mrv_coloring(adj, assignment)
-        if not ok:
+        if not (_greedy_colors(adj, assignment) or _mrv_coloring(adj, assignment)[0]):
             return assignment
     return None
 
@@ -247,8 +271,7 @@ def random_list_stress(
     failures = []
     for t in range(trials):
         assignment = tuple(tuple(sorted(rng.sample(colors, k))) for k in f)
-        ok, _ = _mrv_coloring(adj, assignment)
-        if not ok:
+        if not (_greedy_colors(adj, assignment) or _mrv_coloring(adj, assignment)[0]):
             failures.append({"trial": t, "lists": [list(a) for a in assignment]})
     return {
         "graph_digest": graph_digest(g),

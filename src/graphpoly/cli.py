@@ -23,7 +23,7 @@ from .certificates import check_certificate, encode_int
 from .choosability import (
     at_certificate_exact,
     coefficient_choosability_certificate,
-    f_choosable_exhaustive,
+    find_uncolorable_assignment,
     list_coloring_exists,
     random_list_stress,
 )
@@ -252,9 +252,9 @@ def _cmd_orient(args, run: _Run) -> int:
         run.param(odd_product=list(args.odd_product))
         ori = odd_cycle_product_orientation(args.odd_product)
         run.graph(ori.graph)
-        cert = orientation_certificate(ori)
-        run.emit({"outdegrees_range": sorted(set(ori.outdegree_vector())),
-                  "odd_directed_cycle": has_odd_directed_cycle(ori),
+        cert = orientation_certificate(ori)  # raises on an odd directed cycle
+        run.emit({"outdegrees_range": sorted(set(cert["outdegrees"])),
+                  "odd_directed_cycle": False,
                   "at_bound": cert["at_bound"]}, cert)
         return EXIT_OK
     g = load_graph(args.graph)
@@ -309,9 +309,10 @@ def _cmd_choosable(args, run: _Run) -> int:
         run.emit(report)
         return EXIT_OK if not report["failures"] else EXIT_NO_CERTIFICATE
     if args.exhaustive:
-        ok = f_choosable_exhaustive(g, f, args.universe)
-        run.emit({"f": list(f), "f_choosable": ok})
-        return EXIT_OK if ok else EXIT_NO_CERTIFICATE
+        lists = find_uncolorable_assignment(g, f, args.universe)
+        refuted = {} if lists is None else {"uncolorable_lists": [list(l) for l in lists]}
+        run.emit({"f": list(f), "f_choosable": lists is None, **refuted})
+        return EXIT_OK if lists is None else EXIT_NO_CERTIFICATE
     if args.lists:
         with open(args.lists) as fh:
             lists = json.load(fh)

@@ -139,7 +139,8 @@ def _coefficient_enumeration(g: SignedMultigraph, xi: ExponentVector, budget: in
         w, s = choices[i][tried[i]]
         tried[i] += 1
         counts[w] += 1
-        if counts[w] > target[w] or any(counts[t] + remaining[t] < target[t] for t in (u, v)):
+        if (counts[w] > target[w] or counts[u] + remaining[u] < target[u]
+                or counts[v] + remaining[v] < target[v]):
             counts[w] -= 1
             continue
         nodes += 1

@@ -35,5 +35,6 @@ TRACE_VERTEX_CAP = 12
 # Vertices of a path-product box: keeps the pure-Python path-reversal orientation at desk scale.
 BOX_VERTEX_CAP = 4096
 
-# Vertices of an odd-cycle product: keeps the chess construction's pure-Python graph at desk scale.
+# Vertices of an odd-cycle product, whose graph is built in Python: `orient --odd-product 12,12,12`
+# (15,625 vertices) takes 1.4 s at 70 MB, half of it encoding the 4 MB JSON output (2-core VM).
 ODD_PRODUCT_VERTEX_CAP = 20000

@@ -10,12 +10,15 @@ such orientation into a machine-checkable Alon-Tarsi bound.
 Degree-window orientations (l_v <= outdeg(v) <= u_v) are found by path
 reversal from a greedy start (Hakimi 1965); the classical two counting
 conditions over all vertex subsets are implemented as an independent
-exhaustive checker.
+exhaustive checker.  The chess construction for odd-cycle products works
+on numpy arrays of all edges: box bits and chess colors per endpoint, and
+one sorted-key lookup per box shape into that shape's window orientation.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -232,9 +235,7 @@ def box_orientation(ks: Sequence[int]) -> Optional[Orientation]:
     ks = [int(k) for k in ks]
     if not ks or any(k < 1 for k in ks):
         raise ValueError("side lengths must be positive integers")
-    total = 1
-    for k in ks:
-        total *= k
+    total = math.prod(ks)
     if total > BOX_VERTEX_CAP:
         raise GraphPolyError(f"box with {total} vertices exceeds cap {BOX_VERTEX_CAP}")
     n = len(ks)
@@ -267,69 +268,47 @@ def odd_cycle_product_orientation(ks: Sequence[int]) -> Orientation:
         )
     n = len(ks)
     lengths = [2 * k + 1 for k in ks]
-    total = 1
-    for L in lengths:
-        total *= L
+    total = math.prod(lengths)
     if total > ODD_PRODUCT_VERTEX_CAP:
         raise GraphPolyError(f"product with {total} vertices exceeds cap {ODD_PRODUCT_VERTEX_CAP}")
 
-    g = build_cycle(lengths[0]) if n else None
+    g = build_cycle(lengths[0])
     for L in lengths[1:]:
         g = cartesian_product(g, build_cycle(L))
-    assert g is not None
 
-    def coords_of(vertex: int) -> tuple[int, ...]:
-        x = vertex - 1
-        out = []
-        for L in reversed(lengths):
-            out.append(x % L)
-            x //= L
-        return tuple(reversed(out))
+    # per edge and endpoint: 0-based vertex, coordinates, box bitmask and chess color
+    ends = np.array([(u, v) for u, v, _ in g.edges], dtype=np.int64) - 1
+    coords = np.stack(np.unravel_index(ends, lengths), axis=-1)
+    k = np.array(ks)
+    high = coords > k  # coordinate on the high arc of its cycle
+    bits = high @ (1 << np.arange(n))
+    black = high.sum(axis=-1) % 2 == 1
+    # boundary edge: the tail is the endpoint in the black box
+    tail_is_u = black[:, 0].copy()
+    inside = np.flatnonzero(bits[:, 0] == bits[:, 1])
+    box = bits[inside, 0]
+    shapes, first = np.unique(box, return_index=True)
+    for b in shapes[np.argsort(first)]:  # by first edge, so a refused shape is the first one met
+        on_high = (b >> np.arange(n) & 1).astype(bool)
+        dims = tuple(int(x) for x in np.where(on_high, k, k + 1))  # one shape per bitmask
+        ori = box_orientation(dims)
+        if ori is None:
+            raise InvariantViolationError(f"box shape {dims} unexpectedly infeasible")
+        # the box's edges are sorted (u, v) pairs, so their keys u * size + v are sorted too
+        size = ori.graph.n
+        keys = np.array([(u - 1) * size + v - 1 for u, v, _ in ori.graph.edges])
+        sel = inside[box == b]
+        local = coords[sel] - np.where(on_high, k + 1, 0)
+        local = np.ravel_multi_index(tuple(np.moveaxis(local, -1, 0)), dims)
+        # u steps to v by +1 on one axis inside the box, so u keeps the lower local index: a
+        # forward box edge leaves u, except in black boxes, which are reversed
+        fwd = np.array(ori.directions)[np.searchsorted(keys, local[:, 0] * size + local[:, 1])]
+        tail_is_u[sel] = fwd ^ black[sel, 0]
 
-    def box_bits(coords: Sequence[int]) -> int:
-        return sum(1 << j for j, (c, k) in enumerate(zip(coords, ks)) if c > k)
-
-    # One window orientation per box shape; shapes repeat across boxes.
-    shape_cache: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
-
-    def shape_tails(dims: tuple[int, ...]) -> dict[tuple[int, int], int]:
-        if dims not in shape_cache:
-            ori = box_orientation(dims)
-            if ori is None:
-                raise InvariantViolationError(f"box shape {dims} unexpectedly infeasible")
-            shape_cache[dims] = {
-                (u, v): (u if fwd else v)
-                for (u, v, _), fwd in zip(ori.graph.edges, ori.directions)
-            }
-        return shape_cache[dims]
-
-    directions = []
-    for u, v, _ in g.edges:
-        cu, cv = coords_of(u), coords_of(v)
-        bu, bv = box_bits(cu), box_bits(cv)
-        if bu != bv:
-            # boundary edge: tail is the endpoint in the black box
-            black_u = bin(bu).count("1") % 2 == 1
-            tail = u if black_u else v
-        else:
-            bits = bu
-            dims = tuple(k + 1 if not (bits >> j & 1) else k for j, k in enumerate(ks))
-            offs = tuple(0 if not (bits >> j & 1) else k + 1 for j, k in enumerate(ks))
-            lu = _flat_index([c - o for c, o in zip(cu, offs)], dims)
-            lv = _flat_index([c - o for c, o in zip(cv, offs)], dims)
-            tails = shape_tails(dims)
-            local_tail = tails[(min(lu, lv), max(lu, lv))]
-            tail_is_u = (local_tail == lu)
-            if bin(bits).count("1") % 2 == 1:  # black: reversed pattern
-                tail_is_u = not tail_is_u
-            tail = u if tail_is_u else v
-        directions.append(tail == u)
-
-    ori = Orientation(g, tuple(directions))
-    d = ori.outdegree_vector()
-    if any(not (n - 1 <= x <= n + 1) for x in d):
-        raise InvariantViolationError(f"chess construction left outdegrees {sorted(set(d))}")
-    return ori
+    d = np.bincount(np.where(tail_is_u, ends[:, 0], ends[:, 1]), minlength=total)
+    if d.min() < n - 1 or d.max() > n + 1:
+        raise InvariantViolationError(f"chess construction left outdegrees {sorted(set(d.tolist()))}")
+    return Orientation(g, tuple(tail_is_u.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -435,11 +414,8 @@ def acyclic_orientation(g: SignedMultigraph) -> Orientation:
     """
     _, order = degeneracy_order(g)
     pos = {v: i for i, v in enumerate(order)}
-    directions = []
-    for u, v, _ in g.edges:
-        # tail = vertex removed earlier (its outdegree counts later vertices)
-        directions.append(pos[u] < pos[v])
-    return Orientation(g, tuple(directions))
+    # tail = vertex removed earlier (its outdegree counts later vertices)
+    return Orientation(g, tuple(pos[u] < pos[v] for u, v, _ in g.edges))
 
 
 # ---------------------------------------------------------------------------
@@ -528,15 +504,9 @@ def cycle_product_chain(
         current = ori.graph
         remaining = list(evens)
     else:
-        first = evens[0]
-        cyc = build_cycle(first)
-        rot = Orientation(
-            cyc,
-            tuple(
-                u + 1 == v  # rim edges forward, the seam edge (1, L) backward
-                for u, v, _ in cyc.edges
-            ),
-        )
+        cyc = build_cycle(evens[0])
+        # rim edges forward, the seam edge (1, L) backward
+        rot = Orientation(cyc, tuple(u + 1 == v for u, v, _ in cyc.edges))
         base_cert = orientation_certificate(rot)
         current = cyc
         remaining = list(evens[1:])

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphpoly.certificates import certificate_digest, finalize_certificate
-from graphpoly.choosability import coefficient_choosability_certificate
+from graphpoly.choosability import coefficient_choosability_certificate, list_coloring_exists
 from graphpoly.cli import main
 from graphpoly.doubling import build_plan, cycle_cover_certificate, epsilon_search
 from graphpoly.graphs import build_complete, build_cycle
@@ -437,6 +437,16 @@ def test_choosable_exhaustive(capsys):
         capsys, "choosable", "cycle:3", "--f", "2", "--exhaustive"
     )
     assert code == 1 and payload["result"]["f_choosable"] is False
+
+
+def test_choosable_exhaustive_names_its_refutation(capsys):
+    code, out, _ = run_cli(capsys, "choosable", "cycle:5", "--f", "2", "--exhaustive")
+    result = json.loads(out)["result"]
+    assert code == 1
+    assert result == {"f": [2] * 5, "f_choosable": False, "uncolorable_lists": [[1, 2]] * 5}
+    assert not list_coloring_exists(build_cycle(5), result["uncolorable_lists"])[0]
+    code, out, _ = run_cli(capsys, "choosable", "cycle:4", "--f", "2", "--exhaustive")
+    assert code == 0 and json.loads(out)["result"] == {"f": [2] * 4, "f_choosable": True}
 
 
 def test_choosable_stress(capsys):

@@ -1,0 +1,151 @@
+"""The array chess construction, the pruned greedy-first sweep and stress loop, and the
+enumeration engine against their plain per-element forms in reference_provers."""
+
+import itertools
+from fractions import Fraction
+from math import comb, prod
+from unittest import mock
+
+import pytest
+
+import graphpoly.choosability as choosability
+import reference_provers
+from graphpoly.coefficients import _coefficient_enumeration, central_exponent
+from graphpoly.errors import BudgetExceededError
+from graphpoly.graphio import parse_graph_spec
+from graphpoly.graphs import build_complete, build_cycle, build_path, cartesian_product, make_graph
+from graphpoly.orientations import odd_cycle_product_orientation
+
+
+def _admissible(factors, max_vertices, ordered=True):
+    """Every ks with sum 1/k_i <= 1 whose product of cycles has at most max_vertices vertices."""
+    def grow(ks, room):
+        if len(ks) == factors:
+            if sum(Fraction(1, k) for k in ks) <= 1:
+                yield tuple(ks)
+            return
+        k = 1 if ordered or not ks else ks[-1]
+        while (2 * k + 1) * 3 ** (factors - len(ks) - 1) <= room:
+            yield from grow(ks + [k], room // (2 * k + 1))
+            k += 1
+    return list(grow([], max_vertices))
+
+
+# Every ordering up to 300 vertices (and every 3-factor one up to 500), every sorted 3-factor
+# one up to 1000, and one product past 10^4 vertices with all eight box shapes.
+CHESS_CASES = (_admissible(1, 300) + _admissible(2, 300) + _admissible(3, 500)
+               + [ks for ks in _admissible(3, 1000, ordered=False) if prod(2 * k + 1 for k in ks) > 500]
+               + [(2, 3, 143)])
+
+
+def test_chess_cases_cover_every_shape_family():
+    assert len(CHESS_CASES) == 149 + 149 + 19 + 30 + 1
+    assert {(1,), (2, 2), (3, 3, 3), (2, 3, 6), (2, 4, 4), (2, 3, 7), (4, 4, 4)} <= set(CHESS_CASES)
+
+
+@pytest.mark.parametrize("ks", CHESS_CASES, ids=lambda ks: ",".join(map(str, ks)))
+def test_chess_construction_matches_the_per_edge_scan(ks):
+    new = odd_cycle_product_orientation(ks)
+    ref = reference_provers.odd_cycle_product_orientation(ks)
+    assert new.graph == ref.graph
+    assert new.bitstring() == ref.bitstring()
+
+
+SWEEP_GRAPHS = {
+    **{f"C{n}": build_cycle(n) for n in (3, 4, 5, 6)},
+    "K4": build_complete(4),
+    "C3xC3": cartesian_product(build_cycle(3), build_cycle(3)),
+    "P1": build_path(1),
+    "P2": build_path(2),
+    "P4": build_path(4),
+    "K23": make_graph(5, [(a, b) for a in (1, 2) for b in (3, 4, 5)]),
+    "K33": make_graph(6, [(a, b) for a in (1, 2, 3) for b in (4, 5, 6)]),
+}
+
+
+def _sweep_cases():
+    """(graph, f, universe) with at most 20,000 assignments, so the unpruned sweep stays cheap."""
+    for name, g in SWEEP_GRAPHS.items():
+        for f in [(2,) * g.n, (3,) * g.n, (2, 3, 1, 2, 3, 2, 1, 3, 2)[:g.n],
+                  (3, 2, 2, 1, 3, 3, 2, 2, 3)[:g.n], (2, 2, 1, 2, 2, 2, 2, 2, 2)[:g.n]]:
+            for u in (None, max(f), max(f) + 1, sum(f)):
+                count = prod(comb(choosability.default_universe(f) if u is None else u, k) for k in f)
+                if count <= 20_000:
+                    yield pytest.param(g, f, u, id=f"{name}-{''.join(map(str, f))}-u{u}")
+
+
+@pytest.mark.parametrize("g, f, u", list(_sweep_cases()))
+def test_pruned_sweep_finds_the_first_uncolorable_assignment(g, f, u):
+    assert choosability.find_uncolorable_assignment(g, f, u) == reference_provers.find_uncolorable_assignment(g, f, u)
+
+
+@pytest.mark.parametrize("graph, f, u, lists", [
+    ("K33", (2,) * 6, 3, ((1, 2), (1, 3), (2, 3), (1, 2), (1, 3), (2, 3))),
+    ("K23", (1, 2, 2, 2, 2), 3, ((1,), (2, 3), (1, 2), (1, 2), (1, 3))),  # j = 0
+    ("K23", (2, 3, 1, 2, 2), 4, ((1, 2), (1, 3, 4), (1,), (2, 3), (2, 4))),  # j = 1
+    ("K23", (3, 3, 1, 1, 2), 4, ((1, 2, 3), (1, 2, 4), (1,), (2,), (3, 4))),  # j = 2 > 0 forced
+    ("C4", (2, 2, 1, 2), 3, ((1, 2), (1, 3), (3,), (2, 3))),
+])
+def test_refutations_found_among_the_pruned_lists_of_vertex_2(graph, f, u, lists):
+    g = SWEEP_GRAPHS[graph]
+    assert choosability.find_uncolorable_assignment(g, f, u) == lists
+    assert not choosability.list_coloring_exists(g, lists)[0]
+
+
+def test_sweep_without_vertices_refuses_like_the_unpruned_one():
+    g = make_graph(0, [])
+    for u in (None, 3):
+        with pytest.raises(ValueError) as new:
+            choosability.find_uncolorable_assignment(g, [], u)
+        with pytest.raises(ValueError) as ref:
+            reference_provers.find_uncolorable_assignment(g, [], u)
+        assert str(new.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("f, u, walked", [
+    ((2, 2, 2, 2), 4, 1 * 3 * 6 * 6),  # vertex 2: (1, 2), (1, 3), (3, 4)
+    ((2, 3, 2, 2), 4, 1 * 2 * 6 * 6),  # vertex 2: (1, 2, 3), (1, 3, 4)
+    ((3, 2, 2, 2), 3, 1 * 1 * 3 * 3),  # vertex 2: (1, 2) only, as 3 + 2 > 3 + 1
+    ((1, 3, 2, 2), 5, 1 * 2 * 10 * 10),  # vertex 2: (1, 2, 3), (2, 3, 4)
+])
+def test_sweep_walks_only_the_least_lists_of_each_orbit(f, u, walked):
+    # C4 is 2-choosable, so these sweeps walk every pruned assignment, each tried greedily once
+    g = build_cycle(4)
+    with mock.patch.object(choosability, "_greedy_colors", wraps=choosability._greedy_colors) as greedy:
+        assert choosability.find_uncolorable_assignment(g, f, u) is None
+    assert greedy.call_count == walked
+
+
+@pytest.mark.parametrize("spec, f, trials, seed, u", [
+    ("product:cycle:3:cycle:3", 2, 500, 1, None),
+    ("cycle:3", 2, 300, 11, None),
+    ("cycle:3", 3, 1000, 1, None),
+    ("cycle:5", 2, 200, 3, 3),
+    ("petersen", 3, 300, 2, None),
+    ("petersen", 2, 200, 5, 3),
+    ("product:cycle:4:cycle:4", 3, 200, 4, None),
+    ("complete:4", (3, 3, 4, 2), 300, 7, 5),
+])
+def test_stress_reports_match_the_mrv_only_loop(spec, f, trials, seed, u):
+    g = parse_graph_spec(spec)
+    f = [f] * g.n if isinstance(f, int) else list(f)
+    report = choosability.random_list_stress(g, f, trials, seed, u)
+    assert report == reference_provers.random_list_stress(g, f, trials, seed, u)
+    if (spec, seed) == ("product:cycle:3:cycle:3", 1):
+        assert len(report["failures"]) == 174
+
+
+@pytest.mark.parametrize("spec, xi", [
+    ("petersen", (0, 1, 1, 2, 2, 2, 1, 2, 2, 2)),
+    ("complete:5", None),
+    ("product:cycle:3:cycle:3", None),
+    ("cyclepower:9:2", None),
+    ("cyclepower:10:2", None),
+])
+def test_enumeration_trips_its_budget_at_the_reference_node_count(spec, xi):
+    g = parse_graph_spec(spec)
+    xi = central_exponent(g) if xi is None else xi
+    value, nodes = reference_provers.enumeration_nodes(g, xi)
+    assert _coefficient_enumeration(g, xi, nodes) == value
+    with pytest.raises(BudgetExceededError):
+        _coefficient_enumeration(g, xi, nodes - 1)
