@@ -37,7 +37,7 @@ print("[x^({2,1,0})] via both engines:", coefficient(c3, (2, 1, 0), method="both
 # AT(G) = 1 + min over the support of the maximum exponent.  Even cycles
 # have a nonzero central coefficient, so their AT is 2; odd cycles need 3.
 for n in (3, 4, 5, 6):
-    value, witness = alon_tarsi_number_exact(build_cycle(n))
+    value, witness, _ = alon_tarsi_number_exact(build_cycle(n))
     print(f"AT(C{n}) = {value}, witness {witness}")
 
 # Complete graphs are Vandermonde products: the support is exactly the

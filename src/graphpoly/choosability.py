@@ -18,7 +18,7 @@ import random
 from typing import Iterator, Optional, Sequence
 
 from .certificates import encode_int, finalize_certificate
-from .coefficients import support
+from .coefficients import alon_tarsi_number_exact, support
 from .errors import BudgetExceededError
 from .graphs import SignedMultigraph, coloring_number
 from .graphio import graph_digest, to_json_obj
@@ -189,6 +189,23 @@ def choice_number_exact(g: SignedMultigraph, *, budget: int = DEFAULT_ASSIGNMENT
     return col
 
 
+def _coefficient_certificate(
+    g: SignedMultigraph, witness: Sequence[int], value: int, claim: str, f: Sequence[int]
+) -> dict:
+    """The coefficient certificate of a nonzero witness, with at_bound = max(witness) + 1."""
+    cert = {
+        "kind": "coefficient",
+        "graph": to_json_obj(g),
+        "graph_digest": graph_digest(g),
+        "witness_exponent": list(witness),
+        "witness_value": encode_int(value),
+        "claim": claim,
+        "f": list(f),
+        "at_bound": max(witness, default=0) + 1,
+    }
+    return finalize_certificate(cert)
+
+
 def coefficient_choosability_certificate(
     g: SignedMultigraph,
     f: Sequence[int],
@@ -211,36 +228,14 @@ def coefficient_choosability_certificate(
     found = support(g, cap, budget=budget).witness()
     if found is None:
         return None
-    witness, value = found
-    cert = {
-        "kind": "coefficient",
-        "graph": to_json_obj(g),
-        "graph_digest": graph_digest(g),
-        "witness_exponent": list(witness),
-        "witness_value": encode_int(value),
-        "claim": "f-choosable",
-        "f": list(f),
-        "at_bound": max(witness) + 1,
-    }
-    return finalize_certificate(cert)
+    return _coefficient_certificate(g, *found, "f-choosable", f)
 
 
 def at_certificate_exact(g: SignedMultigraph, *, budget: Optional[int] = None) -> dict:
-    """Exhaustive-scan certificate for the exact Alon-Tarsi number."""
-    from .coefficients import alon_tarsi_number_exact, coefficient
-
-    value, witness = alon_tarsi_number_exact(g, budget=budget)
-    cert = {
-        "kind": "coefficient",
-        "graph": to_json_obj(g),
-        "graph_digest": graph_digest(g),
-        "witness_exponent": list(witness),
-        "witness_value": encode_int(coefficient(g, witness, budget=budget)),
-        "claim": "alon-tarsi-exact",
-        "f": [value] * g.n,
-        "at_bound": value,
-    }
-    return finalize_certificate(cert)
+    """Exhaustive-scan certificate for the exact Alon-Tarsi number k: its witness's
+    largest exponent is k - 1, so at_bound is k."""
+    k, witness, value = alon_tarsi_number_exact(g, budget=budget)
+    return _coefficient_certificate(g, witness, value, "alon-tarsi-exact", [k] * g.n)
 
 
 def product_choosability_bound(ch_g: int, col_g: int, ch_h: int, col_h: int) -> int:

@@ -99,10 +99,10 @@ class _Run:
                 result["certificate"] = certificate
         payload = {"manifest": self.manifest, "result": result}
         if self.args.format == "json":
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            print(canonical_json(payload))
         else:
             for key, value in result.items():
-                print(f"{key}: {value if not isinstance(value, dict) else json.dumps(value)}")
+                print(f"{key}: {value if not isinstance(value, dict) else canonical_json(value)}")
             print(f"[{self.manifest['command']}: {self.manifest['wall_clock_s']}s]")
 
 
@@ -135,27 +135,19 @@ def _cmd_coeff(args, run: _Run) -> int:
             )
         run.emit(result)
         return EXIT_OK
-    if args.almost_central or args.support is not None:
-        if args.almost_central:
-            sup = almost_central_scan(g, budget=args.budget)
-            run.param(window="almost-central")
-        else:
-            sup = support(g, args.support, budget=args.budget)
-            run.param(cap=list(args.support))
-        run.emit({"entries": [{"exponent": list(k), "coefficient": encode_int(v)}
-                              for k, v in sup.sorted_items()],
-                  "count": len(sup)})
-        return EXIT_OK
-    print("coeff: need --exponent, --almost-central, or --support", file=sys.stderr)
-    return EXIT_USAGE
+    if args.almost_central:
+        sup = almost_central_scan(g, budget=args.budget)
+        run.param(window="almost-central")
+    else:
+        sup = support(g, args.support, budget=args.budget)
+        run.param(cap=list(args.support))
+    run.emit({"entries": [{"exponent": list(k), "coefficient": encode_int(v)}
+                          for k, v in sup.sorted_items()],
+              "count": len(sup)})
+    return EXIT_OK
 
 
 def _cmd_at(args, run: _Run) -> int:
-    modes = [args.exact, args.trace is not None, args.orient, args.prop6, args.fplan is not None]
-    if sum(bool(m) for m in modes) != 1:
-        print("at: choose exactly one of --exact, --trace K, --orient, --prop6, --fplan TAU",
-              file=sys.stderr)
-        return EXIT_USAGE
     g = load_graph(args.graph)
     run.graph(g)
     if args.exact:
@@ -313,18 +305,14 @@ def _cmd_choosable(args, run: _Run) -> int:
         refuted = {} if lists is None else {"uncolorable_lists": [list(l) for l in lists]}
         run.emit({"f": list(f), "f_choosable": lists is None, **refuted})
         return EXIT_OK if lists is None else EXIT_NO_CERTIFICATE
-    if args.lists:
-        with open(args.lists) as fh:
-            lists = json.load(fh)
-        if not (isinstance(lists, list) and len(lists) == g.n and all(
-                isinstance(l, list) and all(type(c) is int for c in l) for l in lists)):
-            raise ValueError(f"--lists needs a JSON array of {g.n} arrays of integers")
-        ok, coloring = list_coloring_exists(g, lists)
-        run.emit({"colorable": ok, "coloring": list(coloring) if coloring else None})
-        return EXIT_OK if ok else EXIT_NO_CERTIFICATE
-    print("choosable: need --certificate, --stress N, --exhaustive, or --lists FILE",
-          file=sys.stderr)
-    return EXIT_USAGE
+    with open(args.lists) as fh:
+        lists = json.load(fh)
+    if not (isinstance(lists, list) and len(lists) == g.n and all(
+            isinstance(l, list) and all(type(c) is int for c in l) for l in lists)):
+        raise ValueError(f"--lists needs a JSON array of {g.n} arrays of integers")
+    ok, coloring = list_coloring_exists(g, lists)
+    run.emit({"colorable": ok, "coloring": list(coloring) if coloring else None})
+    return EXIT_OK if ok else EXIT_NO_CERTIFICATE
 
 
 def _cmd_check(args, run: _Run) -> int:
@@ -382,18 +370,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("coeff", help="extract coefficients")
     p.add_argument("graph", help="graph file or generator spec like cycle:5")
-    p.add_argument("--exponent", type=_parse_vector)
-    p.add_argument("--almost-central", action="store_true")
-    p.add_argument("--support", type=_parse_vector, metavar="CAP")
     p.add_argument("--method", choices=("dp", "enumerate", "both"), default="dp")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--exponent", type=_parse_vector)
+    mode.add_argument("--almost-central", action="store_true")
+    mode.add_argument("--support", type=_parse_vector, metavar="CAP")
 
     p = add_parser("at", help="Alon-Tarsi bounds and certificates")
     p.add_argument("graph")
-    p.add_argument("--exact", action="store_true")
-    p.add_argument("--trace", type=int, metavar="K")
-    p.add_argument("--orient", action="store_true")
-    p.add_argument("--prop6", action="store_true")
-    p.add_argument("--fplan", type=_parse_vector, metavar="TAU")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--exact", action="store_true")
+    mode.add_argument("--trace", type=int, metavar="K")
+    mode.add_argument("--orient", action="store_true")
+    mode.add_argument("--prop6", action="store_true")
+    mode.add_argument("--fplan", type=_parse_vector, metavar="TAU")
 
     p = add_parser("phi", help="transfer matrix summary and traces")
     p.add_argument("graph")
@@ -411,10 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--f", type=_parse_vector)
     p.add_argument("--universe", type=int, default=None)
-    p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--stress", type=int, metavar="TRIALS")
-    p.add_argument("--certificate", action="store_true")
-    p.add_argument("--lists", help="JSON file with one color list per vertex")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--exhaustive", action="store_true")
+    mode.add_argument("--stress", type=int, metavar="TRIALS")
+    mode.add_argument("--certificate", action="store_true")
+    mode.add_argument("--lists", help="JSON file with one color list per vertex")
 
     p = add_parser("check", help="re-verify a certificate file")
     p.add_argument("certificate")

@@ -547,8 +547,8 @@ def central_exponent(g: SignedMultigraph) -> ExponentVector:
 
 def alon_tarsi_number_exact(
     g: SignedMultigraph, *, budget: Optional[int] = None
-) -> tuple[int, Optional[ExponentVector]]:
-    """Exact Alon-Tarsi number with a witness exponent (desk scale).
+) -> tuple[int, ExponentVector, int]:
+    """Exact Alon-Tarsi number k with a witness exponent and its coefficient (desk scale).
 
     Scans supports with growing per-variable caps until one is nonempty;
     the answer is (max exponent of the witness) + 1.  The witness is the
@@ -557,7 +557,7 @@ def alon_tarsi_number_exact(
     """
     m = g.num_edges
     if m == 0:
-        return 1, (0,) * g.n
+        return 1, (0,) * g.n, 1
     deg = g.degree_vector()
     k_min = max(2, -(-m // g.n) + 1)  # need n*(k-1) >= |E|
     k_max = g.max_degree() + 1  # cap = degree always has the full support
@@ -565,7 +565,7 @@ def alon_tarsi_number_exact(
         cap = tuple(min(k - 1, d) for d in deg)
         found = support(g, cap, budget=budget).witness()
         if found is not None:
-            return k, found[0]
+            return (k, *found)
     raise InvariantViolationError("support empty even at cap = degree vector")
 
 

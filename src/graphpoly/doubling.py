@@ -64,7 +64,6 @@ def squared_central_check(g: SignedMultigraph, *, budget: Optional[int] = None) 
 def cycle_cover_certificate(
     g: SignedMultigraph,
     *,
-    k: int = 4,
     budget: Optional[int] = None,
 ) -> Optional[dict]:
     """Cover-and-double certificate: AT(G x C_even) <= Delta(G) + 1, all even lengths.
@@ -74,7 +73,7 @@ def cycle_cover_certificate(
     doubled graph's almost-central window.  An empty window would
     contradict the sum-of-squares argument and raises.  When the doubled
     graph has at most TRACE_VERTEX_CAP vertices the transfer trace for
-    cycle length k is embedded as a numeric sub-check, and the window
+    cycle length 4 is embedded as a numeric sub-check, and the window
     comes from the transfer matrix's own scan.
     """
     if not g.is_simple():
@@ -109,8 +108,8 @@ def cycle_cover_certificate(
         "witness_exponent": list(witness),
         "witness_value": encode_int(value),
         "at_bound": delta + 1,
-        "k": k,
-        "trace_value": None if phi is None else encode_int(nonzero_trace(phi, k)),
+        "k": 4,
+        "trace_value": None if phi is None else encode_int(nonzero_trace(phi, 4)),
     }
     return finalize_certificate(cert)
 

@@ -169,8 +169,6 @@ def save_graph(g: SignedMultigraph, path: Union[str, os.PathLike], fmt: str = "e
         text = to_edge_list(g)
     elif fmt == "json":
         text = canonical_json(to_json_obj(g)) + "\n"
-    elif fmt == "dot":
-        text = to_dot(g)
     else:
         raise ValueError(f"unknown graph format {fmt!r}")
     with open(path, "w") as fh:

@@ -25,8 +25,8 @@ PHI_NNZ_CAP = 50_000_000
 
 # Rows of a block that a trace holds dense: C(14, 7) = 3432 takes 94 MB per float64 copy, with up
 # to three copies live while the products stay exact and four once they run modulo primes
-# (`phi cycle:14 --trace 4` stays exact and peaks at 325 MB, in 1.1 s on 2 cores); C(16, 8) = 12870
-# would take 1.3 GB per copy.
+# (`phi cycle:14 --trace 4` stays exact and peaks at 325 MB, in 2.7-3.2 s on a 2-core Intel Xeon VM,
+# Python 3.11.7, numpy 2.4.6); C(16, 8) = 12870 would take 1.3 GB per copy.
 DENSE_BLOCK_DIM_CAP = 3432
 
 # Vertices up to which the chain and cover provers record a transfer trace (blocks up to C(12, 6) = 924).
@@ -36,5 +36,5 @@ TRACE_VERTEX_CAP = 12
 BOX_VERTEX_CAP = 4096
 
 # Vertices of an odd-cycle product, whose graph is built in Python: `orient --odd-product 12,12,12`
-# (15,625 vertices) takes 1.4 s at 70 MB, half of it encoding the 4 MB JSON output (2-core VM).
+# (15,625 vertices) takes 0.6 s at 55 MB and prints 1 MB of JSON (same host).
 ODD_PRODUCT_VERTEX_CAP = 20000

@@ -13,15 +13,17 @@ conditions over all vertex subsets are implemented as an independent
 exhaustive checker.  The chess construction for odd-cycle products works
 on numpy arrays of all edges: box bits and chess colors per endpoint, and
 one sorted-key lookup per box shape into that shape's window orientation.
+Odd directed cycles are found in linear time: Kosaraju's two passes give
+the strongly connected components and 2-colour each by its BFS tree, and
+one look at the arcs inside them decides.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -63,10 +65,6 @@ class Orientation:
         for tail, _ in self.arcs():
             d[tail - 1] += 1
         return tuple(d)
-
-    def reversal_parity(self) -> int:
-        """Parity of edges directed against the canonical u -> v direction."""
-        return sum(1 for f in self.directions if not f) % 2
 
     def bitstring(self) -> str:
         return "".join("1" if f else "0" for f in self.directions)
@@ -210,14 +208,6 @@ def check_window_conditions(
 # box products of paths and the chess construction for odd cycles
 # ---------------------------------------------------------------------------
 
-def _flat_index(coords: Sequence[int], dims: Sequence[int]) -> int:
-    """Row-major 1-based index of 0-based coords, matching cartesian_product."""
-    idx = 0
-    for c, d in zip(coords, dims):
-        idx = idx * d + c
-    return idx + 1
-
-
 def path_product(ks: Sequence[int]) -> SignedMultigraph:
     g = build_path(ks[0])
     for k in ks[1:]:
@@ -315,95 +305,57 @@ def odd_cycle_product_orientation(ks: Sequence[int]) -> Orientation:
 # odd directed cycles
 # ---------------------------------------------------------------------------
 
-def _strongly_connected_components(n: int, arcs: Iterable[tuple[int, int]]) -> list[list[int]]:
-    """Iterative Tarjan over vertices 1..n."""
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
-    for u, v in arcs:
-        adj[u].append(v)
-    index = [0] * (n + 1)
-    low = [0] * (n + 1)
-    on_stack = [False] * (n + 1)
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = itertools.count(1)
-    for root in range(1, n + 1):
-        if index[root]:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = next(counter)
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while pi < len(adj[v]):
-                w = adj[v][pi]
-                pi += 1
-                if not index[w]:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-            if work:
-                p = work[-1][0]
-                low[p] = min(low[p], low[v])
-    return comps
-
-
 def has_odd_directed_cycle(ori: Orientation) -> bool:
     """True iff some directed cycle of odd length exists.
 
     Criterion: a digraph has an odd directed closed walk (equivalently an
     odd directed cycle) iff the undirected graph of some strongly connected
-    component's internal arcs is non-bipartite.
+    component's internal arcs is non-bipartite.  The components come from
+    Kosaraju's two passes: a DFS along the arcs lists the vertices by
+    finishing time, then a BFS against the arcs from each latest-finished
+    unlabelled vertex labels exactly its component.  That BFS tree's arcs
+    lie inside the component and 2-colour it by depth parity, so the
+    component is bipartite iff no arc inside it joins two vertices of one
+    colour.
     """
+    n = ori.graph.n
     arcs = ori.arcs()
-    comps = _strongly_connected_components(ori.graph.n, arcs)
-    comp_id = [0] * (ori.graph.n + 1)
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_id[v] = ci
-    internal: list[list[tuple[int, int]]] = [[] for _ in comps]
+    out: list[list[int]] = [[] for _ in range(n + 1)]
+    into: list[list[int]] = [[] for _ in range(n + 1)]
     for u, v in arcs:
-        if comp_id[u] == comp_id[v]:
-            internal[comp_id[u]].append((u, v))
-    for comp, arcs_c in zip(comps, internal):
-        if len(comp) < 2 or not arcs_c:
+        out[u].append(v)
+        into[v].append(u)
+    finished: list[int] = []
+    seen = [False] * (n + 1)
+    for root in range(1, n + 1):
+        if seen[root]:
             continue
-        color: dict[int, int] = {}
-        adj: dict[int, list[int]] = {}
-        for u, v in arcs_c:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        for s in comp:
-            if s in color or s not in adj:
-                continue
-            color[s] = 1
-            queue = [s]
-            while queue:
-                x = queue.pop()
-                for y in adj[x]:
-                    if y not in color:
-                        color[y] = -color[x]
-                        queue.append(y)
-                    elif color[y] == color[x]:
-                        return True
-    return False
+        seen[root] = True
+        stack = [(root, iter(out[root]))]
+        while stack:
+            v, heads = stack[-1]
+            for w in heads:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append((w, iter(out[w])))
+                    break
+            else:
+                stack.pop()
+                finished.append(v)
+    comp = [0] * (n + 1)  # the vertex whose BFS labelled v's component
+    odd_depth = [False] * (n + 1)
+    for root in reversed(finished):
+        if comp[root]:
+            continue
+        comp[root] = root
+        queue = [root]
+        for x in queue:
+            for y in into[x]:
+                if not comp[y]:
+                    comp[y] = root
+                    odd_depth[y] = not odd_depth[x]
+                    queue.append(y)
+    return any(comp[u] == comp[v] and odd_depth[u] == odd_depth[v] for u, v in arcs)
 
 
 def acyclic_orientation(g: SignedMultigraph) -> Orientation:

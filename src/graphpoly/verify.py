@@ -10,7 +10,11 @@ object and its integer fields JSON integers: a float or a boolean is
 refused, never truncated.  Every stated coefficient and trace is
 recomputed under the DP budget, its only limit; running out raises
 BudgetExceededError.  Claims proved by a theorem instead (orientations,
-large chain steps) are named in the notes.
+large chain steps) are named in the notes.  A coefficient certificate
+claims f-choosability or the exact Alon-Tarsi number k, nothing else; the
+witness bounds AT above, and the lower bound AT >= k is at_lower_bound's
+pigeonhole or odd-cycle bound where that reaches k, and otherwise an
+empty support scan at caps min(k - 2, deg).
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import functools
 from typing import Optional
 
 from .certificates import CheckResult, certificate_digest, decode_int, encode_int
-from .coefficients import coefficient
+from .coefficients import coefficient, support
 from .doubling import build_plan, plan_polynomial, plan_target_exponent
 from .errors import BudgetExceededError, GraphPolyError
 from .graphio import _int, canonical_json, from_json_obj, graph_digest
@@ -117,6 +121,9 @@ def verify(cert: dict, *, budget: Optional[int] = None) -> CheckResult:
 
 
 def _verify_coefficient(cert: dict, budget, notes: list[str]) -> None:
+    claim = cert.get("claim")
+    if claim not in ("f-choosable", "alon-tarsi-exact"):
+        raise _Refuted(f"unknown coefficient claim {claim!r}")
     g = _load_graph(cert)
     xi = _int(cert["witness_exponent"], 1)
     _check_witness_coefficient(g, xi, cert.get("witness_value"), budget=budget)
@@ -126,8 +133,18 @@ def _verify_coefficient(cert: dict, budget, notes: list[str]) -> None:
             raise _Refuted("list-size vector length mismatch")
         if any(x > fv - 1 for x, fv in zip(xi, f)):
             raise _Refuted("witness exponent exceeds f - 1 somewhere")
-    if _int(cert.get("at_bound"), optional=True) != max(xi, default=0) + 1:
+    k = _int(cert.get("at_bound"), optional=True)
+    if k != max(xi, default=0) + 1:
         raise _Refuted("at_bound does not match the witness exponent")
+    if claim == "alon-tarsi-exact":
+        # the witness shows AT <= k; AT >= k needs every coefficient with all exponents <= k - 2 zero
+        lower, reason = at_lower_bound(g)
+        if lower >= k:
+            notes.append(f"lower bound {lower}: {reason}")
+        elif len(support(g, [min(k - 2, d) for d in g.degree_vector()], budget=budget)):
+            raise _Refuted(f"a nonzero coefficient has every exponent <= {k - 2}, so AT < {k}")
+        else:
+            notes.append(f"lower bound {k}: no nonzero coefficient has every exponent <= {k - 2}")
 
 
 def _verify_trace(cert: dict, budget, notes: list[str]) -> None:

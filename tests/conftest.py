@@ -23,6 +23,7 @@ from graphpoly.graphs import (
     double_edges,
     make_graph,
 )
+from graphpoly.graphio import parse_graph_spec
 
 
 def expand_polynomial(g: SignedMultigraph) -> dict[tuple[int, ...], int]:
@@ -91,6 +92,12 @@ def even_degree_zoo(max_edges: int = 12) -> list[tuple[str, SignedMultigraph]]:
     zoo.append(("K3+e12x3", make_graph(3, list(tri.edges) + [(1, 2), (1, 2)])))
     zoo.append(("edgeless3", make_graph(3, [])))
     return zoo
+
+
+def alon_tarsi_zoo() -> list[SignedMultigraph]:
+    """even_degree_zoo(12) and four odd-degree graphs, each cheap to search for its exact AT."""
+    specs = ("complete:4", "petersen", "product:cycle:3:cycle:3", "cyclepower:7:2")
+    return [g for _, g in even_degree_zoo(12)] + [parse_graph_spec(s) for s in specs]
 
 
 @pytest.fixture(scope="session")

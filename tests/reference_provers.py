@@ -1,22 +1,25 @@
-"""Plain per-element forms of the chess construction, the list-colouring sweeps and the
-enumeration engine.
+"""Plain per-element forms of the chess construction, the list-colouring sweeps, the
+enumeration engine, the odd-directed-cycle test and the exact Alon-Tarsi certificate.
 
 Kept as test oracles for the versions in graphpoly: this chess construction
 walks the edges one by one, the sweep tries every assignment of the
 universe with MRV search alone, the stress loop runs MRV on every trial,
-and the enumeration returns how many search nodes it entered.  Given the
-same input, each must give the same answer as the package.
+the enumeration returns how many search nodes it entered, the odd-cycle
+test finds strongly connected components by Tarjan's low-links, and the
+exact certificate recomputes its witness coefficient with a second DP.
+Given the same input, each must give the same answer as the package.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
+from graphpoly.certificates import encode_int, finalize_certificate
 from graphpoly.choosability import _list_sizes, _mrv_coloring
-from graphpoly.coefficients import ExponentVector
-from graphpoly.graphio import graph_digest
+from graphpoly.coefficients import ExponentVector, coefficient, support
+from graphpoly.graphio import graph_digest, to_json_obj
 from graphpoly.graphs import DIFF, SignedMultigraph, build_cycle, cartesian_product
 from graphpoly.orientations import Orientation, box_orientation
 
@@ -160,3 +163,112 @@ def enumeration_nodes(g: SignedMultigraph, xi: ExponentVector) -> tuple[int, int
         remaining[endpoints[i][0]] -= 1
         remaining[endpoints[i][1]] -= 1
     return total, nodes
+
+
+def _strongly_connected_components(n: int, arcs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Iterative Tarjan over vertices 1..n."""
+    adj: list[list[int]] = [[] for _ in range(n + 1)]
+    for u, v in arcs:
+        adj[u].append(v)
+    index = [0] * (n + 1)
+    low = [0] * (n + 1)
+    on_stack = [False] * (n + 1)
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    counter = itertools.count(1)
+    for root in range(1, n + 1):
+        if index[root]:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = next(counter)
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            while pi < len(adj[v]):
+                w = adj[v][pi]
+                pi += 1
+                if not index[w]:
+                    work[-1] = (v, pi)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                comps.append(comp)
+            if work:
+                p = work[-1][0]
+                low[p] = min(low[p], low[v])
+    return comps
+
+
+def has_odd_directed_cycle(ori: Orientation) -> bool:
+    """Tarjan's components, then a dict 2-colouring of each one's internal arcs."""
+    arcs = ori.arcs()
+    comps = _strongly_connected_components(ori.graph.n, arcs)
+    comp_id = [0] * (ori.graph.n + 1)
+    for ci, comp in enumerate(comps):
+        for v in comp:
+            comp_id[v] = ci
+    internal: list[list[tuple[int, int]]] = [[] for _ in comps]
+    for u, v in arcs:
+        if comp_id[u] == comp_id[v]:
+            internal[comp_id[u]].append((u, v))
+    for comp, arcs_c in zip(comps, internal):
+        if len(comp) < 2 or not arcs_c:
+            continue
+        color: dict[int, int] = {}
+        adj: dict[int, list[int]] = {}
+        for u, v in arcs_c:
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+        for s in comp:
+            if s in color or s not in adj:
+                continue
+            color[s] = 1
+            queue = [s]
+            while queue:
+                x = queue.pop()
+                for y in adj[x]:
+                    if y not in color:
+                        color[y] = -color[x]
+                        queue.append(y)
+                    elif color[y] == color[x]:
+                        return True
+    return False
+
+
+def at_certificate_exact(g: SignedMultigraph) -> dict:
+    """The exact search scan by scan, its witness coefficient then recomputed by a second DP."""
+    deg = g.degree_vector()
+    if g.num_edges == 0:
+        value, witness = 1, (0,) * g.n
+    else:
+        for value in range(max(2, -(-g.num_edges // g.n) + 1), g.max_degree() + 2):
+            found = support(g, tuple(min(value - 1, d) for d in deg)).witness()
+            if found is not None:
+                witness = found[0]
+                break
+    return finalize_certificate({
+        "kind": "coefficient",
+        "graph": to_json_obj(g),
+        "graph_digest": graph_digest(g),
+        "witness_exponent": list(witness),
+        "witness_value": encode_int(coefficient(g, witness)),
+        "claim": "alon-tarsi-exact",
+        "f": [value] * g.n,
+        "at_bound": value,
+    })

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from conftest import alon_tarsi_zoo
 from graphpoly.certificates import (
     certificate_digest,
     check_certificate,
@@ -49,6 +50,16 @@ def test_all_emitted_certificates_verify(certs):
     for name, cert in certs.items():
         result = check_certificate(cert)
         assert result.ok, (name, result.errors)
+
+
+def test_exact_alon_tarsi_certificates_on_the_zoo_prove_their_lower_bound():
+    graphs = alon_tarsi_zoo()
+    scanned = 0
+    for g in graphs:
+        result = check_certificate(at_certificate_exact(g))
+        assert result.ok, (g, result.errors)
+        scanned += "no nonzero coefficient" in result.notes[-1]
+    assert 0 < scanned < len(graphs)  # both the cheap bound and the scan prove some
 
 
 def test_digest_is_canonical(certs):
@@ -349,6 +360,14 @@ _REFUSALS = {
                     "witness exponent exceeds f - 1 somewhere"),
     "coefficient at_bound": (lambda c: _redigested(c["coefficient"], at_bound=3),
                              "at_bound does not match the witness exponent"),
+    "free-text claim": (lambda c: _redigested(c["coefficient"], claim="anything at all"),
+                        "unknown coefficient claim 'anything at all'"),
+    "no claim": (lambda c: _redigested({k: v for k, v in c["coefficient"].items() if k != "claim"}),
+                 "unknown coefficient claim None"),
+    # AT(C4) = 2: a true witness of AT <= 3 claimed exact
+    "exactness": (lambda c: _redigested(at_certificate_exact(build_cycle(4)), witness_exponent=[0, 1, 1, 2],
+                                        witness_value="1", f=[3] * 4, at_bound=3),
+                  "a nonzero coefficient has every exponent <= 1, so AT < 3"),
     # trace
     "odd degrees": (lambda c: _redigested(c["trace"], **_graph_fields("complete:4")),
                     "trace certificate on a graph with odd degrees"),

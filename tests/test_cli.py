@@ -150,6 +150,20 @@ def test_at_mode_required(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    "at cycle:4 --exact --orient",
+    "coeff cycle:3",
+    "coeff cycle:3 --exponent 2,1,0 --almost-central",
+    "choosable cycle:4 --f 2",
+    "choosable cycle:4 --f 2 --certificate --exhaustive",
+])
+def test_modes_are_exclusive_and_required(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert "required" in err or "not allowed with" in err
+    assert "Traceback" not in err
+
+
 def test_phi_summary(capsys):
     code, payload, _ = run_json(capsys, "phi", "cycle:3", "--trace", "2")
     assert code == 0

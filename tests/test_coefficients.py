@@ -177,9 +177,9 @@ def test_cycle_support_sizes():
 
 
 def test_alon_tarsi_exact():
-    assert alon_tarsi_number_exact(build_cycle(4)) == (2, (1, 1, 1, 1))
-    value, witness = alon_tarsi_number_exact(build_cycle(3))
-    assert value == 3 and witness in C3_SUPPORT
+    assert alon_tarsi_number_exact(build_cycle(4)) == (2, (1, 1, 1, 1), -2)
+    value, witness, coef = alon_tarsi_number_exact(build_cycle(3))
+    assert value == 3 and C3_SUPPORT[witness] == coef
     assert alon_tarsi_number_exact(build_path(2))[0] == 2
     assert alon_tarsi_number_exact(make_graph(3, []))[0] == 1
     for n in (4, 6, 8):

@@ -376,12 +376,6 @@ def test_orientation_certificate_rejects_odd_cycle():
         orientation_certificate(orientation_from_bitstring(c3, "101"))
 
 
-def test_reversal_parity():
-    c3 = build_cycle(3)
-    assert orientation_from_bitstring(c3, "111").reversal_parity() == 0
-    assert orientation_from_bitstring(c3, "101").reversal_parity() == 1
-
-
 # ---------------------------------------------------------------------------
 # certificate chains for products of cycles
 # ---------------------------------------------------------------------------

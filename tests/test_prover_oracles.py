@@ -1,7 +1,9 @@
-"""The array chess construction, the pruned greedy-first sweep and stress loop, and the
-enumeration engine against their plain per-element forms in reference_provers."""
+"""The array chess construction, the pruned greedy-first sweep and stress loop, the
+enumeration engine, the two-pass odd-cycle test and the one-scan exact Alon-Tarsi
+certificate against their plain forms in reference_provers."""
 
 import itertools
+import random
 from fractions import Fraction
 from math import comb, prod
 from unittest import mock
@@ -10,11 +12,12 @@ import pytest
 
 import graphpoly.choosability as choosability
 import reference_provers
+from conftest import alon_tarsi_zoo, even_degree_zoo
 from graphpoly.coefficients import _coefficient_enumeration, central_exponent
 from graphpoly.errors import BudgetExceededError
-from graphpoly.graphio import parse_graph_spec
-from graphpoly.graphs import build_complete, build_cycle, build_path, cartesian_product, make_graph
-from graphpoly.orientations import odd_cycle_product_orientation
+from graphpoly.graphio import canonical_json, parse_graph_spec
+from graphpoly.graphs import DIFF, SUM, build_complete, build_cycle, build_path, cartesian_product, make_graph
+from graphpoly.orientations import Orientation, has_odd_directed_cycle, odd_cycle_product_orientation
 
 
 def _admissible(factors, max_vertices, ordered=True):
@@ -149,3 +152,41 @@ def test_enumeration_trips_its_budget_at_the_reference_node_count(spec, xi):
     assert _coefficient_enumeration(g, xi, nodes) == value
     with pytest.raises(BudgetExceededError):
         _coefficient_enumeration(g, xi, nodes - 1)
+
+
+def test_odd_cycle_test_matches_tarjan_on_seeded_orientations_of_the_zoo():
+    zoo = [g for _, g in even_degree_zoo(21)]
+    rng = random.Random(16)
+    answers = []
+    for i in range(5000):
+        g = zoo[i % len(zoo)]
+        ori = Orientation(g, tuple(rng.random() < 0.5 for _ in range(g.num_edges)))
+        answers.append(has_odd_directed_cycle(ori))
+        assert answers[-1] == reference_provers.has_odd_directed_cycle(ori), (g, ori.bitstring())
+    assert 0.2 * len(answers) <= sum(answers) <= 0.8 * len(answers)
+
+
+@pytest.mark.parametrize("ks", [ks for ks in CHESS_CASES if prod(2 * k + 1 for k in ks) <= 300] + [(12, 12, 12)],
+                         ids=lambda ks: ",".join(map(str, ks)))
+def test_odd_cycle_test_matches_tarjan_on_chess_orientations(ks):
+    ori = odd_cycle_product_orientation(ks)
+    assert has_odd_directed_cycle(ori) is reference_provers.has_odd_directed_cycle(ori) is False
+
+
+def _at_exact_graphs():
+    """alon_tarsi_zoo and two seeded relabellings of each graph with random SUM/DIFF tags."""
+    graphs = alon_tarsi_zoo()
+    rng = random.Random(16)
+    for g in list(graphs):
+        for _ in range(2):
+            perm = list(range(1, g.n + 1))
+            rng.shuffle(perm)
+            graphs.append(make_graph(g.n, [(perm[u - 1], perm[v - 1], rng.choice((SUM, DIFF)))
+                                           for u, v, _ in g.edges]))
+    return graphs
+
+
+def test_at_certificate_exact_matches_the_two_dp_certificate_byte_for_byte():
+    for g in _at_exact_graphs():
+        new = canonical_json(choosability.at_certificate_exact(g))
+        assert new == canonical_json(reference_provers.at_certificate_exact(g)), g
