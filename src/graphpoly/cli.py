@@ -124,9 +124,9 @@ def _cmd_coeff(args, run: _Run) -> int:
     g = load_graph(args.graph)
     run.graph(g)
     if args.exponent is not None:
-        xi = args.exponent
-        run.param(exponent=list(xi), method=args.method)
-        value = coefficient(g, xi, method=args.method, budget=args.budget)
+        xi, method = args.exponent, args.method or "dp"
+        run.param(exponent=list(xi), method=method)
+        value = coefficient(g, xi, method=method, budget=args.budget)
         result = {"exponent": list(xi), "coefficient": encode_int(value)}
         if sum(xi) != g.num_edges:
             result["advisory"] = (
@@ -370,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("coeff", help="extract coefficients")
     p.add_argument("graph", help="graph file or generator spec like cycle:5")
-    p.add_argument("--method", choices=("dp", "enumerate", "both"), default="dp")
+    p.add_argument("--method", choices=("dp", "enumerate", "both"), help="with --exponent; default dp")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exponent", type=_parse_vector)
     mode.add_argument("--almost-central", action="store_true")
@@ -400,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("choosable", help="list-coloring oracles")
     p.add_argument("graph")
     p.add_argument("--f", type=_parse_vector)
-    p.add_argument("--universe", type=int, default=None)
+    p.add_argument("--universe", type=int, default=None, help="with --exhaustive or --stress")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exhaustive", action="store_true")
     mode.add_argument("--stress", type=int, metavar="TRIALS")
@@ -427,6 +427,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "coeff" and args.method and args.exponent is None:
+            parser.error("coeff: argument --method: applies only with --exponent")
+        if args.command == "choosable" and args.universe is not None and (args.certificate or args.lists):
+            parser.error("choosable: argument --universe: applies only with --exhaustive or --stress")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     run = _Run(args)

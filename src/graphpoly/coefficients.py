@@ -21,7 +21,9 @@ Two independent engines are provided and must agree:
   an edge costs about 22 us plus 0.07 us per state (least-squares fit
   over the 2,126 edges of one perfbench coeff pass; numpy 2.4, 2 cores).
   A scan returns its last layer as arrays (a SupportMap) and decodes
-  exponent tuples only when a caller asks for them;
+  exponent tuples only when a caller asks for them.  ``support`` first
+  cuts its window to the exponents that can sum to |E| (the degree-sum
+  window), so caps that sum to |E| cost one coefficient;
 * a direct depth-first enumeration of per-edge choices with feasibility
   pruning but no state merging.
 
@@ -503,7 +505,11 @@ def support(
     """All nonzero coefficients with floor_i <= xi_i <= cap_i, one DP pass.
 
     Exponents only grow along the scan, so a branch dies as soon as a
-    vertex exceeds its cap or can no longer reach its floor.
+    vertex exceeds its cap or can no longer reach its floor.  The scan
+    gets the degree-sum window, cut to the exponents that can sum to
+    m = |E|: cap to min(cap, deg), floor to cap - (sum cap - m), cap to
+    floor + (m - sum floor).  Entries and witness are those of the uncut
+    window; caps summing to m leave one exponent, and an empty cut runs no DP.
     """
     cap = _check_exponent(g, cap)
     if floor is None:
@@ -513,7 +519,14 @@ def support(
     if any(f > c for f, c in zip(floor_t, cap)):
         raise ValueError("floor exceeds cap")
     budget = DEFAULT_BUDGET if budget is None else budget
-    return _scan(g, floor_t, cap, budget)
+    cap = tuple(min(c, d) for c, d in zip(cap, g.degree_vector()))
+    slack = sum(cap) - g.num_edges
+    floor_t = tuple(max(f, c - slack) for f, c in zip(floor_t, cap))
+    room = g.num_edges - sum(floor_t)
+    if slack < 0 or room < 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return SupportMap(empty, empty, (0,) * g.n, (0,) * g.n, (None,) * g.n)
+    return _scan(g, floor_t, tuple(min(c, f + room) for f, c in zip(floor_t, cap)), budget)
 
 
 def almost_central_scan(g: SignedMultigraph, *, budget: Optional[int] = None) -> SupportMap:

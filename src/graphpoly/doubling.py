@@ -69,12 +69,14 @@ def cycle_cover_certificate(
     """Cover-and-double certificate: AT(G x C_even) <= Delta(G) + 1, all even lengths.
 
     Finds vertex-disjoint cycles covering every maximum-degree vertex
-    (None if no cover exists), doubles all other edges, and scans the
-    doubled graph's almost-central window.  An empty window would
-    contradict the sum-of-squares argument and raises.  When the doubled
-    graph has at most TRACE_VERTEX_CAP vertices the transfer trace for
-    cycle length 4 is embedded as a numeric sub-check, and the window
-    comes from the transfer matrix's own scan.
+    (None if no cover exists), doubles all other edges, and takes a
+    nonzero coefficient from the doubled graph's almost-central window.
+    An empty window would contradict the sum-of-squares argument and
+    raises.  When the doubled graph has at most TRACE_VERTEX_CAP vertices
+    the transfer trace for cycle length 4 is embedded as a numeric
+    sub-check, and the witness comes from the transfer matrix's own scan.
+    Above that, it is the central exponent unless its coefficient is 0
+    (odd cycles): one DP in place of a window that can be exponential.
     """
     if not g.is_simple():
         raise ValueError("cover pipeline expects a simple graph")
@@ -92,8 +94,12 @@ def cycle_cover_certificate(
     doubled_idx = sorted(set(range(g.num_edges)) - in_cover)
     gprime = double_edges(g, doubled_idx)
     phi = build_phi(gprime, budget=budget) if gprime.n <= TRACE_VERTEX_CAP else None
-    scan = almost_central_scan(gprime, budget=budget) if phi is None else phi.scan
-    found = scan.witness()
+    if phi is None:
+        centre = central_exponent(gprime)
+        value = coefficient(gprime, centre, budget=budget)
+        found = (centre, value) if value else almost_central_scan(gprime, budget=budget).witness()
+    else:
+        found = phi.scan.witness()
     if found is None:
         raise InvariantViolationError(
             "cycle cover exists but the doubled graph has an empty almost-central window"
@@ -263,7 +269,9 @@ def epsilon_search(plan: ChoosabilityPlan, *, budget: Optional[int] = None) -> d
     so the recorded choice is the smallest that works.  The target monomial
     is a linear combination of the augmented polynomials over all sign
     choices, so exhausting them without a hit contradicts tau being a
-    support element and raises.
+    support element and raises.  With no pairing (a central plan) the one
+    augmented graph is g and the target is tau, so its coefficient is the
+    plan's tau_value and no DP runs.
     """
     target = plan_target_exponent(plan)
     for signs in itertools.product("+-", repeat=plan.m):
@@ -273,7 +281,7 @@ def epsilon_search(plan: ChoosabilityPlan, *, budget: Optional[int] = None) -> d
             raise InvariantViolationError("augmented multigraph has an odd degree")
         if any(d != 2 * fv - 4 for d, fv in zip(deg_q, plan.f)):
             raise InvariantViolationError("augmented degrees disagree with 2f - 4")
-        value = coefficient(q, target, budget=budget)
+        value = plan.tau_value if plan.m == 0 else coefficient(q, target, budget=budget)
         if value != 0:
             cert = {
                 "kind": "fplan",

@@ -1,13 +1,16 @@
 """Plain per-element forms of the chess construction, the list-colouring sweeps, the
-enumeration engine, the odd-directed-cycle test and the exact Alon-Tarsi certificate.
+enumeration engine, the odd-directed-cycle test, the exact Alon-Tarsi certificate and
+the f-plan sign search.
 
 Kept as test oracles for the versions in graphpoly: this chess construction
 walks the edges one by one, the sweep tries every assignment of the
 universe with MRV search alone, the stress loop runs MRV on every trial,
 the enumeration returns how many search nodes it entered, the odd-cycle
-test finds strongly connected components by Tarjan's low-links, and the
-exact certificate recomputes its witness coefficient with a second DP.
-Given the same input, each must give the same answer as the package.
+test finds strongly connected components by Tarjan's low-links, the
+exact certificate recomputes its witness coefficient with a second DP,
+and the sign search runs one DP per sign choice, even where the plan
+already holds the coefficient.  Given the same input, each must give the
+same answer as the package.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from typing import Iterable, Optional, Sequence
 from graphpoly.certificates import encode_int, finalize_certificate
 from graphpoly.choosability import _list_sizes, _mrv_coloring
 from graphpoly.coefficients import ExponentVector, coefficient, support
+from graphpoly.doubling import ChoosabilityPlan, plan_polynomial, plan_target_exponent
+from graphpoly.errors import InvariantViolationError
 from graphpoly.graphio import graph_digest, to_json_obj
 from graphpoly.graphs import DIFF, SignedMultigraph, build_cycle, cartesian_product
 from graphpoly.orientations import Orientation, box_orientation
@@ -272,3 +277,27 @@ def at_certificate_exact(g: SignedMultigraph) -> dict:
         "f": [value] * g.n,
         "at_bound": value,
     })
+
+
+def epsilon_search(plan: ChoosabilityPlan) -> dict:
+    """The sign search with the target coefficient of every sign choice from its own DP."""
+    target = plan_target_exponent(plan)
+    for signs in itertools.product("+-", repeat=plan.m):
+        q = plan_polynomial(plan, signs)
+        deg_q = q.degree_vector()
+        if any(d % 2 for d in deg_q):
+            raise InvariantViolationError("augmented multigraph has an odd degree")
+        if any(d != 2 * fv - 4 for d, fv in zip(deg_q, plan.f)):
+            raise InvariantViolationError("augmented degrees disagree with 2f - 4")
+        value = coefficient(q, target)
+        if value != 0:
+            return finalize_certificate({
+                "kind": "fplan",
+                "plan": plan.as_json(),
+                "epsilon": "".join(signs),
+                "witness_exponent": list(target),
+                "witness_value": encode_int(value),
+                "claim": "f-choosable-product-with-even-cycles",
+                "f": list(plan.f),
+            })
+    raise InvariantViolationError("no sign choice produced a nonzero coefficient")

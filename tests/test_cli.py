@@ -77,6 +77,9 @@ def test_coeff_exponent(capsys):
     assert code == 0
     assert payload["result"]["coefficient"] == "-1"
     assert "advisory" not in payload["result"]
+    assert payload["manifest"]["parameters"]["method"] == "both"
+    _, payload, _ = run_json(capsys, "coeff", "cycle:3", "--exponent", "2,1,0")
+    assert payload["manifest"]["parameters"]["method"] == "dp"
 
 
 def test_coeff_mismatched_degree_advisory(capsys):
@@ -498,6 +501,29 @@ def test_check_rejects_tampered(tmp_path, capsys):
     code, payload, _ = run_json(capsys, "check", str(cert_path))
     assert code == 1
     assert payload["result"]["pass"] is False
+
+
+@pytest.mark.parametrize("spec", ["product:cycle:4:cycle:4", "cycle:40"])
+def test_cover_certificate_over_the_trace_cap_fits_a_small_budget(tmp_path, capsys, spec):
+    # the whole almost-central window of either doubled graph exceeds 10^6 expansions
+    path = tmp_path / "cover.json"
+    code, _, _ = run_json(capsys, "at", spec, "--prop6", "--budget", "1000000", "--out", str(path))
+    assert code == 0
+    code, payload, _ = run_json(capsys, "check", str(path), "--budget", "1000000")
+    assert code == 0 and payload["result"]["pass"] is True
+
+
+@pytest.mark.parametrize("argv, option", [
+    ("coeff cycle:3 --almost-central --method enumerate", "--method"),
+    ("coeff cycle:3 --support 2,2,2 --method dp", "--method"),
+    ("choosable cycle:4 --f 3 --universe 9 --certificate", "--universe"),
+    ("choosable cycle:4 --f 3 --universe 9 --lists lists.json", "--universe"),
+])
+def test_options_a_mode_never_reads_are_usage_errors(capsys, argv, option):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert f"error: {argv.split()[0]}: argument {option}: applies only with" in err
+    assert "Traceback" not in err
 
 
 def test_certificate_bytes_are_reproducible(tmp_path, capsys):

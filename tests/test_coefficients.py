@@ -227,6 +227,14 @@ def test_budget_trips_at_the_same_expansion_count():
     assert info.value.explored == 1053970
 
 
+def test_a_window_whose_caps_sum_to_m_is_one_coefficient():
+    # C5 x C7 has m = 70 = 35 * 2: only the central exponent, whose coefficient is 0,
+    # fits under caps 2; the whole cap-2 window took 1.5 s and 350 MB before it was cut
+    g = cartesian_product(build_cycle(5), build_cycle(7))
+    assert len(support(g, (2,) * 35, budget=10**6)) == 0
+    assert coefficient(g, central_exponent(g), budget=10**6) == 0
+
+
 def test_coefficients_past_int64_are_exact():
     # C(70, 35) ~ 1.1e20 > 2^63: the DP must leave int64 before it wraps
     digon = make_graph(2, [(1, 2)] * 70)

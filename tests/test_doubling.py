@@ -1,8 +1,11 @@
+from unittest import mock
+
 import pytest
 
+import graphpoly.doubling as doubling
 from graphpoly.certificates import check_certificate
 from graphpoly.choosability import random_list_stress
-from graphpoly.coefficients import central_exponent, mirror_sign
+from graphpoly.coefficients import almost_central_scan, central_exponent, coefficient, mirror_sign
 from graphpoly.doubling import (
     build_plan,
     cycle_cover_certificate,
@@ -83,6 +86,23 @@ def test_cover_certificate_petersen():
     assert cert["at_bound"] == 4  # max degree 3, bound 3 + 1
     result = check_certificate(cert)
     assert result.ok, result.errors
+
+
+def test_cover_certificate_above_the_trace_cap_reads_the_central_coefficient_first():
+    # C4 x C4 doubled off its cover is 6-regular on 16 vertices: central coefficient nonzero
+    g = cartesian_product(build_cycle(4), build_cycle(4))
+    with mock.patch.object(doubling, "almost_central_scan", side_effect=AssertionError("scanned")):
+        cert = cycle_cover_certificate(g)
+    gprime = double_edges(g, cert["doubled_edge_indices"])
+    assert cert["witness_exponent"] == list(central_exponent(gprime)) == [3] * 16
+    assert cert["trace_value"] is None and check_certificate(cert).ok
+    # an odd cycle is its own cover, and its central coefficient is 0: the scan's witness
+    odd = build_cycle(13)
+    assert coefficient(odd, central_exponent(odd)) == 0
+    cert = cycle_cover_certificate(odd)
+    witness, value = almost_central_scan(odd).witness()
+    assert cert["witness_exponent"] == list(witness) and int(cert["witness_value"]) == value
+    assert check_certificate(cert).ok
 
 
 def test_cover_certificate_no_cover():

@@ -1,9 +1,11 @@
-"""The lean DP step and edge-order planner against their plain forms.
+"""The lean DP step, edge-order planner and degree-sum window against their plain forms.
 
 reference_dp holds the step that tests every bound on every state and
 always merges duplicates, and the planner that estimates every candidate
 in full.  The versions in graphpoly.coefficients must return identical
-arrays and identical edge orders.
+arrays and identical edge orders.  support cuts its window to the
+exponents that sum to |E|; the scan of the uncut window must hold the
+same entries.
 """
 
 import itertools
@@ -12,17 +14,24 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 import graphpoly.coefficients as coefficients
 import reference_dp
-from conftest import even_degree_zoo
+from conftest import alon_tarsi_zoo, even_degree_zoo
+from graphpoly.errors import BudgetExceededError
+from graphpoly.graphio import parse_graph_spec
 from graphpoly.graphs import (
+    DIFF,
+    SUM,
     build_complete,
     build_cycle,
     build_petersen,
     cartesian_product,
     make_graph,
 )
+from graphpoly.transfer import build_phi
 
 
 def _assert_identical(got, expected):
@@ -184,3 +193,87 @@ def test_planner_matches_the_reference_on_relabellings(a, b):
     rng = random.Random(a * 10 + b)
     past_gate = sum(_assert_same_plan(_relabel(base, rng)) for _ in range(50))
     assert past_gate >= 50  # the candidates themselves were compared
+
+
+# ---------------------------------------------------------------------------
+# the degree-sum window against the uncut window
+# ---------------------------------------------------------------------------
+
+_AT_ZOO = alon_tarsi_zoo()  # odd degrees included
+
+
+@st.composite
+def _zoo_windows(draw):
+    """A relabelled alon_tarsi_zoo graph with random tags and up to two isolated
+    vertices, and a window anywhere in [0, deg + 1] or within 1 of an outdegree
+    vector, whose entries sum to |E|."""
+    g = _AT_ZOO[draw(st.integers(0, len(_AT_ZOO) - 1))]
+    n = g.n + draw(st.integers(0, 2))
+    perm = draw(st.permutations(range(1, n + 1)))
+    tags = draw(st.lists(st.sampled_from((SUM, DIFF)), min_size=g.num_edges, max_size=g.num_edges))
+    h = make_graph(n, [(perm[u - 1], perm[v - 1], t) for (u, v, _), t in zip(g.edges, tags)])
+    if draw(st.booleans()):
+        cap = [draw(st.integers(0, d + 1)) for d in h.degree_vector()]
+        floor = [draw(st.integers(0, c)) for c in cap]
+    else:
+        heads = draw(st.lists(st.booleans(), min_size=h.num_edges, max_size=h.num_edges))
+        out = [0] * n
+        for (u, v, _), head in zip(h.edges, heads):
+            out[(v if head else u) - 1] += 1
+        # floor and cap shifted by -1, 0 or +1 each: sums below, at and above |E|
+        shifts = [sorted(draw(st.lists(st.integers(-1, 1), min_size=2, max_size=2))) for _ in out]
+        floor = [max(0, x + a) for x, (a, _) in zip(out, shifts)]
+        cap = [max(f, x + b) for f, x, (_, b) in zip(floor, out, shifts)]
+    return h, tuple(floor), tuple(cap)
+
+
+_C4 = build_cycle(4)
+_TRIANGLE_AND_TWO = make_graph(5, [(1, 2), (2, 3), (1, 3)])  # vertices 4 and 5 have degree 0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_zoo_windows())
+@example((_C4, (0, 0, 0, 0), (1, 1, 1, 0)))  # the caps sum below |E|
+@example((_C4, (2, 1, 1, 1), (2, 2, 2, 2)))  # the floors sum above |E|
+@example((_C4, (0, 0, 0, 0), (2, 1, 1, 0)))  # the caps sum to |E|: one exponent
+@example((_C4, (1, 1, 1, 1), (1, 1, 1, 1)))  # floor = cap everywhere
+@example((_TRIANGLE_AND_TWO, (0, 0, 0, 0, 0), (2, 2, 2, 1, 0)))  # a cap above a degree
+@example((_TRIANGLE_AND_TWO, (0, 0, 0, 1, 0), (2, 2, 2, 1, 1)))  # a floor above a degree
+def test_degree_sum_window_keeps_the_entries_and_witness_of_the_uncut_window(case):
+    g, floor, cap = case
+    try:
+        uncut = coefficients._scan(g, floor, cap, 10**6)
+    except BudgetExceededError:
+        reject()
+    cut = coefficients.support(g, cap, floor=floor)
+    assert len(cut) == len(uncut)
+    assert cut.witness() == uncut.witness()
+    assert cut.entries == uncut.entries
+
+
+def test_a_window_with_no_exponent_of_degree_m_runs_no_dp():
+    with mock.patch.object(coefficients, "_scan", side_effect=AssertionError("a DP ran")):
+        for floor, cap in [((0,) * 4, (1, 1, 1, 0)), ((2, 1, 1, 1), (2,) * 4), ((0,) * 4, (0,) * 4)]:
+            sup = coefficients.support(_C4, cap, floor=floor)
+            assert len(sup) == 0 and sup.witness() is None and sup.entries == {}
+    with pytest.raises(ValueError, match="floor exceeds cap"):  # the user's window is still checked
+        coefficients.support(_C4, (1, 1, 1, 0), floor=(0, 0, 0, 1))
+
+
+def _phi_graphs():
+    graphs = [(name, g) for name, g in even_degree_zoo(12) if g.num_edges]
+    graphs += [(spec, parse_graph_spec(spec)) for spec in (
+        "cycle:5", "cyclepower:8:2", "cyclepower:10:2", "cyclepower:11:2", "cyclepower:8:3",
+        "product:cycle:3:cycle:3")]
+    rng = random.Random(17)
+    graphs += [(f"{name}-relabelled", _relabel(g, rng)) for name, g in graphs[-3:]]
+    return graphs
+
+
+@pytest.mark.parametrize("name,g", _phi_graphs(), ids=[name for name, _ in _phi_graphs()])
+def test_build_phi_scans_the_same_layer_as_the_uncut_window(name, g):
+    half = coefficients.central_exponent(g)
+    uncut = coefficients._scan(g, tuple(max(0, x - 1) for x in half), tuple(x + 1 for x in half), 10**8)
+    scan = build_phi(g).scan
+    _assert_identical((scan.keys, scan.coef), (uncut.keys, uncut.coef))
+    assert (scan.shift, scan.mask, scan.fixed) == (uncut.shift, uncut.mask, uncut.fixed)

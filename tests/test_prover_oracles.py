@@ -1,6 +1,6 @@
 """The array chess construction, the pruned greedy-first sweep and stress loop, the
-enumeration engine, the two-pass odd-cycle test and the one-scan exact Alon-Tarsi
-certificate against their plain forms in reference_provers."""
+enumeration engine, the two-pass odd-cycle test, the one-scan exact Alon-Tarsi
+certificate and the f-plan sign search against their plain forms in reference_provers."""
 
 import itertools
 import random
@@ -11,6 +11,7 @@ from unittest import mock
 import pytest
 
 import graphpoly.choosability as choosability
+import graphpoly.doubling as doubling
 import reference_provers
 from conftest import alon_tarsi_zoo, even_degree_zoo
 from graphpoly.coefficients import _coefficient_enumeration, central_exponent
@@ -190,3 +191,32 @@ def test_at_certificate_exact_matches_the_two_dp_certificate_byte_for_byte():
     for g in _at_exact_graphs():
         new = canonical_json(choosability.at_certificate_exact(g))
         assert new == canonical_json(reference_provers.at_certificate_exact(g)), g
+
+
+# the coeff workload's central plans, then the CLI rows that pair vertices
+_FPLAN_CASES = [(f"product:cycle:{a}:cycle:6", None) for a in (4, 5, 6)] + [
+    ("complete:4", (0, 1, 2, 3)),
+    ("complete:4", (1, 0, 2, 3)),
+    ("petersen", (0, 1, 1, 1, 3, 1, 2, 2, 2, 2)),
+    ("cyclepower:7:2", (0, 1, 2, 2, 3, 4, 2)),
+]
+
+
+@pytest.mark.parametrize("spec,tau", _FPLAN_CASES, ids=[f"{s}:{t}" for s, t in _FPLAN_CASES])
+def test_fplan_certificates_match_the_one_dp_per_sign_search_byte_for_byte(spec, tau):
+    g = parse_graph_spec(spec)
+    plan = doubling.build_plan(g, tau or central_exponent(g))
+    assert (plan.m == 0) is (tau is None)
+    new = canonical_json(doubling.epsilon_search(plan))
+    assert new == canonical_json(reference_provers.epsilon_search(plan))
+
+
+def test_a_central_plan_searches_its_signs_without_a_dp():
+    g = parse_graph_spec("product:cycle:4:cycle:6")
+    central = doubling.build_plan(g, central_exponent(g))
+    paired = doubling.build_plan(build_complete(4), (0, 1, 2, 3))
+    with mock.patch.object(doubling, "coefficient", wraps=doubling.coefficient) as spy:
+        doubling.epsilon_search(central)
+        assert spy.call_count == 0
+        doubling.epsilon_search(paired)
+        assert spy.call_count >= 1
