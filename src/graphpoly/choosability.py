@@ -7,15 +7,20 @@ either confirm it against every list assignment from a finite universe
 larger).  The list coloring is MRV backtracking whose remaining-value
 counts are updated incrementally, per list color and neighbour, as
 vertices are colored and uncolored.  Sweeps and stress trials need only
-a yes or no, so each assignment is colored greedily first and MRV runs
-only when that fails; sweeps skip what color relabelling makes redundant.
+a yes or no, so they hold their assignments as rows of one integer array,
+LIST_COLOR_CAP colors at a time, color them greedily in one vectorised
+pass, and run MRV only on the rows where that fails; sweeps skip what color
+relabelling makes redundant.  Stress lists come from Floyd's algorithm
+on numpy's PCG64 generator seeded with |seed|.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
+import math
 from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from .certificates import encode_int, finalize_certificate
 from .coefficients import alon_tarsi_number_exact, support
@@ -87,19 +92,65 @@ def _mrv_coloring(
     return True, tuple(coloring[1:])
 
 
-def _greedy_colors(adj: list[list[int]], lists: ListAssignment) -> bool:
-    """True if coloring 1..n in label order, each vertex with its lowest list color that no
-    earlier neighbour holds, colors every vertex; False decides nothing."""
-    coloring: list[Optional[int]] = [None] * len(adj)
-    for v, colors in enumerate(lists, 1):
-        taken = {coloring[w] for w in adj[v]}
-        for c in colors:
-            if c not in taken:
-                coloring[v] = c
-                break
-        else:
-            return False
-    return True
+def _random_lists(rng: np.random.Generator, f: Sequence[int], u: int, trials: int) -> np.ndarray:
+    """trials rows of random lists, each vertex's list f_v distinct colors of 1..u, ascending, in
+    the row's columns sum(f[:v-1]) to sum(f[:v]) - 1.
+
+    Floyd's algorithm draws list v: for j = u - f_v + 1 .. u it takes t_j uniform in 1..j, and
+    keeps it unless the list holds it already, when it keeps j.  Every t is drawn up front, row
+    by row, so the stream does not depend on how trials are split.  t_j is held already iff an
+    earlier step drew it, or t_j is an earlier j whose t was held; that chain of held t's runs to
+    smaller j, and is followed for every column at once by pointer jumping.
+    """
+    f = np.asarray(f, dtype=np.int64)
+    owner = np.repeat(np.arange(f.size), f)  # the vertex, from 0, of each column
+    place = np.arange(owner.size) - np.repeat(np.cumsum(f) - f, f)  # the column's place in its list
+    low = u - f[owner] + 1  # its list's first j
+    top = low + place  # the column's j
+    t = rng.integers(1, top + 1, size=(trials, owner.size))
+    head = np.arange(t.size).reshape(t.shape) - place  # flat index of each entry's list start
+    shift = (np.arange(trials)[:, None] * f.size + owner) * (u + 1)  # sorts by row, list, then color
+    key = (shift + t).ravel()
+    order = np.argsort(key, kind="stable")
+    repeat = np.zeros(t.size, dtype=bool)
+    repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
+    link = (head + np.where((t >= low) & (t < top), t - low, place)).ravel()
+    for _ in range(int(f.max() - 1).bit_length()):
+        repeat |= repeat[link]
+        link = link[link]
+    return np.sort(shift + np.where(repeat.reshape(t.shape), top, t), axis=None).reshape(t.shape) - shift
+
+
+def _greedy_rows(adj: list[list[int]], f: Sequence[int], rows: np.ndarray) -> np.ndarray:
+    """Per row of lists laid out as _random_lists lays them: True if coloring 1..n in label
+    order, each vertex with its lowest list color that no earlier neighbour holds, colors every
+    vertex; False decides nothing."""
+    color = np.zeros((len(rows), len(adj)), dtype=rows.dtype)  # column v: vertex v's color
+    fits = np.ones(len(rows), dtype=bool)
+    every = np.arange(len(rows))
+    at = 0
+    for v, k in enumerate(f, 1):
+        lists = rows[:, at:at + k]
+        at += k
+        earlier = sorted({w for w in adj[v] if w < v})
+        free = (lists[:, :, None] != color[:, None, earlier]).all(axis=2)
+        first = free.argmax(axis=1)
+        fits &= free[every, first]
+        color[:, v] = lists[every, first]
+    return fits
+
+
+def _uncolorable_rows(
+    adj: list[list[int]], f: Sequence[int], rows: np.ndarray
+) -> Iterator[tuple[int, list[list[int]]]]:
+    """The index and lists of each row, in row order, that admits no coloring: the batched
+    greedy colors most rows, and MRV decides the rest."""
+    ends = list(itertools.accumulate(f))
+    for i in np.flatnonzero(~_greedy_rows(adj, f, rows)).tolist():
+        row = rows[i].tolist()
+        lists = [row[b - k:b] for k, b in zip(f, ends)]
+        if not _mrv_coloring(adj, lists)[0]:
+            yield i, lists
 
 
 def default_universe(f: Sequence[int]) -> int:
@@ -157,11 +208,20 @@ def find_uncolorable_assignment(
     for b in f[1:2]:  # vertex 2: 1..j, then a + 1 .. a + b - j; falling j gives rising lists
         lead.append([tuple(range(1, j + 1)) + tuple(range(a + 1, a + b - j + 1))
                      for j in range(min(a, b), max(0, a + b - u) - 1, -1)])
-    per_vertex = lead + [list(itertools.combinations(range(1, u + 1), k)) for k in f[len(lead):]]
+    per_vertex = [np.array(lists, dtype=np.int64) for lists in
+                  lead + [list(itertools.combinations(range(1, u + 1), k)) for k in f[len(lead):]]]
+    shape = [len(lists) for lists in per_vertex]
+    walked = math.prod(shape)
     adj = g.adjacency()
-    for assignment in itertools.product(*per_vertex):
-        if not (_greedy_colors(adj, assignment) or _mrv_coloring(adj, assignment)[0]):
-            return assignment
+    first, step = 0, 1
+    while first < walked:
+        # the product's assignments first .. first + step - 1, in order, one row each; chunks
+        # double up to LIST_COLOR_CAP colors, so an early refutation builds few rows
+        picks = np.unravel_index(np.arange(first, min(first + step, walked)), shape)
+        rows = np.concatenate([lists[i] for lists, i in zip(per_vertex, picks)], axis=1)
+        for _, lists in _uncolorable_rows(adj, f, rows):
+            return tuple(map(tuple, lists))
+        first, step = first + step, min(2 * step, LIST_COLOR_CAP // sum(f))
     return None
 
 
@@ -252,22 +312,24 @@ def random_list_stress(
 ) -> dict:
     """Sample random list assignments and report any uncolorable ones.
 
-    The PRNG is seeded and the seed is recorded, so a reported failure is
-    replayable.  Against a held coefficient certificate any failure is a
-    soundness bug, not a statistical event.
+    The lists come from Floyd's algorithm on numpy's PCG64 generator seeded with |seed|, and
+    the seed is recorded, so a reported failure is replayable; the lists that versions before
+    this sampler drew with Python's random module are not.  Trials are drawn and greedily
+    colored LIST_COLOR_CAP colors at a time, and MRV decides the trials the greedy misses, in
+    trial order.  Against a held coefficient certificate any failure is a soundness bug, not a
+    statistical event.
     """
     f, u = _list_sizes(g, f, universe_size)
     trials = int(trials)
     if trials < 0:
         raise ValueError(f"trial count must be non-negative, got {trials}")
-    rng = random.Random(seed)
-    colors = list(range(1, u + 1))
+    rng = np.random.default_rng(abs(int(seed)))
     adj = g.adjacency()
+    step = LIST_COLOR_CAP // sum(f)
     failures = []
-    for t in range(trials):
-        assignment = tuple(tuple(sorted(rng.sample(colors, k))) for k in f)
-        if not (_greedy_colors(adj, assignment) or _mrv_coloring(adj, assignment)[0]):
-            failures.append({"trial": t, "lists": [list(a) for a in assignment]})
+    for first in range(0, trials, step):
+        rows = _random_lists(rng, f, u, min(step, trials - first))
+        failures += [{"trial": first + i, "lists": lists} for i, lists in _uncolorable_rows(adj, f, rows)]
     return {
         "graph_digest": graph_digest(g),
         "f": list(f),

@@ -12,8 +12,9 @@ DEFAULT_BUDGET = 10**8
 # List assignments an exhaustive choosability sweep may enumerate before it refuses.
 DEFAULT_ASSIGNMENT_BUDGET = 5_000_000
 
-# Colors of a list assignment, in its universe and summed over its lists: sweeps and stress trials
-# hold each as a Python int in lists, tuples and dicts, about 100 bytes, so 10^6 take about 100 MB.
+# Colors of a list assignment, in its universe and summed over its lists, and of one chunk of the
+# assignments a sweep or stress run colors at once: a chunk is an int64 array, and its draws, sorts
+# and greedy pass hold a few copies of it, so 10^6 colors peak at 65-90 MB.
 LIST_COLOR_CAP = 10**6
 
 # Vertices above which 2^n subset indexes (transfer matrices, window conditions) are refused; at

@@ -309,7 +309,8 @@ def _block_trace(block: Block, half: int, residues: Callable, width: int) -> int
             raise InvariantViolationError(
                 f"prime {p} on a {dim}x{dim} block breaks the 2^53 exactness bound"
             )
-        a.reshape(-1)[flat] = residues(p)[block.value]
+        if r is a or "m" in steps:  # else _chain reads only r
+            a.reshape(-1)[flat] = residues(p)[block.value]
         found.append((p, _chain(a, r, steps, p)[1]))
         if modulus > bound:  # p was the spare
             break

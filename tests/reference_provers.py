@@ -4,7 +4,8 @@ the f-plan sign search.
 
 Kept as test oracles for the versions in graphpoly: this chess construction
 walks the edges one by one, the sweep tries every assignment of the
-universe with MRV search alone, the stress loop runs MRV on every trial,
+universe with MRV search alone, the greedy colours one assignment at a time, the
+stress loop runs MRV on every trial, Floyd's sampler keeps each list in a set,
 the enumeration returns how many search nodes it entered, the odd-cycle
 test finds strongly connected components by Tarjan's low-links, the
 exact certificate recomputes its witness coefficient with a second DP,
@@ -16,11 +17,12 @@ same answer as the package.
 from __future__ import annotations
 
 import itertools
-import random
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from graphpoly.certificates import encode_int, finalize_certificate
-from graphpoly.choosability import _list_sizes, _mrv_coloring
+from graphpoly.choosability import _list_sizes, _mrv_coloring, _random_lists
 from graphpoly.coefficients import ExponentVector, coefficient, support
 from graphpoly.doubling import ChoosabilityPlan, plan_polynomial, plan_target_exponent
 from graphpoly.errors import InvariantViolationError
@@ -101,20 +103,50 @@ def find_uncolorable_assignment(
     return None
 
 
+def _greedy_colors(adj: list[list[int]], lists) -> bool:
+    """True if coloring 1..n in label order, each vertex with its lowest list color that no
+    earlier neighbour holds, colors every vertex; False decides nothing."""
+    coloring: list[Optional[int]] = [None] * len(adj)
+    for v, colors in enumerate(lists, 1):
+        taken = {coloring[w] for w in adj[v]}
+        for c in colors:
+            if c not in taken:
+                coloring[v] = c
+                break
+        else:
+            return False
+    return True
+
+
+def floyd_lists(seed: int, f: Sequence[int], u: int, trials: int) -> Iterator[list[list[int]]]:
+    """The stress lists of each trial, by Floyd's algorithm with a set per list, from the
+    same draws: t_j uniform in 1..j for j = u - f_v + 1 .. u, row by row."""
+    tops = [u - k + 1 + i for k in f for i in range(k)]
+    draws = np.random.default_rng(abs(seed)).integers(1, np.array(tops) + 1, size=(trials, len(tops)))
+    for row in draws.tolist():
+        lists, at = [], 0
+        for k in f:
+            held: set[int] = set()
+            for j, t in zip(range(u - k + 1, u + 1), row[at:at + k]):
+                held.add(j if t in held else t)
+            lists.append(sorted(held))
+            at += k
+        yield lists
+
+
 def random_list_stress(
     g: SignedMultigraph, f: Sequence[int], trials: int, seed: int,
     universe_size: Optional[int] = None,
 ) -> dict:
-    """The stress report with MRV run on every trial."""
+    """The stress report with MRV run on every trial of the shared sampler's lists."""
     f, u = _list_sizes(g, f, universe_size)
-    rng = random.Random(seed)
-    colors = list(range(1, u + 1))
     adj = g.adjacency()
+    ends = list(itertools.accumulate(f))
     failures = []
-    for t in range(trials):
-        assignment = tuple(tuple(sorted(rng.sample(colors, k))) for k in f)
+    for t, row in enumerate(_random_lists(np.random.default_rng(abs(seed)), f, u, trials).tolist()):
+        assignment = [row[b - k:b] for k, b in zip(f, ends)]
         if not _mrv_coloring(adj, assignment)[0]:
-            failures.append({"trial": t, "lists": [list(a) for a in assignment]})
+            failures.append({"trial": t, "lists": assignment})
     return {"graph_digest": graph_digest(g), "f": list(f), "trials": trials,
             "seed": int(seed), "universe": u, "failures": failures}
 

@@ -1,12 +1,13 @@
 import itertools
-import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphpoly.certificates import check_certificate
 from graphpoly.choosability import (
+    _random_lists,
     at_certificate_exact,
     choice_number_exact,
     coefficient_choosability_certificate,
@@ -96,14 +97,14 @@ def test_uncolorable_assignment_matches_the_loop(n, f):
 def test_stress_failures_match_the_loop():
     g = cartesian_product(build_cycle(3), build_cycle(3))
     report = random_list_stress(g, [2] * 9, 500, seed=1)
-    rng = random.Random(1)
+    rows = _random_lists(np.random.default_rng(1), [2] * 9, 4, 500).tolist()
     expected = []
-    for t in range(500):
-        lists = [sorted(rng.sample(range(1, 5), 2)) for _ in range(9)]
+    for t, row in enumerate(rows):
+        lists = [row[i:i + 2] for i in range(0, 18, 2)]
         if not list_coloring_loop(g, lists)[0]:
             expected.append({"trial": t, "lists": lists})
     assert report["failures"] == expected
-    assert len(expected) == 174  # the recorded seed replays
+    assert len(expected) == 175  # the recorded seed replays
 
 
 def test_stress_refuses_a_negative_trial_count():

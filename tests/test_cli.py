@@ -3,6 +3,7 @@ import functools
 import io
 import json
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -473,6 +474,35 @@ def test_choosable_stress(capsys):
     assert code == 0
     assert payload["result"]["failures"] == []
     assert payload["result"]["seed"] == 4
+
+
+@pytest.mark.parametrize("seed", ["-7", "123456789012345678901234567890"])
+def test_choosable_stress_takes_any_integer_seed(capsys, seed):
+    argv = ["choosable", "cycle:3", "--f", "3", "--stress", "1000", "--seed", seed]
+    code, payload, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert payload["manifest"]["seed"] == payload["result"]["seed"] == int(seed)
+    assert run_json(capsys, *argv)[1]["result"] == payload["result"]
+    # with 2-lists the triangle fails; a seed and its negation draw the same lists
+    failing = argv[:3] + ["2"] + argv[4:]
+    code, payload, _ = run_json(capsys, *failing)
+    assert code == 1 and payload["result"]["failures"]
+    assert run_json(capsys, *failing)[1]["result"] == payload["result"]
+    mirrored = run_json(capsys, *failing[:-1], str(-int(seed)))[1]["result"]
+    assert mirrored["failures"] == payload["result"]["failures"]
+
+
+def test_choosable_stress_memory_does_not_grow_with_the_universe(capsys):
+    # a list of the 10^6 colors alone takes 36 MB; the drawn lists take 2000 * 9 colors
+    tracemalloc.start()
+    try:
+        code, payload, _ = run_json(capsys, "choosable", "cycle:3", "--f", "3", "--stress", "2000",
+                                    "--universe", "1000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and payload["result"]["trials"] == 2000 and payload["result"]["universe"] == 10**6
+    assert peak < 8 * 10**6
 
 
 def test_choosable_certificate(capsys):

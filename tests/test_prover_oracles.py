@@ -1,5 +1,5 @@
-"""The array chess construction, the pruned greedy-first sweep and stress loop, the
-enumeration engine, the two-pass odd-cycle test, the one-scan exact Alon-Tarsi
+"""The array chess construction, the pruned greedy-first sweep, the batched greedy, Floyd's
+sampler and the stress loop, the enumeration engine, the two-pass odd-cycle test, the one-scan exact Alon-Tarsi
 certificate and the f-plan sign search against their plain forms in reference_provers."""
 
 import itertools
@@ -8,7 +8,10 @@ from fractions import Fraction
 from math import comb, prod
 from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphpoly.choosability as choosability
 import graphpoly.doubling as doubling
@@ -113,11 +116,74 @@ def test_sweep_without_vertices_refuses_like_the_unpruned_one():
     ((1, 3, 2, 2), 5, 1 * 2 * 10 * 10),  # vertex 2: (1, 2, 3), (2, 3, 4)
 ])
 def test_sweep_walks_only_the_least_lists_of_each_orbit(f, u, walked):
-    # C4 is 2-choosable, so these sweeps walk every pruned assignment, each tried greedily once
+    # C4 is 2-choosable, so these sweeps walk every pruned assignment, each a row of one greedy pass
     g = build_cycle(4)
-    with mock.patch.object(choosability, "_greedy_colors", wraps=choosability._greedy_colors) as greedy:
+    with mock.patch.object(choosability, "_greedy_rows", wraps=choosability._greedy_rows) as greedy:
         assert choosability.find_uncolorable_assignment(g, f, u) is None
-    assert greedy.call_count == walked
+    assert sum(len(call.args[2]) for call in greedy.call_args_list) == walked
+
+
+def _rows(f, ends, rows):
+    """Each row of a sampler's array as its per-vertex lists."""
+    return [[row[b - k:b] for k, b in zip(f, ends)] for row in rows.tolist()]
+
+
+_AT_ZOO = alon_tarsi_zoo()
+
+
+@st.composite
+def _zoo_lists(draw):
+    """A relabelled alon_tarsi_zoo graph, ragged list sizes in 1..4, a universe from max f
+    to 3 max f and a sampler seed."""
+    g = _AT_ZOO[draw(st.integers(0, len(_AT_ZOO) - 1))]
+    perm = draw(st.permutations(range(1, g.n + 1)))
+    h = make_graph(g.n, [(perm[u - 1], perm[v - 1], tag) for u, v, tag in g.edges])
+    f = draw(st.lists(st.integers(1, 4), min_size=h.n, max_size=h.n))
+    return h, f, draw(st.integers(max(f), 3 * max(f))), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_zoo_lists())
+def test_batched_greedy_matches_the_one_assignment_greedy(case):
+    g, f, u, seed = case
+    rows = choosability._random_lists(np.random.default_rng(seed), f, u, 40)
+    verdicts = choosability._greedy_rows(g.adjacency(), f, rows)
+    lists = _rows(f, list(itertools.accumulate(f)), rows)
+    assert verdicts.tolist() == [reference_provers._greedy_colors(g.adjacency(), a) for a in lists]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=6), st.integers(0, 20),
+       st.integers(0, 2**64), st.integers(0, 30))
+def test_sampler_matches_floyd_with_a_set_per_list(f, extra, seed, trials):
+    u = max(f) + extra
+    rows = choosability._random_lists(np.random.default_rng(seed), f, u, trials)
+    assert rows.shape == (trials, sum(f))
+    lists = _rows(f, list(itertools.accumulate(f)), rows)
+    assert lists == list(reference_provers.floyd_lists(seed, f, u, trials))
+    # every list: f_v distinct colors of 1..u, ascending
+    assert all(len(l) == k and l == sorted(set(l)) and 1 <= l[0] and l[-1] <= u
+               for a in lists for l, k in zip(a, f))
+
+
+def test_sampler_draws_every_subset_about_equally_often():
+    # 10^5 draws of 2 of 5 colors: each of the 10 subsets expects 10^4 (sd 95), kept within 4%
+    rows = choosability._random_lists(np.random.default_rng(2024), [2], 5, 10**5)
+    subsets, counts = np.unique(rows, axis=0, return_counts=True)
+    assert subsets.tolist() == [list(c) for c in itertools.combinations(range(1, 6), 2)]
+    assert abs(counts - 10**4).max() <= 400
+
+
+def test_stress_over_several_chunks_matches_one_chunk():
+    # a cap of 40 colors holds two trials of C3xC3 with 2-lists, so 301 trials take 151 chunks
+    g = parse_graph_spec("product:cycle:3:cycle:3")
+    whole = choosability.random_list_stress(g, [2] * 9, 301, 5)
+    with mock.patch.object(choosability, "LIST_COLOR_CAP", 40):
+        with mock.patch.object(choosability, "_random_lists", wraps=choosability._random_lists) as drawn:
+            chunked = choosability.random_list_stress(g, [2] * 9, 301, 5)
+            assert chunked == choosability.random_list_stress(g, [2] * 9, 301, 5)
+    assert drawn.call_count == 2 * 151
+    assert chunked == whole and whole["failures"]
 
 
 @pytest.mark.parametrize("spec, f, trials, seed, u", [
@@ -136,7 +202,12 @@ def test_stress_reports_match_the_mrv_only_loop(spec, f, trials, seed, u):
     report = choosability.random_list_stress(g, f, trials, seed, u)
     assert report == reference_provers.random_list_stress(g, f, trials, seed, u)
     if (spec, seed) == ("product:cycle:3:cycle:3", 1):
-        assert len(report["failures"]) == 174
+        assert len(report["failures"]) == 175
+    failed = {r["trial"]: r["lists"] for r in report["failures"]}
+    rows = choosability._random_lists(np.random.default_rng(seed), f, report["universe"], trials)
+    for t, lists in enumerate(_rows(f, list(itertools.accumulate(f)), rows)):
+        assert choosability.list_coloring_exists(g, lists)[0] == (t not in failed)
+        assert failed.get(t, lists) == lists
 
 
 @pytest.mark.parametrize("spec, xi", [
