@@ -206,7 +206,7 @@ def _cmd_phi(args, run: _Run) -> int:
     }
     if args.trace is not None:
         result["k"] = args.trace
-        result["trace_value"] = encode_int(trace_power(phi, args.trace))
+        result["trace_value"] = encode_int(trace_power(phi, args.trace, budget=args.budget))
         run.param(k=args.trace)
     run.emit(result)
     return EXIT_OK
@@ -343,7 +343,7 @@ def _add_global_options(parser, *, suppress: bool) -> None:
     parser.add_argument("--format", choices=("json", "text"),
                         default=d if suppress else "json")
     parser.add_argument("--budget", type=int, default=d,
-                        help=f"DP state budget (default {DEFAULT_BUDGET})")
+                        help=f"DP states, and trace matrix cells, to spend (default {DEFAULT_BUDGET})")
     parser.add_argument("--seed", type=int, default=d)
     parser.add_argument("--out", default=d, help="write the certificate to this file")
 

@@ -115,7 +115,7 @@ def cycle_cover_certificate(
         "witness_value": encode_int(value),
         "at_bound": delta + 1,
         "k": 4,
-        "trace_value": None if phi is None else encode_int(nonzero_trace(phi, 4)),
+        "trace_value": None if phi is None else encode_int(nonzero_trace(phi, 4, budget=budget)),
     }
     return finalize_certificate(cert)
 

@@ -1,12 +1,12 @@
 """Every resource limit of the package, each defined once with its reason.
 
-The DP budget is the only limit on what ``check`` recomputes.
+The budget is the only limit on what ``check`` recomputes.
 """
 
 # DP state expansions per scan: past it the scan raises, so a run never ends silently wrong.  The
 # DP peaks near 90 bytes per state of its largest layer (keys, coefficients and their per-edge
 # copies), and each state costs two expansions, so the default admits layers of up to 5*10^7
-# states, about 4.5 GB.
+# states, about 4.5 GB.  A trace charges it first with dim^2 matrix cells per product per prime.
 DEFAULT_BUDGET = 10**8
 
 # List assignments an exhaustive choosability sweep may enumerate before it refuses.
@@ -21,13 +21,11 @@ LIST_COLOR_CAP = 10**6
 # 20 the chunked window check takes about 0.12 s on 2 cores (numpy 2.4), and each vertex doubles it.
 SUBSET_VERTEX_CAP = 20
 
-# Nonzeros of a transfer matrix, checked before its fan-out: the build peaks near 20 bytes each.
-PHI_NNZ_CAP = 50_000_000
-
 # Rows of a block that a trace holds dense: C(14, 7) = 3432 takes 94 MB per float64 copy, with up
-# to three copies live while the products stay exact and four once they run modulo primes
-# (`phi cycle:14 --trace 4` stays exact and peaks at 325 MB, in 2.7-3.2 s on a 2-core Intel Xeon VM,
-# Python 3.11.7, numpy 2.4.6); C(16, 8) = 12870 would take 1.3 GB per copy.
+# to three copies live while the products stay exact and four once they run modulo primes, beside
+# the 3^14 = 4.8*10^6 int32 scan rows (19 MB) that the blocks are gathered from (`phi cycle:14
+# --trace 4` stays exact and peaks at 245 MB, in 2.6-3.4 s on a 2-core Intel Xeon VM, Python 3.11.7,
+# numpy 2.4.6); C(16, 8) = 12870 would take 1.3 GB per copy.
 DENSE_BLOCK_DIM_CAP = 3432
 
 # Vertices up to which the chain and cover provers record a transfer trace (blocks up to C(12, 6) = 924).

@@ -467,7 +467,7 @@ def cycle_product_chain(
         step: dict = {"even_length": L}
         if current.n <= TRACE_VERTEX_CAP:
             step["verification"] = "trace"
-            step["trace_value"] = encode_int(nonzero_trace(build_phi(current, budget=budget), L))
+            step["trace_value"] = encode_int(nonzero_trace(build_phi(current, budget=budget), L, budget=budget))
         else:
             step["verification"] = "structural"
             step["trace_value"] = None

@@ -14,10 +14,11 @@ central coefficient of the polynomial of Q's graph producted with the
 k-cycle; nonzero entries therefore certify nonzero central coefficients
 for every even cycle length at once.
 
-Blocks are sparse, in coordinate form with each entry an index into the
-scanned coefficients.  One numpy pass over the scan builds those of size
-s <= n/2; by the mirror law c(2a - xi) = sigma c(xi), checked on the scan,
-block n - s is (-1)^n sigma J B_s J (J reverses the ranks), so only they are powered.
+Phi is held as its scan: a dense block is one gather from a table of 3^n
+scan rows by ternary exponent code, and a coefficient with b places at
+a_i - 1 and f at a_i fills C(f, s - b) places of block s.  By the mirror
+law c(2a - xi) = sigma c(xi), checked on the scan, block n - s is (-1)^n
+sigma J B_s J (J reverses the ranks): only blocks with 2s <= n are powered.
 Traces are exact.  Each block is raised to the power k/2 once, in float64
 BLAS on its integer entries: a product whose partial sums stay below 2^53
 is exact, and before every product that bound is checked on the maxima of
@@ -27,7 +28,8 @@ dim * ((p-1)/2)^2 < 2^53, where symmetric residues keep every partial sum
 below 2^53, and the rest of the chain runs once per prime.  Such a block
 trace is reassembled by the CRT over enough primes that their product
 exceeds 2 * ||B||_F^k, which bounds |tr B^k|, and is checked against one
-spare prime; a chain that stays exact draws no prime.
+spare prime; a chain that stays exact draws no prime.  The budget is
+charged before any product.
 """
 
 from __future__ import annotations
@@ -48,82 +50,92 @@ from .coefficients import (
     central_exponent,
     mirror_sign,
 )
-from .errors import GraphPolyError, InvariantViolationError
+from .errors import BudgetExceededError, GraphPolyError, InvariantViolationError
 from .graphs import SignedMultigraph, build_cycle, build_digon, cartesian_product
-from .limits import DENSE_BLOCK_DIM_CAP, PHI_NNZ_CAP, SUBSET_VERTEX_CAP
+from .limits import DEFAULT_BUDGET, DENSE_BLOCK_DIM_CAP, SUBSET_VERTEX_CAP
+
+_SIZES = range(SUBSET_VERTEX_CAP + 1)
+_COMB = np.array([[math.comb(f, r) for r in _SIZES] + [0] * len(_SIZES) for f in _SIZES])
+
+
+@dataclass(frozen=True)
+class Block:
+    """The block of Phi on the subsets of size s, ranked in increasing order of their bitmasks.
+    len() is the dimension and iteration yields the nonzero count, so any() tells a nonzero
+    block; dense() builds the entries, in the scan coefficients' dtype (int64 or Python ints)."""
+
+    phi: PhiMatrix = field(repr=False)
+    s: int
+    nnz: int
+
+    def __len__(self) -> int:
+        return math.comb(self.phi.n, self.s)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter((self.nnz,))
+
+    def dense(self) -> np.ndarray:
+        return self.phi.gather(self.s, np.concatenate(([0], (-1) ** self.s * self.phi.scan.coef)))
 
 
 @dataclass(eq=False)
-class Block:
-    """The block of Phi on the subsets of size s, in coordinate form.
-
-    Entry (row[e], col[e]) is (-1)^s * values[value[e]], values being the
-    scan's coefficient array (shared by all blocks, int64 unless an entry
-    needs Python ints); other entries are zero.
-    len() is the dimension; iteration yields each row's nonzero count.
-    """
-
-    dim: int
-    row: np.ndarray
-    col: np.ndarray
-    value: np.ndarray
-    values: np.ndarray = field(repr=False)
-
-    def __len__(self) -> int:
-        return self.dim
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(np.bincount(self.row, minlength=self.dim).tolist())
-
-
-@dataclass
 class PhiMatrix:
-    """Block-diagonal transfer matrix of a generalized graph polynomial.
-
-    blocks[s] is the Block of the subsets of size s, ranked in increasing
-    order of their bitmasks; for 2s > n it is the mirror of blocks[n - s].
-    sigma is +1 when the matrix is symmetric and -1 when skew-symmetric.
-    """
+    """Block-diagonal transfer matrix of a generalized graph polynomial, held as its scan: row e
+    has exponent code[e] = sum_i 3^i (xi_i - a_i + 1), base[e] places with xi_i = a_i - 1 and
+    free[e] with xi_i = a_i.  sigma is +1 when symmetric and -1 when skew-symmetric."""
 
     n: int
     a: ExponentVector
     sigma: int
-    blocks: dict[int, Block]
     scan: SupportMap
+    code: np.ndarray
+    base: np.ndarray
+    free: np.ndarray
+
+    def counts(self, s: int) -> np.ndarray:
+        """The places each scan row fills in block s: C(free, s - base), which is zero for
+        s - base > free and, wrapping into _COMB's zero half, for s - base < 0."""
+        return _COMB[self.free, s - self.base]
+
+    @property
+    def blocks(self) -> dict[int, Block]:  # not cached: a Block refers back to phi
+        return {s: Block(self, s, int(self.counts(s).sum())) for s in range(self.n + 1)}
 
     def nnz(self) -> int:
         return sum(self.block_nnz().values())
 
     def block_nnz(self) -> dict[int, int]:
-        return {s: b.row.size for s, b in self.blocks.items()}
+        return {s: b.nnz for s, b in self.blocks.items()}
 
+    @functools.cached_property
+    def _rows(self) -> np.ndarray:
+        """1 + the scan row at each of the 3^n codes, 0 where none has it; within the dense cap."""
+        check_trace_request(self.n, 2)
+        table = np.zeros(3**self.n, np.int32)
+        table[self.code] = np.arange(1, self.code.size + 1, dtype=np.int32)
+        return table
 
-@functools.cache
-def _subsets(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(masks, rank): the subsets of range(n) by size, increasing within a
-    size, and each mask's place among those of its size.  Built on first use."""
-    masks = np.arange(1 << n)
-    size = np.zeros_like(masks)
-    for i in range(n):
-        size += masks >> i & 1
-    order = np.argsort(size, kind="stable")
-    rank = np.empty(masks.size, dtype=np.int32)  # C(20, 10) < 2^31
-    rank[order] = masks - (np.cumsum(np.bincount(size)) - np.bincount(size))[size[order]]
-    order.setflags(write=False)
-    rank.setflags(write=False)
-    return order, rank
+    def gather(self, s: int, ext: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Block s with ext[1 + e] at the places of scan row e and ext[0] elsewhere, written
+        into out (dense, ext's dtype) a few rows at a time.  Place (S, T) holds the exponent
+        a + 1_T - 1_S, of code c0 + P(T) - P(S) with P(X) = sum_{i in X} 3^i."""
+        masks = np.flatnonzero(np.bitwise_count(np.arange(1 << self.n)) == s)
+        p = (masks[:, None] >> np.arange(self.n) & 1) @ 3 ** np.arange(self.n)
+        out = np.empty((p.size, p.size), ext.dtype) if out is None else out
+        c0, step = (3**self.n - 1) // 2, max(1, 2**18 // p.size)  # step bounds the index temporaries
+        for i in range(0, p.size, step):
+            np.take(ext, self._rows[c0 - p[i:i + step, None] + p], out=out[i:i + step], mode="clip")
+        return out
 
 
 def build_phi(q: SignedMultigraph, *, budget: Optional[int] = None) -> PhiMatrix:
     """Construct the transfer matrix of q (all degrees must be even).
 
     One windowed support scan supplies every entry: the exponent
-    a + 1_T - 1_S determines S \\ T, T \\ S and leaves S intersect T free,
-    so each scanned coefficient fans out over the subsets of its
-    half-degree positions, in the blocks with 2s <= n (the others are their
-    mirrors).  S \\ T, T \\ S and the free set are read from the scan's key
-    fields, and the nonzeros counted from them before any block exists.
-    Over SUBSET_VERTEX_CAP vertices or PHI_NNZ_CAP nonzeros, q is refused.
+    a + 1_T - 1_S fixes S \\ T, T \\ S and leaves S intersect T free.  Each
+    scanned exponent's ternary code and its counts of places at a_i - 1
+    and at a_i are read from the scan's key fields; no block is built.
+    Over SUBSET_VERTEX_CAP vertices, q is refused.
     """
     if q.n > SUBSET_VERTEX_CAP:
         raise GraphPolyError(
@@ -134,49 +146,25 @@ def build_phi(q: SignedMultigraph, *, budget: Optional[int] = None) -> PhiMatrix
     n, sigma = q.n, mirror_sign(q)
     scan = almost_central_scan(q, budget=budget)
     keys, values = scan.keys, scan.coef
-    rank = _subsets(n)[1]
 
-    # per entry, from its key fields: S \ T where xi - a = -1, T \ S where it is +1, free where 0
-    s0, t0 = np.zeros(len(scan), np.int32), np.zeros(len(scan), np.int32)
+    # digit i of a code is xi_i - a_i + 1: 0 on S \ T, 2 on T \ S, 1 on the free places
+    code, base, free = (np.zeros(len(scan), np.int64) for _ in range(3))
     for lo in range(0, len(scan), 65536):  # bounds the column temporaries
-        chunk = keys[lo:lo + 65536]
+        part = slice(lo, lo + 65536)
         for i in range(n):
-            x = scan.column(i, chunk)
-            s0[lo:lo + 65536] |= (x < a[i]) << i
-            t0[lo:lo + 65536] |= (x > a[i]) << i
-    free = ((1 << n) - 1) & ~(s0 | t0)
-    nfree, base = np.bitwise_count(free), np.bitwise_count(s0)
-    if (nnz := int(np.left_shift(1, nfree, dtype=np.int64).sum())) > PHI_NNZ_CAP:  # e fills 2^|free_e| places
-        raise GraphPolyError(f"transfer matrix of {nnz} nonzeros refused (cap {PHI_NNZ_CAP})")
+            x = scan.column(i, keys[part])
+            digit = (x >= a[i]).astype(np.int64) + (x > a[i])
+            code[part] += digit * 3**i
+            base[part] += digit == 0
+            free[part] += digit == 1
 
     # xi -> 2a - xi takes each field c to 2a_i - c >= 0, so a key to centre - key with no
     # borrow (centre < 2^(key bits + 1) fits the keys' dtype): the mirror law holds iff the
-    # keys read backwards are centre - keys, with sigma times the coefficients; e mirrors N - 1 - e
+    # keys read backwards are centre - keys, with sigma times the coefficients
     centre = sum(2 * x << sh for x, sh, fixed in zip(a, scan.shift, scan.fixed) if fixed is None)
     if np.any(keys[::-1] != centre - keys) or np.any(values[::-1] != sigma * values):
         raise InvariantViolationError("scan breaks the mirror law c(2a - xi) = sigma c(xi)")
-    parts = [[(np.zeros(0, np.int32),) * 3] for _ in range(n // 2 + 1)]  # (row, col, value)
-    group = nfree.astype(np.int32) * (n + 1) + base  # (|free|, |S \ T|) as one number
-    for f, b in (divmod(x, n + 1) for x in np.unique(group[2 * base <= n]).tolist()):
-        ids = np.flatnonzero(group == f * (n + 1) + b).astype(np.int32)
-        # x[e, c]: subset j[c] of entry e's free set, spread one free bit at a time;
-        # j lists the subsets by size, so each size is one run of columns
-        sizes = [math.comb(f, r) for r in range(min(f, n // 2 - b) + 1)]
-        j = _subsets(f)[0][:sum(sizes)]
-        x = np.zeros((ids.size, j.size), dtype=np.int64)
-        rest = free[ids]
-        for i in range(f):
-            low = rest & -rest
-            rest ^= low
-            x |= np.outer(low, j >> i & 1)
-        for r, xr in enumerate(np.split(x, np.cumsum(sizes[:-1]), axis=1)):
-            piece = rank[s0[ids, None] | xr], rank[t0[ids, None] | xr], np.repeat(ids, xr.shape[1])
-            parts[b + r].append(tuple(m.ravel() for m in piece))
-    blocks = {s: Block(math.comb(n, s), *map(np.concatenate, zip(*pieces)), values)
-              for s, pieces in enumerate(parts)}
-    blocks |= {n - s: Block(b.dim, b.dim - 1 - b.row, b.dim - 1 - b.col, len(scan) - 1 - b.value, values)
-               for s, b in reversed(blocks.items()) if 2 * s < n}  # J B J reverses both ranks
-    return PhiMatrix(n=n, a=a, sigma=sigma, blocks=blocks, scan=scan)
+    return PhiMatrix(n=n, a=a, sigma=sigma, scan=scan, code=code, base=base, free=free)
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +256,8 @@ def _chain(
     return "", int(_sym_mod(rows, p).sum()) % p
 
 
-def _block_trace(block: Block, half: int, residues: Callable, width: int) -> int:
-    """Exact tr(B^(2 half)) of one block B of at most width rows.
+def _block_trace(phi: PhiMatrix, s: int, half: int, norm2: int, ext: Callable, width: int) -> int:
+    """Exact tr(B^(2 half)) of block s of phi, B, with ||B||_F^2 = norm2.
 
     One _chain builds B^half by square-and-multiply from the leading bit of
     half and traces it as tr(B^half B^half).  It runs exact on B's integer
@@ -280,28 +268,20 @@ def _block_trace(block: Block, half: int, residues: Callable, width: int) -> int
     |tr B^(2h)| <= ||B^h||_F^2 <= ||B||_F^(2h) by Cauchy-Schwarz and
     submultiplicativity, so residues modulo primes whose product exceeds
     twice that bound fix the trace by the CRT.  One spare prime that the
-    reconstruction did not use checks the result.  residues(p) holds the
-    coefficients modulo p; the primes are those of width, so every block of
-    one Phi shares them.  The sign (-1)^s of the block cancels in an even
-    power, so the coefficients enter unsigned.
+    reconstruction did not use checks the result.  ext(p) holds 0, then the
+    coefficients modulo p (as floats if p is None), for phi.gather; the
+    primes are those of width, so every block of one Phi shares them.  The
+    sign (-1)^s cancels in an even power: the coefficients enter unsigned.
     """
-    dim = len(block)
-    if not block.row.size:
-        return 0
-    flat = np.ravel_multi_index((block.row, block.col), (dim, dim))
-    a = np.zeros((dim, dim))  # B, then refilled at the same places with its residues
+    dim = math.comb(phi.n, s)
+    a = r = np.empty((dim, dim))  # B, then refilled with its residues
     steps = bin(half)[3:].replace("1", "sm").replace("0", "s") + "t"
-    r = a
-    if block.values.dtype != object:
-        a.reshape(-1)[flat] = block.values[block.value]
-        steps, r = _chain(a, a, steps)
+    if phi.scan.coef.dtype != object:
+        steps, r = _chain(phi.gather(s, ext(None), a), a, steps)
         if not steps:
             return r
 
-    count = np.bincount(block.value, minlength=block.values.size)
-    used = np.flatnonzero(count)
-    # ||B||_F^2 counts each coefficient once per entry that holds it, in Python ints
-    bound = 2 * np.dot(count[used].astype(object), block.values[used].astype(object) ** 2) ** half
+    bound = 2 * norm2**half
     found: list[tuple[int, int]] = []
     modulus = 1
     for p in _word_primes(width):
@@ -310,7 +290,7 @@ def _block_trace(block: Block, half: int, residues: Callable, width: int) -> int
                 f"prime {p} on a {dim}x{dim} block breaks the 2^53 exactness bound"
             )
         if r is a or "m" in steps:  # else _chain reads only r
-            a.reshape(-1)[flat] = residues(p)[block.value]
+            phi.gather(s, ext(p), a)
         found.append((p, _chain(a, r, steps, p)[1]))
         if modulus > bound:  # p was the spare
             break
@@ -327,6 +307,17 @@ def _block_trace(block: Block, half: int, residues: Callable, width: int) -> int
     return total
 
 
+def _trace_cost(dim: int, norm2: int, half: int, width: int, exact_first: bool) -> int:
+    """Matrix cells one block's chain may write: dim^2 per product on the exact pass and each prime,
+    plus the CRT's words per prime.  Primes for width exceed 2^((53 - bits of width) / 2), which sizes
+    the CRT bound 2 ||B||_F^(2 half) in primes, left unevaluated; dim ||B||_F^(2 half) < 2^53 stays exact."""
+    cells = (half.bit_length() + half.bit_count() - 1) * dim * dim  # squarings, multiplies, trace
+    bits = half * math.log2(norm2)
+    exact = exact_first and math.log2(dim) + bits < 53
+    primes = 0 if exact else math.ceil((1 + bits) / ((53 - width.bit_length()) / 2)) + 1
+    return (primes + exact_first) * cells + primes * (int(1 + bits) // 64 + 1)
+
+
 def check_trace_request(n: int, k: int) -> None:
     """Refuse, before any work, a trace of Phi^k on n vertices with k odd or
     below 2, or with a middle block over DENSE_BLOCK_DIM_CAP rows."""
@@ -338,29 +329,40 @@ def check_trace_request(n: int, k: int) -> None:
                              f"{8 * dim * dim / 1e9:.1f} GB (dense cap {DENSE_BLOCK_DIM_CAP} rows)")
 
 
-def trace_power(phi: PhiMatrix, k: int) -> int:
-    """Exact tr(Phi^k) for even k >= 2, once check_trace_request admits it: twice
-    the trace of each block B_s with 2s < n (its mirror's is the same), plus the
-    middle block's.  Each block is powered once, in float64 products checked
-    exact one by one, and only from the first product past 2^53 on modulo
-    primes; every block takes the primes of the middle (largest) block, so the
-    coefficients are reduced once per prime, on its first use."""
+def trace_power(phi: PhiMatrix, k: int, *, budget: Optional[int] = None) -> int:
+    """Exact tr(Phi^k) for even k >= 2, once check_trace_request admits it: twice the trace of
+    each block B_s with 2s < n (its mirror's is the same), plus the middle block's.  Each block
+    is gathered dense and powered once, in float64 products checked exact one by one, and only
+    from the first product past 2^53 on modulo primes; every block takes the primes of the
+    middle (largest) block, so the coefficients are reduced once per prime, on its first use.
+    Before any product the cells every chain may write (_trace_cost) are charged against the
+    budget (default DEFAULT_BUDGET), past which it raises."""
     check_trace_request(phi.n, k)
-    values = phi.blocks[0].values
-    residues = functools.cache(lambda p: _sym_mod((values % p).astype(np.float64), p))
+    half, values = k // 2, phi.scan.coef
     width = math.comb(phi.n, phi.n // 2)
-    return sum((1 if 2 * s == phi.n else 2) * _block_trace(block, k // 2, residues, width)
-               for s, block in phi.blocks.items() if 2 * s <= phi.n)
+    # ||B_s||_F^2 counts each coefficient once per place it fills, in Python ints per distinct value
+    distinct, value = np.unique(values, return_inverse=True)
+    norms = {s: int(np.dot(np.bincount(value, phi.counts(s)).astype(np.int64), distinct.astype(object) ** 2))
+             for s in range(phi.n // 2 + 1) if phi.counts(s).any()}
+    budget = DEFAULT_BUDGET if budget is None else budget
+    cost = sum(_trace_cost(math.comb(phi.n, s), norm2, half, width, values.dtype != object)
+               for s, norm2 in norms.items())
+    if cost > budget:
+        raise BudgetExceededError(budget, cost, "trace matrix cells")
+    ext = functools.cache(lambda p: np.concatenate((
+        [0.0], values.astype(np.float64) if p is None else _sym_mod((values % p).astype(np.float64), p))))
+    return sum((1 if 2 * s == phi.n else 2) * _block_trace(phi, s, half, norm2, ext, width)
+               for s, norm2 in norms.items())
 
 
-def nonzero_trace(phi: PhiMatrix, k: int) -> int:
+def nonzero_trace(phi: PhiMatrix, k: int, *, budget: Optional[int] = None) -> int:
     """tr(Phi^k) for a prover step that needs it nonzero.
 
     A nonzero (skew-)symmetric Phi is not nilpotent, so for even k the
     trace is +-||Phi^(k/2)||_F^2 != 0; a zero trace from a nonzero Phi is
     an engine bug and raises.
     """
-    tr = trace_power(phi, k)
+    tr = trace_power(phi, k, budget=budget)
     if tr == 0:
         raise InvariantViolationError("nonzero almost-central window but zero trace; engine bug")
     return tr
@@ -404,7 +406,7 @@ def even_cycle_certificate(
         "k": k,
         "witness_exponent": list(witness),
         "witness_value": encode_int(value),
-        "trace_value": encode_int(nonzero_trace(phi, k)),
+        "trace_value": encode_int(nonzero_trace(phi, k, budget=budget)),
         "at_bound": q.max_degree() // 2 + 2,
     }
     return finalize_certificate(cert)

@@ -8,7 +8,7 @@ raises; verify alone turns that, a malformed field or an engine refusal
 into the one error of a failed verdict.  A certificate must be a JSON
 object and its integer fields JSON integers: a float or a boolean is
 refused, never truncated.  Every stated coefficient and trace is
-recomputed under the DP budget, its only limit; running out raises
+recomputed under the budget, its only limit; running out raises
 BudgetExceededError.  Claims proved by a theorem instead (orientations,
 large chain steps) are named in the notes.  A coefficient certificate
 claims f-choosability or the exact Alon-Tarsi number k, nothing else; the
@@ -88,7 +88,7 @@ def _check_trace(g: SignedMultigraph, k: int, stated, budget) -> None:
     through verify.
     """
     check_trace_request(g.n, k)
-    tr = trace_power(build_phi(g, budget=budget), k)
+    tr = trace_power(build_phi(g, budget=budget), k, budget=budget)
     if tr == 0:
         raise _Refuted("recomputed trace is zero")
     if stated is None or decode_int(stated) != tr:

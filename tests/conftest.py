@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from graphpoly.graphs import (
@@ -47,10 +48,11 @@ def expand_polynomial(g: SignedMultigraph) -> dict[tuple[int, ...], int]:
 
 def block_entries(s: int, block) -> dict[tuple[int, int], int]:
     """The nonzero entries {(row, col): value} of a transfer-matrix block on
-    the subsets of size s, read from its coordinate arrays."""
-    sign = -1 if s % 2 else 1
-    coords = zip(block.row.tolist(), block.col.tolist())
-    return {ij: sign * c for ij, c in zip(coords, block.values[block.value].tolist())}
+    the subsets of size s, read from its dense form."""
+    assert block.s == s
+    dense = block.dense()
+    rows, cols = np.nonzero(dense)
+    return {(i, j): int(dense[i, j]) for i, j in zip(rows.tolist(), cols.tolist())}
 
 
 def phi_entry(phi, s_mask: int, t_mask: int) -> int:

@@ -184,14 +184,33 @@ def test_phi_trace_over_the_dense_block_cap_is_refused(capsys):
     assert not out
 
 
-def test_phi_over_the_nonzero_cap_is_refused(capsys, monkeypatch):
-    from graphpoly import transfer
+def test_phi_of_16_vertices_counts_its_nonzeros_without_building_them(capsys):
+    code, payload, _ = run_json(capsys, "phi", "cycle:16")
+    assert code == 0
+    # the figures of the coordinate build that the closed-form counts replaced
+    assert payload["result"]["nonzero_entries"] == 42981186
+    halves = [1, 256, 7120, 82096, 515320, 1988064, 5032664, 8674880, 10380384]
+    assert payload["result"]["block_nonzeros"] == {str(s): halves[min(s, 16 - s)] for s in range(17)}
 
-    monkeypatch.setattr(transfer, "PHI_NNZ_CAP", 100)  # Phi of C5 has 180 nonzeros
-    code, out, err = run_cli(capsys, "phi", "cycle:5")
-    assert code == 2
-    assert "180 nonzeros refused (cap 100)" in err
-    assert "Traceback" not in err and not out
+
+def test_trace_over_budget_exits_3_at_once(tmp_path, capsys):
+    # C3 at k = 10^6 would draw some 60,000 primes and a CRT of 1.5 * 10^6 bits
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "phi", "cycle:3", "--trace", "1000000")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and not out
+    assert err.startswith("budget exceeded: budget of 100000000 trace matrix cells exceeded")
+    # an honest trace certificate re-digested at k = 10^7
+    cert = even_cycle_certificate(build_cycle(3), 4)
+    path = tmp_path / "k7.json"
+    path.write_text(canonical_json(finalize_certificate(dict(cert, k=10**7))))
+    for budget in ((), ("--budget", "1000")):
+        start = time.perf_counter()
+        code, payload, err = run_json(capsys, "check", str(path), *budget)
+        assert time.perf_counter() - start < 1
+        assert code == 3 and payload["result"]["pass"] is False
+        assert payload["result"]["errors"][0].startswith("unverified: budget exceeded")
+        assert "trace matrix cells" in err
 
 
 def test_out_of_memory_exits_3(capsys, monkeypatch):

@@ -4,13 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphpoly import transfer
 from graphpoly.certificates import check_certificate
 from graphpoly.coefficients import central_exponent, coefficient, mirror_sign
-from graphpoly.errors import GraphPolyError, InvariantViolationError
+from graphpoly.errors import BudgetExceededError, GraphPolyError, InvariantViolationError
 from graphpoly.graphs import (
     DIFF,
     SUM,
@@ -281,6 +281,38 @@ def test_blocks_match_per_entry_fan_out_on_relabellings(named):
     _assert_blocks_match_oracle(build_phi(q), name)
 
 
+def _assert_counts_match_oracle(phi, name):
+    oracle = _oracle_blocks(phi)
+    assert phi.block_nnz() == {s: sum(map(len, rows)) for s, rows in oracle.items()}, name
+    for s, rows in oracle.items():
+        assert any(phi.blocks[s]) == any(rows), (name, s)
+
+
+@st.composite
+def padded_relabellings(draw):
+    """A zoo graph on at most 8 vertices or K3 with every edge 40-fold (entries
+    of 89 bits), with up to two isolated vertices (fixed scan fields), relabelled,
+    with random SUM/DIFF tags."""
+    pool = [(n, g) for n, g in even_degree_zoo(8) if g.n <= 8]
+    pool.append(("K3x40", make_graph(3, [(1, 2), (2, 3), (1, 3)] * 40)))
+    name, g = draw(st.sampled_from(pool))
+    n = g.n + draw(st.integers(0, 2))
+    perm = draw(st.permutations(range(1, n + 1)))
+    tags = draw(st.lists(st.sampled_from([DIFF, SUM]), min_size=g.num_edges, max_size=g.num_edges))
+    edges = [(perm[u - 1], perm[v - 1], tag) for (u, v, _), tag in zip(g.edges, tags)]
+    return name, make_graph(n, edges)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(padded_relabellings())
+@example(("K3x40", make_graph(5, [(2, 5, DIFF), (5, 4, SUM), (2, 4, DIFF)] * 40)))
+def test_every_block_and_count_match_the_oracle(named):
+    name, q = named
+    phi = build_phi(q)
+    _assert_blocks_match_oracle(phi, name)
+    _assert_counts_match_oracle(phi, name)
+
+
 def test_upper_blocks_mirror_the_lower_ones(zoo12):
     # Phi(V \ S, V \ T) = (-1)^n sigma Phi(S, T), and complementing reverses the rank order
     for name, q in zoo12:
@@ -313,19 +345,6 @@ def test_build_phi_checks_the_mirror_law_on_the_scan(monkeypatch):
         monkeypatch.setattr(transfer, "almost_central_scan", lambda q, budget=None, scan=forged: scan)
         with pytest.raises(InvariantViolationError, match="mirror law"):
             build_phi(q)
-
-
-def test_nonzero_count_before_the_fan_out_is_the_fan_out(zoo12, monkeypatch):
-    # the cap is checked on the count of the key fields; a cap one below the
-    # built Phi's nonzeros must refuse, naming exactly that count
-    from graphpoly import transfer
-
-    for name, q in zoo12:
-        nnz = build_phi(q).nnz()
-        with monkeypatch.context() as m:
-            m.setattr(transfer, "PHI_NNZ_CAP", nnz - 1)
-            with pytest.raises(GraphPolyError, match=rf"of {nnz} nonzeros refused \(cap {nnz - 1}\)$"):
-                build_phi(q)
 
 
 def test_fast_paths_never_decode_the_scan(monkeypatch):
@@ -460,22 +479,17 @@ def _reference_trace_mod(a, half, p):
 def _reference_trace_power(phi, k):
     """tr(Phi^k) with every block reduced modulo the CRT primes from the start:
     the reference for the chain that runs exact until its products pass 2^53."""
-    values = phi.blocks[0].values
     width = math.comb(phi.n, phi.n // 2)
     total = 0
     for s, block in phi.blocks.items():
-        dim = len(block)
-        if 2 * s > phi.n or not block.row.size:
+        if 2 * s > phi.n or not any(block):
             continue
-        count = np.bincount(block.value, minlength=values.size)
-        used = np.flatnonzero(count)
-        bound = 2 * np.dot(count[used].astype(object), values[used].astype(object) ** 2) ** (k // 2)
-        flat = np.ravel_multi_index((block.row, block.col), (dim, dim))
-        a = np.zeros(dim * dim)
+        dense = block.dense().astype(object)
+        bound = 2 * int((dense**2).sum()) ** (k // 2)
         found, modulus = [], 1
         for p in transfer._word_primes(width):
-            a[flat] = _reference_sym_mod((values % p).astype(np.float64), p)[block.value]
-            found.append((p, _reference_trace_mod(a.reshape(dim, dim), k // 2, p)))
+            a = _reference_sym_mod((dense % p).astype(np.float64), p)
+            found.append((p, _reference_trace_mod(a, k // 2, p)))
             if modulus > bound:
                 break
             modulus *= p
@@ -529,6 +543,30 @@ def test_trace_power_regimes_match_the_reference(monkeypatch, q, k, regime):
         assert any("" != left != given for given, left in exact) and modular
     else:  # no product ran unreduced
         assert all(left == given for given, left in exact) and modular
+
+
+@pytest.mark.parametrize("q, k", [
+    (build_cycle_power(11, 2), 4),  # exact
+    (build_cycle_power(10, 2), 8),  # exact, then primes
+    (build_cycle_power(8, 3), 64),
+    (make_graph(3, [(1, 2), (2, 3), (1, 3)] * 40), 6),  # reduced from the start
+    (build_cycle(5), 1000),
+], ids=["cyclepower11_2-k4", "cyclepower10_2-k8", "cyclepower8_3-k64", "K3x40-k6", "C5-k1000"])
+def test_trace_charge_bounds_the_cells_the_chains_write(monkeypatch, q, k):
+    phi = build_phi(q)
+    with pytest.raises(BudgetExceededError, match="trace matrix cells") as info:
+        trace_power(phi, k, budget=0)
+    charge = info.value.explored
+    cells, run = [], transfer._chain
+
+    def counted(a, r, steps, p=None):
+        left, value = run(a, r, steps, p)
+        cells.append((len(steps) - len(left)) * a.size)
+        return left, value
+
+    monkeypatch.setattr(transfer, "_chain", counted)
+    assert trace_power(phi, k, budget=charge) == _reference_trace_power(phi, k)
+    assert 0 < sum(cells) <= charge
 
 
 def test_trace_power_rejects_prime_beyond_float_bound(monkeypatch):
