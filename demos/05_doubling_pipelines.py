@@ -13,17 +13,25 @@ from graphpoly import (
     build_path,
     build_petersen,
     build_plan,
+    central_exponent,
     check_certificate,
+    coefficient,
     cycle_cover_certificate,
+    double_edges,
     epsilon_search,
-    squared_central_check,
 )
+
+
+def doubled_central(g):
+    doubled = double_edges(g)
+    return coefficient(doubled, central_exponent(doubled))
+
 
 # -- the sum-of-squares law -----------------------------------------------------
 # (x2 - x1)^2 has central coefficient -2 = -(1^2 + 1^2).
-print("doubled single edge:", squared_central_check(build_path(2)))
+print("doubled single edge:", doubled_central(build_path(2)))
 # The triangle's six unit coefficients give magnitude 6.
-print("doubled triangle:", squared_central_check(build_cycle(3)))
+print("doubled triangle:", doubled_central(build_cycle(3)))
 
 # -- cover and double -------------------------------------------------------------
 # K4: a Hamiltonian 4-cycle covers everything, the two chords get doubled,

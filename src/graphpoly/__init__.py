@@ -10,11 +10,9 @@ __version__ = "0.1.0"
 from .certificates import CheckResult, check_certificate, finalize_certificate
 from .choosability import (
     at_certificate_exact,
-    choice_number_exact,
     coefficient_choosability_certificate,
-    f_choosable_exhaustive,
+    find_uncolorable_assignment,
     list_coloring_exists,
-    product_choosability_bound,
     random_list_stress,
 )
 from .coefficients import (
@@ -33,7 +31,6 @@ from .doubling import (
     epsilon_search,
     plan_polynomial,
     plan_target_exponent,
-    squared_central_check,
 )
 from .errors import BudgetExceededError, GraphPolyError, InvariantViolationError
 from .graphio import (
@@ -43,7 +40,6 @@ from .graphio import (
     load_graph,
     parse_graph_spec,
     save_graph,
-    to_dot,
     to_edge_list,
     to_json_obj,
 )
@@ -78,7 +74,6 @@ from .orientations import (
     orientation_certificate,
     orientation_from_bitstring,
     orient_with_bounds,
-    path_product,
     reciprocal_sum_ok,
 )
 from .transfer import (

@@ -25,7 +25,7 @@ import numpy as np
 from .certificates import encode_int, finalize_certificate
 from .coefficients import alon_tarsi_number_exact, support
 from .errors import BudgetExceededError
-from .graphs import SignedMultigraph, coloring_number
+from .graphs import SignedMultigraph
 from .graphio import graph_digest, to_json_obj
 from .limits import DEFAULT_ASSIGNMENT_BUDGET, LIST_COLOR_CAP
 
@@ -225,30 +225,6 @@ def find_uncolorable_assignment(
     return None
 
 
-def f_choosable_exhaustive(
-    g: SignedMultigraph,
-    f: Sequence[int],
-    universe_size: Optional[int] = None,
-    *,
-    budget: int = DEFAULT_ASSIGNMENT_BUDGET,
-) -> bool:
-    """True iff every assignment with |lists| = f from the universe is colorable."""
-    return find_uncolorable_assignment(g, f, universe_size, budget=budget) is None
-
-
-def choice_number_exact(g: SignedMultigraph, *, budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> int:
-    """Smallest m with all m-lists colorable (tiny graphs).
-
-    Sweeps m upward; at m = coloring_number the greedy argument already
-    guarantees colorability, so the sweep never runs there.
-    """
-    col = coloring_number(g)
-    for m in range(1, col):
-        if f_choosable_exhaustive(g, [m] * g.n, budget=budget):
-            return m
-    return col
-
-
 def _coefficient_certificate(
     g: SignedMultigraph, witness: Sequence[int], value: int, claim: str, f: Sequence[int]
 ) -> dict:
@@ -296,11 +272,6 @@ def at_certificate_exact(g: SignedMultigraph, *, budget: Optional[int] = None) -
     largest exponent is k - 1, so at_bound is k."""
     k, witness, value = alon_tarsi_number_exact(g, budget=budget)
     return _coefficient_certificate(g, witness, value, "alon-tarsi-exact", [k] * g.n)
-
-
-def product_choosability_bound(ch_g: int, col_g: int, ch_h: int, col_h: int) -> int:
-    """Classical product bound: min(ch(G) + col(H), col(G) + ch(H)) - 1."""
-    return min(ch_g + col_h, col_g + ch_h) - 1
 
 
 def random_list_stress(

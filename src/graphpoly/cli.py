@@ -39,7 +39,7 @@ from .graphio import (
     to_json_obj,
 )
 from .graphs import coloring_number
-from .limits import DEFAULT_BUDGET, SUBSET_VERTEX_CAP
+from .limits import DEFAULT_ASSIGNMENT_BUDGET, DEFAULT_BUDGET, SUBSET_VERTEX_CAP
 from .orientations import (
     acyclic_orientation,
     box_orientation,
@@ -301,7 +301,8 @@ def _cmd_choosable(args, run: _Run) -> int:
         run.emit(report)
         return EXIT_OK if not report["failures"] else EXIT_NO_CERTIFICATE
     if args.exhaustive:
-        lists = find_uncolorable_assignment(g, f, args.universe)
+        budget = DEFAULT_ASSIGNMENT_BUDGET if args.budget is None else args.budget
+        lists = find_uncolorable_assignment(g, f, args.universe, budget=budget)
         refuted = {} if lists is None else {"uncolorable_lists": [list(l) for l in lists]}
         run.emit({"f": list(f), "f_choosable": lists is None, **refuted})
         return EXIT_OK if lists is None else EXIT_NO_CERTIFICATE
@@ -343,7 +344,8 @@ def _add_global_options(parser, *, suppress: bool) -> None:
     parser.add_argument("--format", choices=("json", "text"),
                         default=d if suppress else "json")
     parser.add_argument("--budget", type=int, default=d,
-                        help=f"DP states, and trace matrix cells, to spend (default {DEFAULT_BUDGET})")
+                        help=f"DP states, and trace matrix cells, to spend (default {DEFAULT_BUDGET}); "
+                             f"list assignments for choosable --exhaustive (default {DEFAULT_ASSIGNMENT_BUDGET})")
     parser.add_argument("--seed", type=int, default=d)
     parser.add_argument("--out", default=d, help="write the certificate to this file")
 

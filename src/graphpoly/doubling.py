@@ -22,13 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .certificates import encode_int, finalize_certificate
-from .coefficients import (
-    almost_central_scan,
-    central_exponent,
-    coefficient,
-    mirror_sign,
-    support,
-)
+from .coefficients import almost_central_scan, central_exponent, coefficient
 from .errors import InvariantViolationError
 from .graphio import graph_digest, to_json_obj
 from .graphs import (
@@ -41,24 +35,7 @@ from .graphs import (
     make_graph,
 )
 from .limits import TRACE_VERTEX_CAP
-
-
-def squared_central_check(g: SignedMultigraph, *, budget: Optional[int] = None) -> int:
-    """Central coefficient of the all-edges-doubled graph, computed two ways.
-
-    Directly on the doubled multigraph, and independently as
-    (+-1) * sum of squared coefficients over the full support of g (the
-    sign is the mirror sign of g).  A mismatch is an engine bug and raises.
-    """
-    doubled = double_edges(g)
-    direct = coefficient(doubled, central_exponent(doubled), budget=budget)
-    exact = support(g, g.degree_vector(), budget=budget).coef.astype(object)
-    via_squares = mirror_sign(g) * int((exact * exact).sum())
-    if direct != via_squares:
-        raise InvariantViolationError(
-            f"squared-central mismatch: direct {direct} vs sum-of-squares {via_squares}"
-        )
-    return direct
+from .transfer import build_phi, nonzero_trace
 
 
 def cycle_cover_certificate(
@@ -82,8 +59,6 @@ def cycle_cover_certificate(
         raise ValueError("cover pipeline expects a simple graph")
     if g.num_edges == 0:
         raise ValueError("edgeless graph has nothing to certify")
-    from .transfer import build_phi, nonzero_trace
-
     deg = g.degree_vector()
     delta = max(deg)
     targets = [v for v in range(1, g.n + 1) if deg[v - 1] == delta]

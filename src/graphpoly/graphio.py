@@ -1,8 +1,7 @@
-"""Graph serialization: edge-list text, JSON, DOT, digests, generator specs."""
+"""Graph serialization: edge-list text, JSON, digests, generator specs."""
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import os
@@ -82,18 +81,6 @@ def from_json_obj(obj: dict) -> SignedMultigraph:
         raise ValueError(str(exc)) from None
 
 
-def to_dot(g: SignedMultigraph) -> str:
-    """Undirected DOT for visual inspection; parallel edges are repeated."""
-    lines = ["graph G {"]
-    for v in range(1, g.n + 1):
-        lines.append(f"  {v};")
-    for u, v, tag in g.edges:
-        suffix = ' [label="sum"]' if tag == SUM else ""
-        lines.append(f"  {u} -- {v}{suffix};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 def canonical_json(obj) -> str:
     """Deterministic JSON used for digests and byte-identical output."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
@@ -147,7 +134,7 @@ def parse_graph_spec(spec: str) -> SignedMultigraph:
             args = args[1 + count:]
         if len(factors) < 2:
             raise ValueError("product needs at least two factors")
-        return functools.reduce(cartesian_product, factors)
+        return cartesian_product(*factors)
     raise ValueError(f"unknown graph spec {spec!r}")
 
 

@@ -12,6 +12,7 @@ values produced by the package are comparable bit for bit.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -161,26 +162,31 @@ def build_petersen() -> SignedMultigraph:
     return make_graph(10, edges)
 
 
-def cartesian_product(g: SignedMultigraph, h: SignedMultigraph) -> SignedMultigraph:
-    """Cartesian product with row-major vertex labeling.
+def cartesian_product(*factors: SignedMultigraph) -> SignedMultigraph:
+    """Cartesian product of one or more factors with row-major vertex labeling.
 
-    Vertex (a, b) of the product maps to index (a - 1) * h.n + b, so the
-    labeling (and hence every certificate referring to it) is reproducible.
-    Both factors must be DIFF-only; parallel edges in a factor yield
-    parallel edges in the product.
+    Vertex (a_1, ..., a_r) of the product maps to the row-major index of the
+    0-based coordinates (a_i - 1), plus 1, so the labeling (and hence every
+    certificate referring to it) is reproducible, and associative: the
+    product of a, b and c equals the product of (a x b) and c.  Every factor
+    must be DIFF-only; parallel edges in a factor yield parallel edges in
+    the product.
     """
-    if not g.is_diff_only() or not h.is_diff_only():
+    if not factors:
+        raise ValueError("cartesian_product needs at least one factor")
+    if not all(f.is_diff_only() for f in factors):
         raise ValueError("cartesian_product is defined for DIFF-only graphs")
-    hn = h.n
+    n = math.prod(f.n for f in factors)
     edges: list[tuple[int, int]] = []
-    for a in range(1, g.n + 1):
-        base = (a - 1) * hn
-        for u, v, _ in h.edges:
-            edges.append((base + u, base + v))
-    for u, v, _ in g.edges:
-        for b in range(1, hn + 1):
-            edges.append(((u - 1) * hn + b, (v - 1) * hn + b))
-    return make_graph(g.n * hn, edges)
+    for i, f in enumerate(factors):
+        # each choice of the coordinates before i owns a block of f.n * inner labels, in which
+        # vertex u of factor i holds the inner labels after (u - 1) * inner; an edge (u, v) joins
+        # those runs label by label, listed by the smaller end so that the sort meets long runs
+        inner = math.prod(h.n for h in factors[i + 1:])
+        pairs = [((u - 1) * inner, (v - 1) * inner) for u, v, _ in f.edges]
+        edges += [(lo + b, hi + b) for a in range(0, n, f.n * inner or 1)  # an empty factor: no block
+                  for lo, hi in pairs for b in range(a + 1, a + inner + 1)]
+    return make_graph(n, edges)
 
 
 def double_edges(g: SignedMultigraph, indices: Optional[Iterable[int]] = None) -> SignedMultigraph:

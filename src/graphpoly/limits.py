@@ -31,9 +31,7 @@ DENSE_BLOCK_DIM_CAP = 3432
 # Vertices up to which the chain and cover provers record a transfer trace (blocks up to C(12, 6) = 924).
 TRACE_VERTEX_CAP = 12
 
-# Vertices of a path-product box: keeps the pure-Python path-reversal orientation at desk scale.
-BOX_VERTEX_CAP = 4096
-
-# Vertices of an odd-cycle product, whose graph is built in Python: `orient --odd-product 12,12,12`
-# (15,625 vertices) takes 0.6 s at 55 MB and prints 1 MB of JSON (same host).
-ODD_PRODUCT_VERTEX_CAP = 20000
+# Vertices of the box and odd-cycle products that `orient` builds and orients in Python:
+# `orient --odd-product 12,12,12` (15,625 vertices) takes 0.6 s at 55 MB and prints 1 MB of JSON, and
+# a 141x141 box (19,881 vertices) is built and oriented in 0.12 s (same host).
+ORIENT_VERTEX_CAP = 20000

@@ -39,7 +39,8 @@ from .graphs import (
     degeneracy_order,
     is_bipartite,
 )
-from .limits import BOX_VERTEX_CAP, ODD_PRODUCT_VERTEX_CAP, SUBSET_VERTEX_CAP, TRACE_VERTEX_CAP
+from .limits import ORIENT_VERTEX_CAP, SUBSET_VERTEX_CAP, TRACE_VERTEX_CAP
+from .transfer import build_phi, nonzero_trace
 
 # Subsets per numpy chunk of the window check: of 2^10..2^16, 2^14 ran fastest on C4xC4; under 1 MB live.
 _WINDOW_CHUNK = 1 << 14
@@ -208,15 +209,8 @@ def check_window_conditions(
 # box products of paths and the chess construction for odd cycles
 # ---------------------------------------------------------------------------
 
-def path_product(ks: Sequence[int]) -> SignedMultigraph:
-    g = build_path(ks[0])
-    for k in ks[1:]:
-        g = cartesian_product(g, build_path(k))
-    return g
-
-
 def box_orientation(ks: Sequence[int]) -> Optional[Orientation]:
-    """Orientation of the path product with all outdegrees in {n-1, n}.
+    """Orientation of the box P_k1 x ... x P_kn with all outdegrees in {n-1, n}.
 
     Feasible exactly when the reciprocals of the side lengths sum to at
     most 1; infeasibility is returned as None (decided by the path-reversal
@@ -226,10 +220,10 @@ def box_orientation(ks: Sequence[int]) -> Optional[Orientation]:
     if not ks or any(k < 1 for k in ks):
         raise ValueError("side lengths must be positive integers")
     total = math.prod(ks)
-    if total > BOX_VERTEX_CAP:
-        raise GraphPolyError(f"box with {total} vertices exceeds cap {BOX_VERTEX_CAP}")
+    if total > ORIENT_VERTEX_CAP:
+        raise GraphPolyError(f"box with {total} vertices exceeds cap {ORIENT_VERTEX_CAP}")
     n = len(ks)
-    g = path_product(ks)
+    g = cartesian_product(*map(build_path, ks))
     return orient_with_bounds(g, [n - 1] * g.n, [n] * g.n)
 
 
@@ -259,12 +253,9 @@ def odd_cycle_product_orientation(ks: Sequence[int]) -> Orientation:
     n = len(ks)
     lengths = [2 * k + 1 for k in ks]
     total = math.prod(lengths)
-    if total > ODD_PRODUCT_VERTEX_CAP:
-        raise GraphPolyError(f"product with {total} vertices exceeds cap {ODD_PRODUCT_VERTEX_CAP}")
-
-    g = build_cycle(lengths[0])
-    for L in lengths[1:]:
-        g = cartesian_product(g, build_cycle(L))
+    if total > ORIENT_VERTEX_CAP:
+        raise GraphPolyError(f"product with {total} vertices exceeds cap {ORIENT_VERTEX_CAP}")
+    g = cartesian_product(*map(build_cycle, lengths))
 
     # per edge and endpoint: 0-based vertex, coordinates, box bitmask and chess color
     ends = np.array([(u, v) for u, v, _ in g.edges], dtype=np.int64) - 1
@@ -436,8 +427,6 @@ def cycle_product_chain(
     Steps on at most TRACE_VERTEX_CAP vertices record their trace;
     larger ones are structural (Phi != 0, so tr Phi^k != 0).
     """
-    from .transfer import build_phi, nonzero_trace
-
     odd_ks = [int(k) for k in odd_ks]
     evens = [int(x) for x in even_lengths]
     if any(k < 1 for k in odd_ks):

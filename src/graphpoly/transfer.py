@@ -51,6 +51,7 @@ from .coefficients import (
     mirror_sign,
 )
 from .errors import BudgetExceededError, GraphPolyError, InvariantViolationError
+from .graphio import graph_digest, to_json_obj
 from .graphs import SignedMultigraph, build_cycle, build_digon, cartesian_product
 from .limits import DEFAULT_BUDGET, DENSE_BLOCK_DIM_CAP, SUBSET_VERTEX_CAP
 
@@ -391,8 +392,6 @@ def even_cycle_certificate(
     (that is not a disproof of choosability, just no certificate by this
     route).
     """
-    from .graphio import graph_digest, to_json_obj
-
     check_trace_request(q.n, k)
     phi = build_phi(q, budget=budget)
     found = phi.scan.witness()

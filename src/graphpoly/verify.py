@@ -19,7 +19,6 @@ empty support scan at caps min(k - 2, deg).
 
 from __future__ import annotations
 
-import functools
 from typing import Optional
 
 from .certificates import CheckResult, certificate_digest, decode_int, encode_int
@@ -270,7 +269,7 @@ def _verify_chain(cert: dict, budget, notes: list[str]) -> None:
     base_graph = _load_graph(cert["base_certificate"])
     # the base must be exactly the product of the declared factors, not
     # merely some graph with a valid orientation certificate
-    expected_base = functools.reduce(cartesian_product, map(build_cycle, base_factors))
+    expected_base = cartesian_product(*map(build_cycle, base_factors))
     if graph_digest(base_graph) != graph_digest(expected_base):
         raise _Refuted("base certificate graph is not the product of the declared factors")
     # the structural steps need the base witness to be almost-central

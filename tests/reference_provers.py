@@ -12,6 +12,10 @@ exact certificate recomputes its witness coefficient with a second DP,
 and the sign search runs one DP per sign choice, even where the plan
 already holds the coefficient.  Given the same input, each must give the
 same answer as the package.
+
+Two test helpers that the package does not need end the module: the
+central coefficient of a fully doubled graph checked against its sum of
+squares, and the exact choice number by exhaustive sweeps.
 """
 
 from __future__ import annotations
@@ -21,13 +25,14 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from graphpoly import choosability
 from graphpoly.certificates import encode_int, finalize_certificate
 from graphpoly.choosability import _list_sizes, _mrv_coloring, _random_lists
-from graphpoly.coefficients import ExponentVector, coefficient, support
+from graphpoly.coefficients import ExponentVector, central_exponent, coefficient, mirror_sign, support
 from graphpoly.doubling import ChoosabilityPlan, plan_polynomial, plan_target_exponent
 from graphpoly.errors import InvariantViolationError
 from graphpoly.graphio import graph_digest, to_json_obj
-from graphpoly.graphs import DIFF, SignedMultigraph, build_cycle, cartesian_product
+from graphpoly.graphs import DIFF, SignedMultigraph, build_cycle, cartesian_product, coloring_number, double_edges
 from graphpoly.orientations import Orientation, box_orientation
 
 
@@ -333,3 +338,34 @@ def epsilon_search(plan: ChoosabilityPlan) -> dict:
                 "f": list(plan.f),
             })
     raise InvariantViolationError("no sign choice produced a nonzero coefficient")
+
+
+def squared_central_check(g: SignedMultigraph, *, budget: Optional[int] = None) -> int:
+    """Central coefficient of the all-edges-doubled graph, computed two ways.
+
+    Directly on the doubled multigraph, and independently as
+    (+-1) * sum of squared coefficients over the full support of g (the
+    sign is the mirror sign of g).  A mismatch is an engine bug and raises.
+    """
+    doubled = double_edges(g)
+    direct = coefficient(doubled, central_exponent(doubled), budget=budget)
+    exact = support(g, g.degree_vector(), budget=budget).coef.astype(object)
+    via_squares = mirror_sign(g) * int((exact * exact).sum())
+    if direct != via_squares:
+        raise InvariantViolationError(
+            f"squared-central mismatch: direct {direct} vs sum-of-squares {via_squares}"
+        )
+    return direct
+
+
+def choice_number_exact(g: SignedMultigraph) -> int:
+    """Smallest m with all m-lists colorable (tiny graphs), by the package's sweeps.
+
+    Sweeps m upward; at m = coloring_number the greedy argument already
+    guarantees colorability, so the sweep never runs there.
+    """
+    col = coloring_number(g)
+    for m in range(1, col):
+        if choosability.find_uncolorable_assignment(g, [m] * g.n) is None:
+            return m
+    return col

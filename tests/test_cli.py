@@ -449,6 +449,16 @@ def test_orient_odd_product(capsys):
     assert payload["result"]["at_bound"] == 4  # max outdegree 3, plus 1
 
 
+def test_orient_boxes_and_odd_products_share_one_vertex_cap(capsys):
+    # C141 x C141 (19,881 vertices) is cut into boxes of up to 71 x 71 = 5,041 vertices
+    code, payload, err = run_json(capsys, "orient", "--odd-product", "70,70")
+    assert code == 0 and not err
+    assert payload["result"]["at_bound"] == 4
+    code, out, err = run_cli(capsys, "orient", "--box", "142,142")
+    assert code == 2 and not out
+    assert err == "error: box with 20164 vertices exceeds cap 20000\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["cycle:4", "--box", "2,2"], "--box builds its own graph; drop the graph 'cycle:4'"),
     (["cycle:4", "--odd-product", "2,2"], "--odd-product builds its own graph; drop the graph 'cycle:4'"),
@@ -474,6 +484,18 @@ def test_choosable_exhaustive(capsys):
         capsys, "choosable", "cycle:3", "--f", "2", "--exhaustive"
     )
     assert code == 1 and payload["result"]["f_choosable"] is False
+
+
+@pytest.mark.parametrize("budget, expected", [(1000, 3), (1296, 0)])
+def test_choosable_exhaustive_spends_the_budget_it_is_given(capsys, budget, expected):
+    # C4 with 2-lists from 4 colors counts C(4, 2)^4 = 1,296 assignments
+    code, out, err = run_cli(capsys, "choosable", "cycle:4", "--f", "2", "--exhaustive", "--budget", str(budget))
+    assert code == expected
+    if expected == 3:
+        assert not out
+        assert err.startswith("budget exceeded: budget of 1000 list assignments exceeded (explored 1296)")
+    else:
+        assert json.loads(out)["result"]["f_choosable"] is True
 
 
 def test_choosable_exhaustive_names_its_refutation(capsys):

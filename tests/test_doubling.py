@@ -12,7 +12,6 @@ from graphpoly.doubling import (
     epsilon_search,
     plan_polynomial,
     plan_target_exponent,
-    squared_central_check,
 )
 from graphpoly.graphs import (
     build_complete,
@@ -25,6 +24,7 @@ from graphpoly.graphs import (
 )
 
 from conftest import expand_polynomial
+from reference_provers import squared_central_check
 
 
 def test_squared_single_edge():

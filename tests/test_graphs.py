@@ -1,5 +1,10 @@
-import pytest
+import functools
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from graphpoly.graphio import graph_digest
 from graphpoly.graphs import (
     DIFF,
     SUM,
@@ -78,6 +83,40 @@ def test_product_rejects_sum_tags():
     sg = make_graph(2, [(1, 2, SUM)])
     with pytest.raises(ValueError):
         cartesian_product(sg, build_path(2))
+
+
+def plain_binary_product(g, h):
+    """G x H edge by edge, (a, b) labelled (a - 1) * h.n + b (test oracle)."""
+    edges = [((a - 1) * h.n + u, (a - 1) * h.n + v) for a in range(1, g.n + 1) for u, v, _ in h.edges]
+    edges += [((u - 1) * h.n + b, (v - 1) * h.n + b) for u, v, _ in g.edges for b in range(1, h.n + 1)]
+    return make_graph(g.n * h.n, edges)
+
+
+FACTORS = st.one_of(
+    st.integers(1, 4).map(build_path),
+    st.integers(3, 5).map(build_cycle),
+    st.just(build_complete(4)),
+    st.just(build_digon()),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(FACTORS, min_size=1, max_size=4))
+def test_n_ary_product_equals_the_left_fold(factors):
+    product = cartesian_product(*factors)
+    for fold in (functools.reduce(cartesian_product, factors), functools.reduce(plain_binary_product, factors)):
+        assert product == fold
+        assert graph_digest(product) == graph_digest(fold)
+
+
+@pytest.mark.parametrize("place", [0, 1, 2])
+def test_n_ary_product_refuses_a_sum_factor_and_no_factors(place):
+    factors = [build_path(2), build_cycle(3)]
+    factors.insert(place, make_graph(2, [(1, 2, SUM)]))
+    with pytest.raises(ValueError, match="DIFF-only"):
+        cartesian_product(*factors)
+    with pytest.raises(ValueError, match="at least one factor"):
+        cartesian_product()
 
 
 def test_degree_sum_is_twice_edges():

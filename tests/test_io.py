@@ -10,7 +10,6 @@ from graphpoly.graphio import (
     load_graph,
     parse_graph_spec,
     save_graph,
-    to_dot,
     to_edge_list,
     to_json_obj,
 )
@@ -61,12 +60,6 @@ def test_json_roundtrip():
 def test_json_reader_refuses_anything_but_integers_and_triples(obj):
     with pytest.raises(ValueError):
         from_json_obj(obj)
-
-
-def test_dot_contains_edges():
-    dot = to_dot(make_graph(3, [(1, 2), (1, 2), (2, 3, SUM)]))
-    assert dot.count("1 -- 2") == 2
-    assert 'label="sum"' in dot
 
 
 def test_digest_is_stable_and_distinguishes():

@@ -30,7 +30,6 @@ from graphpoly.orientations import (
     orientation_certificate,
     orientation_from_bitstring,
     orient_with_bounds,
-    path_product,
     reciprocal_sum_ok,
 )
 
@@ -252,7 +251,7 @@ def test_box_examples():
 
 
 def test_path_product_is_grid():
-    g = path_product((2, 3))
+    g = cartesian_product(build_path(2), build_path(3))
     assert g.n == 6 and g.num_edges == 2 * 2 + 3 * 1
 
 
