@@ -340,7 +340,7 @@ def epsilon_search(plan: ChoosabilityPlan) -> dict:
     raise InvariantViolationError("no sign choice produced a nonzero coefficient")
 
 
-def squared_central_check(g: SignedMultigraph, *, budget: Optional[int] = None) -> int:
+def squared_central_check(g: SignedMultigraph) -> int:
     """Central coefficient of the all-edges-doubled graph, computed two ways.
 
     Directly on the doubled multigraph, and independently as
@@ -348,8 +348,8 @@ def squared_central_check(g: SignedMultigraph, *, budget: Optional[int] = None) 
     sign is the mirror sign of g).  A mismatch is an engine bug and raises.
     """
     doubled = double_edges(g)
-    direct = coefficient(doubled, central_exponent(doubled), budget=budget)
-    exact = support(g, g.degree_vector(), budget=budget).coef.astype(object)
+    direct = coefficient(doubled, central_exponent(doubled))
+    exact = support(g, g.degree_vector()).coef.astype(object)
     via_squares = mirror_sign(g) * int((exact * exact).sum())
     if direct != via_squares:
         raise InvariantViolationError(
