@@ -337,17 +337,23 @@ def _cmd_check(args, run: _Run) -> int:
     return EXIT_OK if result.ok else EXIT_NO_CERTIFICATE
 
 
-def _add_global_options(parser, *, suppress: bool) -> None:
-    # Present on the root parser (with defaults) and on every subparser
-    # (defaults suppressed), so flags work before or after the subcommand.
-    d = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--format", choices=("json", "text"),
-                        default=d if suppress else "json")
-    parser.add_argument("--budget", type=int, default=d,
-                        help=f"DP states, and trace matrix cells, to spend (default {DEFAULT_BUDGET}); "
-                             f"list assignments for choosable --exhaustive (default {DEFAULT_ASSIGNMENT_BUDGET})")
-    parser.add_argument("--seed", type=int, default=d)
-    parser.add_argument("--out", default=d, help="write the certificate to this file")
+_OPTIONS = {
+    "--budget": dict(type=int, help=f"DP states and trace matrix cells (default {DEFAULT_BUDGET}); list "
+                                    f"assignments for choosable --exhaustive (default {DEFAULT_ASSIGNMENT_BUDGET})"),
+    "--seed": dict(type=int),
+    "--out": dict(help="write the certificate (gen: the graph) to this file"),
+}
+
+# (subcommand, option) -> the modes that read it; main refuses the option with any other mode
+_READ_ONLY_WITH = {
+    ("coeff", "--method"): ("--exponent",),
+    ("at", "--budget"): ("--exact", "--trace", "--prop6", "--fplan"),
+    ("orient", "--out"): ("--odd-product",),
+    ("choosable", "--budget"): ("--certificate", "--exhaustive"),
+    ("choosable", "--seed"): ("--stress",),
+    ("choosable", "--out"): ("--certificate",),
+    ("choosable", "--universe"): ("--exhaustive", "--stress"),
+}
 
 
 @functools.cache  # parse_args keeps no state in the parser, so one serves every main() call
@@ -357,20 +363,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact graph-polynomial coefficients, Alon-Tarsi numbers, "
                     "and choosability certificates.",
     )
-    _add_global_options(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        _add_global_options(p, suppress=True)
+    def add_parser(name, handler, help, *options):
+        # each option is declared only on the subcommands with a mode that reads it
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        p.add_argument("--format", choices=("json", "text"), default="json")
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
         return p
 
-    p = add_parser("gen", help="generate a graph file")
+    p = add_parser("gen", _cmd_gen, "generate a graph file", "--out")
     p.add_argument("family", help="cycle|path|complete|cyclepower|digon|petersen|product")
     p.add_argument("params", nargs="*", help="family parameters, e.g. 'gen cycle 5'")
     p.add_argument("--json", action="store_true", help="write JSON instead of edge list")
 
-    p = add_parser("coeff", help="extract coefficients")
+    p = add_parser("coeff", _cmd_coeff, "extract coefficients", "--budget")
     p.add_argument("graph", help="graph file or generator spec like cycle:5")
     p.add_argument("--method", choices=("dp", "enumerate", "both"), help="with --exponent; default dp")
     mode = p.add_mutually_exclusive_group(required=True)
@@ -378,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--almost-central", action="store_true")
     mode.add_argument("--support", type=_parse_vector, metavar="CAP")
 
-    p = add_parser("at", help="Alon-Tarsi bounds and certificates")
+    p = add_parser("at", _cmd_at, "Alon-Tarsi bounds and certificates", "--budget", "--out")
     p.add_argument("graph")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exact", action="store_true")
@@ -387,11 +396,11 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--prop6", action="store_true")
     mode.add_argument("--fplan", type=_parse_vector, metavar="TAU")
 
-    p = add_parser("phi", help="transfer matrix summary and traces")
+    p = add_parser("phi", _cmd_phi, "transfer matrix summary and traces", "--budget")
     p.add_argument("graph")
     p.add_argument("--trace", type=int, metavar="K")
 
-    p = add_parser("orient", help="degree-window orientations")
+    p = add_parser("orient", _cmd_orient, "degree-window orientations", "--out")
     p.add_argument("graph", nargs="?", default=None)
     p.add_argument("--lower", type=_parse_vector)
     p.add_argument("--upper", type=_parse_vector)
@@ -399,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", type=_parse_vector, metavar="KS")
     p.add_argument("--odd-product", type=_parse_vector, metavar="KS")
 
-    p = add_parser("choosable", help="list-coloring oracles")
+    p = add_parser("choosable", _cmd_choosable, "list-coloring oracles", "--budget", "--seed", "--out")
     p.add_argument("graph")
     p.add_argument("--f", type=_parse_vector)
     p.add_argument("--universe", type=int, default=None, help="with --exhaustive or --stress")
@@ -409,35 +418,26 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--certificate", action="store_true")
     mode.add_argument("--lists", help="JSON file with one color list per vertex")
 
-    p = add_parser("check", help="re-verify a certificate file")
+    p = add_parser("check", _cmd_check, "re-verify a certificate file", "--budget")
     p.add_argument("certificate")
     return parser
-
-
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "coeff": _cmd_coeff,
-    "at": _cmd_at,
-    "phi": _cmd_phi,
-    "orient": _cmd_orient,
-    "choosable": _cmd_choosable,
-    "check": _cmd_check,
-}
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "coeff" and args.method and args.exponent is None:
-            parser.error("coeff: argument --method: applies only with --exponent")
-        if args.command == "choosable" and args.universe is not None and (args.certificate or args.lists):
-            parser.error("choosable: argument --universe: applies only with --exhaustive or --stress")
+        # the flags given; a mode given as 0 (--trace 0, --stress 0) is still given
+        given = {"--" + k.replace("_", "-") for k, v in vars(args).items() if v is not None and v is not False}
+        for (command, option), modes in _READ_ONLY_WITH.items():
+            if command == args.command and option in given and given.isdisjoint(modes):
+                parser.error(f"{command}: argument {option}: applies only with "
+                             + " or ".join(filter(None, [", ".join(modes[:-1]), modes[-1]])))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     run = _Run(args)
     try:
-        return _COMMANDS[args.command](args, run)
+        return args.handler(args, run)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

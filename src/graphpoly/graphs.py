@@ -94,7 +94,8 @@ def make_graph(n: int, edges: Iterable[Sequence]) -> SignedMultigraph:
 
     Accepts (u, v) pairs (treated as DIFF) or (u, v, tag) triples; endpoints
     are swapped into u < v order and the list is sorted, so two graphs with
-    the same edge multiset compare equal.
+    the same edge multiset compare equal.  SignedMultigraph then checks each
+    edge once, refusing self-loops with the rest.
     """
     out: list[Edge] = []
     for e in edges:
@@ -104,8 +105,6 @@ def make_graph(n: int, edges: Iterable[Sequence]) -> SignedMultigraph:
         else:
             u, v, tag = e
         u, v = int(u), int(v)
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u} not allowed")
         if u > v:
             u, v = v, u
         out.append((u, v, tag))
@@ -170,23 +169,24 @@ def cartesian_product(*factors: SignedMultigraph) -> SignedMultigraph:
     certificate referring to it) is reproducible, and associative: the
     product of a, b and c equals the product of (a x b) and c.  Every factor
     must be DIFF-only; parallel edges in a factor yield parallel edges in
-    the product.
+    the product.  The edges are made in u < v order, so they skip make_graph.
     """
     if not factors:
         raise ValueError("cartesian_product needs at least one factor")
     if not all(f.is_diff_only() for f in factors):
         raise ValueError("cartesian_product is defined for DIFF-only graphs")
     n = math.prod(f.n for f in factors)
-    edges: list[tuple[int, int]] = []
+    edges: list[Edge] = []
     for i, f in enumerate(factors):
         # each choice of the coordinates before i owns a block of f.n * inner labels, in which
         # vertex u of factor i holds the inner labels after (u - 1) * inner; an edge (u, v) joins
         # those runs label by label, listed by the smaller end so that the sort meets long runs
         inner = math.prod(h.n for h in factors[i + 1:])
         pairs = [((u - 1) * inner, (v - 1) * inner) for u, v, _ in f.edges]
-        edges += [(lo + b, hi + b) for a in range(0, n, f.n * inner or 1)  # an empty factor: no block
+        edges += [(lo + b, hi + b, DIFF) for a in range(0, n, f.n * inner or 1)  # an empty factor: no block
                   for lo, hi in pairs for b in range(a + 1, a + inner + 1)]
-    return make_graph(n, edges)
+    edges.sort()
+    return SignedMultigraph(n, tuple(edges))
 
 
 def double_edges(g: SignedMultigraph, indices: Optional[Iterable[int]] = None) -> SignedMultigraph:

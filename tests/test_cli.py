@@ -584,17 +584,94 @@ def test_cover_certificate_over_the_trace_cap_fits_a_small_budget(tmp_path, caps
     assert code == 0 and payload["result"]["pass"] is True
 
 
+@pytest.fixture
+def workdir(tmp_path, monkeypatch):
+    """tmp_path as the working directory, holding cert.json (a coefficient certificate) and lists.json."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "lists.json").write_text("[[1, 2, 3], [1, 2, 3], [1, 2, 3], [1, 2, 3]]")
+    (tmp_path / "cert.json").write_text(
+        canonical_json(coefficient_choosability_certificate(build_cycle(4), [2] * 4)))
+    return tmp_path
+
+
+def _refused(capsys, workdir, argv):
+    """Run argv; assert exit 2, no output and no new file; return stderr."""
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert sorted(p.name for p in workdir.iterdir()) == ["cert.json", "lists.json"]
+    assert "Traceback" not in err
+    return err
+
+
 @pytest.mark.parametrize("argv, option", [
     ("coeff cycle:3 --almost-central --method enumerate", "--method"),
     ("coeff cycle:3 --support 2,2,2 --method dp", "--method"),
     ("choosable cycle:4 --f 3 --universe 9 --certificate", "--universe"),
     ("choosable cycle:4 --f 3 --universe 9 --lists lists.json", "--universe"),
+    ("at cycle:4 --orient --budget 1", "--budget"),
+    ("orient --box 2,2 --out x.json", "--out"),
+    ("orient cycle:4 --upper 2,2,2,2 --out x.json", "--out"),
+    ("choosable cycle:3 --f 3 --stress 5 --budget 5", "--budget"),
+    ("choosable cycle:3 --f 3 --stress 5 --out x.json", "--out"),
+    ("choosable cycle:4 --f 2 --exhaustive --seed 3", "--seed"),
+    ("choosable cycle:4 --f 2 --exhaustive --out x.json", "--out"),
+    ("choosable cycle:4 --f 2 --certificate --seed 3", "--seed"),
+    ("choosable cycle:4 --f 3 --lists lists.json --budget 5", "--budget"),
+    ("choosable cycle:4 --f 3 --lists lists.json --seed 3", "--seed"),
+    ("choosable cycle:4 --f 3 --lists lists.json --out x.json", "--out"),
 ])
-def test_options_a_mode_never_reads_are_usage_errors(capsys, argv, option):
-    code, out, err = run_cli(capsys, *argv.split())
-    assert code == 2 and out == ""
+def test_options_a_mode_never_reads_are_usage_errors(capsys, workdir, argv, option):
+    err = _refused(capsys, workdir, argv)
     assert f"error: {argv.split()[0]}: argument {option}: applies only with" in err
-    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    ("gen cycle 5 --budget 7", "--budget"),
+    ("gen cycle 5 --seed 3", "--seed"),
+    ("coeff cycle:3 --exponent 2,1,0 --seed 3", "--seed"),
+    ("coeff cycle:3 --exponent 2,1,0 --out x.json", "--out"),
+    ("phi cycle:3 --seed 3", "--seed"),
+    ("phi cycle:3 --out y.json", "--out"),
+    ("check cert.json --seed 3", "--seed"),
+    ("check cert.json --out x.json", "--out"),
+    ("orient --box 2,2 --budget 1", "--budget"),
+    ("orient --box 2,2 --seed 3", "--seed"),
+])
+def test_options_a_subcommand_never_reads_are_usage_errors(capsys, workdir, argv, option):
+    err = _refused(capsys, workdir, argv)
+    assert f"error: unrecognized arguments: {option}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "gen cycle 5", "gen cycle 4 --json", "at cycle:4 --exact", "at cycle:5 --trace 4", "at cycle:4 --orient",
+    "at complete:4 --prop6", "at complete:4 --fplan 0,1,2,3", "orient --odd-product 2,2",
+    "choosable cycle:4 --f 2 --certificate",
+])
+def test_every_accepted_out_writes_its_file(capsys, tmp_path, argv):
+    path = tmp_path / "out.json"
+    code, payload, err = run_json(capsys, *argv.split(), "--out", str(path))
+    assert code == 0, err
+    assert payload["manifest"]["outputs"] == [str(path)] and path.read_text().strip()
+    assert "certificate" not in payload["result"] and "graph" not in payload["result"]
+
+
+@pytest.mark.parametrize("argv", [
+    "coeff cycle:4 --exponent 1,1,1,1", "coeff cycle:4 --almost-central", "coeff cycle:4 --support 2,2,2,2",
+    "at cycle:4 --exact", "at cycle:5 --trace 4", "at complete:4 --prop6", "at complete:4 --fplan 0,1,2,3",
+    "phi cycle:3", "choosable cycle:4 --f 2 --certificate", "choosable cycle:4 --f 2 --exhaustive",
+    "check cert.json",
+])
+def test_every_accepted_budget_is_spent(capsys, workdir, argv):
+    code, _, err = run_cli(capsys, *argv.split(), "--budget", "1")
+    assert code == 3 and err.startswith("budget exceeded: budget of 1 "), err
+
+
+@pytest.mark.parametrize("trials", [0, 5])
+def test_every_accepted_seed_is_read(capsys, trials):
+    code, payload, err = run_json(capsys, "choosable", "cycle:3", "--f", "3", "--stress", str(trials), "--seed", "3")
+    assert code == 0, err
+    assert payload["manifest"]["seed"] == payload["result"]["seed"] == 3
+    assert payload["result"]["trials"] == trials
 
 
 def test_certificate_bytes_are_reproducible(tmp_path, capsys):
@@ -634,24 +711,27 @@ def test_usage_exit_code(capsys):
 
 
 def test_text_format(capsys):
-    code, out, _ = run_cli(capsys, "--format", "text", "at", "cycle:4", "--exact")
+    code, out, _ = run_cli(capsys, "at", "cycle:4", "--exact", "--format", "text")
     assert code == 0
     assert "alon_tarsi_number: 2" in out
 
 
 def test_parser_reuse_leaks_no_flags(capsys):
     stress = ["choosable", "cycle:3", "--f", "3", "--stress", "5"]
-    code, out, _ = run_cli(capsys, "--format", "text", "--seed", "9", "--budget", "5", *stress)
+    code, out, _ = run_cli(capsys, "choosable", "--format", "text", "--seed", "9", *stress[1:])
     assert code == 0 and "seed: 9" in out
-    code, out, _ = run_cli(capsys, *stress, "--seed", "9", "--budget", "5", "--format", "text")
+    code, out, _ = run_cli(capsys, *stress, "--seed", "9", "--format", "text")
     assert code == 0 and "seed: 9" in out
+    exhaustive = ["choosable", "cycle:4", "--f", "2", "--exhaustive"]
+    code, out, _ = run_cli(capsys, *exhaustive, "--budget", "2000", "--format", "text")
+    assert code == 0 and "f_choosable: True" in out
     code, payload, _ = run_json(capsys, *stress)
     assert code == 0
     assert (payload["manifest"]["seed"], payload["manifest"]["budget"]) == (None, None)
     assert payload["result"]["seed"] == 0
     code, out, err = run_cli(capsys, "choosable", "cycle:3", "--stress", "five")
     assert code == 2 and not out and "invalid int value" in err
-    code, payload, _ = run_json(capsys, "choosable", "cycle:4", "--f", "2", "--exhaustive")
+    code, payload, _ = run_json(capsys, *exhaustive)
     assert code == 0 and payload["result"]["f_choosable"] is True
 
 

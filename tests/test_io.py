@@ -53,6 +53,8 @@ def test_json_roundtrip():
     {"n": 3, "edges": [[1, 2, "diff", 7]]},
     {"n": 3, "edges": [12]},
     {"n": 3, "edges": [[1, 2, "prod"]]},
+    {"n": 3, "edges": [[2, 2, "diff"]]},  # a self-loop
+    {"n": 3, "edges": [[4, 1, "diff"]]},
     {"n": 3},
     {"edges": []},
     [3, []],
