@@ -26,7 +26,7 @@ from .certificates import encode_int, finalize_certificate
 from .coefficients import alon_tarsi_number_exact, support
 from .errors import BudgetExceededError
 from .graphs import SignedMultigraph
-from .graphio import graph_digest, to_json_obj
+from .graphio import graph_digest, graph_fields
 from .limits import DEFAULT_ASSIGNMENT_BUDGET, LIST_COLOR_CAP
 
 ListAssignment = Sequence[Sequence[int]]
@@ -231,8 +231,7 @@ def _coefficient_certificate(
     """The coefficient certificate of a nonzero witness, with at_bound = max(witness) + 1."""
     cert = {
         "kind": "coefficient",
-        "graph": to_json_obj(g),
-        "graph_digest": graph_digest(g),
+        **graph_fields(g),
         "witness_exponent": list(witness),
         "witness_value": encode_int(value),
         "claim": claim,

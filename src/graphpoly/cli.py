@@ -283,6 +283,16 @@ def _cmd_orient(args, run: _Run) -> int:
 def _cmd_choosable(args, run: _Run) -> int:
     g = load_graph(args.graph)
     run.graph(g)
+    if args.lists is not None:
+        run.param(universe=args.universe)
+        with open(args.lists) as fh:
+            lists = json.load(fh)
+        if not (isinstance(lists, list) and len(lists) == g.n and all(
+                isinstance(l, list) and all(type(c) is int for c in l) for l in lists)):
+            raise ValueError(f"--lists needs a JSON array of {g.n} arrays of integers")
+        ok, coloring = list_coloring_exists(g, lists)
+        run.emit({"colorable": ok, "coloring": list(coloring) if coloring else None})
+        return EXIT_OK if ok else EXIT_NO_CERTIFICATE
     f = args.f if args.f is not None else (coloring_number(g),) * g.n
     if len(f) == 1:
         f = f * g.n
@@ -300,20 +310,11 @@ def _cmd_choosable(args, run: _Run) -> int:
         report = random_list_stress(g, f, args.stress, seed, args.universe)
         run.emit(report)
         return EXIT_OK if not report["failures"] else EXIT_NO_CERTIFICATE
-    if args.exhaustive:
-        budget = DEFAULT_ASSIGNMENT_BUDGET if args.budget is None else args.budget
-        lists = find_uncolorable_assignment(g, f, args.universe, budget=budget)
-        refuted = {} if lists is None else {"uncolorable_lists": [list(l) for l in lists]}
-        run.emit({"f": list(f), "f_choosable": lists is None, **refuted})
-        return EXIT_OK if lists is None else EXIT_NO_CERTIFICATE
-    with open(args.lists) as fh:
-        lists = json.load(fh)
-    if not (isinstance(lists, list) and len(lists) == g.n and all(
-            isinstance(l, list) and all(type(c) is int for c in l) for l in lists)):
-        raise ValueError(f"--lists needs a JSON array of {g.n} arrays of integers")
-    ok, coloring = list_coloring_exists(g, lists)
-    run.emit({"colorable": ok, "coloring": list(coloring) if coloring else None})
-    return EXIT_OK if ok else EXIT_NO_CERTIFICATE
+    budget = DEFAULT_ASSIGNMENT_BUDGET if args.budget is None else args.budget
+    lists = find_uncolorable_assignment(g, f, args.universe, budget=budget)
+    refuted = {} if lists is None else {"uncolorable_lists": [list(l) for l in lists]}
+    run.emit({"f": list(f), "f_choosable": lists is None, **refuted})
+    return EXIT_OK if lists is None else EXIT_NO_CERTIFICATE
 
 
 def _cmd_check(args, run: _Run) -> int:
@@ -353,6 +354,8 @@ _READ_ONLY_WITH = {
     ("choosable", "--seed"): ("--stress",),
     ("choosable", "--out"): ("--certificate",),
     ("choosable", "--universe"): ("--exhaustive", "--stress"),
+    ("choosable", "--f"): ("--certificate", "--exhaustive", "--stress"),
+    ("gen", "--json"): ("--out",),
 }
 
 

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 from .certificates import encode_int, finalize_certificate
 from .coefficients import almost_central_scan, central_exponent, coefficient
 from .errors import InvariantViolationError
-from .graphio import graph_digest, to_json_obj
+from .graphio import graph_fields, to_json_obj
 from .graphs import (
     DIFF,
     SUM,
@@ -82,8 +82,7 @@ def cycle_cover_certificate(
     witness, value = found
     cert = {
         "kind": "prop_cover",
-        "graph": to_json_obj(g),
-        "graph_digest": graph_digest(g),
+        **graph_fields(g),
         "cover_cycles": [list(c) for c in cover],
         "doubled_edge_indices": doubled_idx,
         "witness_exponent": list(witness),

@@ -86,8 +86,14 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
+def graph_fields(g: SignedMultigraph) -> dict:
+    """A certificate's "graph" and "graph_digest" fields for g, from one to_json_obj."""
+    obj = to_json_obj(g)
+    return {"graph": obj, "graph_digest": hashlib.sha256(canonical_json(obj).encode()).hexdigest()}
+
+
 def graph_digest(g: SignedMultigraph) -> str:
-    return hashlib.sha256(canonical_json(to_json_obj(g)).encode()).hexdigest()
+    return graph_fields(g)["graph_digest"]
 
 
 # ---------------------------------------------------------------------------

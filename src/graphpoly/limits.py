@@ -6,7 +6,9 @@ The budget is the only limit on what ``check`` recomputes.
 # DP state expansions per scan: past it the scan raises, so a run never ends silently wrong.  The
 # DP peaks near 90 bytes per state of its largest layer (keys, coefficients and their per-edge
 # copies), and each state costs two expansions, so the default admits layers of up to 5*10^7
-# states, about 4.5 GB.  A trace charges it first with dim^2 matrix cells per product per prime.
+# states, about 4.5 GB.  A trace charges it first with its cells, about 7.5 ns of run time each
+# (transfer._trace_cost): dim^2 per product per prime, the per-step cost of each stack of primes, and
+# its CRT.
 DEFAULT_BUDGET = 10**8
 
 # List assignments an exhaustive choosability sweep may enumerate before it refuses.
@@ -27,6 +29,14 @@ SUBSET_VERTEX_CAP = 20
 # --trace 4` stays exact and peaks at 245 MB, in 2.6-3.4 s on a 2-core Intel Xeon VM, Python 3.11.7,
 # numpy 2.4.6); C(16, 8) = 12870 would take 1.3 GB per copy.
 DENSE_BLOCK_DIM_CAP = 3432
+
+# Cells of one stack of residue matrices, one per prime, that a trace powers at once.  Per prime, a
+# chain step costs least on stacks of 2^13 to 2^17 cells (a 3x3 block: 0.49 us per prime on 1024
+# primes, 31.8 us alone); past 2^16 cells the 210- and 252-row blocks of `cyclepower:10:2` at k = 8
+# run as stacks of 2 to 5 and their trace slows from 8.1 to 11.0-12.6 ms, and `cyclepower:8:3` at
+# k = 512 takes 57 ms at 2^16, 71 ms at 2^15 and 88 ms at 2^18 (2-core Xeon VM, 2 MB of L2 cache per
+# core, numpy 2.4.6).  Each of a chain's three stacks then takes 512 KB.
+TRACE_CHUNK_CELLS = 1 << 16
 
 # Vertices up to which the chain and cover provers record a transfer trace (blocks up to C(12, 6) = 924).
 TRACE_VERTEX_CAP = 12

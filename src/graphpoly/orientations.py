@@ -30,7 +30,7 @@ import numpy as np
 from .certificates import encode_int, finalize_certificate
 from .coefficients import ExponentVector
 from .errors import GraphPolyError, InvariantViolationError
-from .graphio import graph_digest, to_json_obj
+from .graphio import graph_digest, graph_fields
 from .graphs import (
     SignedMultigraph,
     build_cycle,
@@ -380,8 +380,7 @@ def orientation_certificate(ori: Orientation) -> dict:
     d = ori.outdegree_vector()
     cert = {
         "kind": "orientation",
-        "graph": to_json_obj(g),
-        "graph_digest": graph_digest(g),
+        **graph_fields(g),
         "directions": ori.bitstring(),
         "outdegrees": list(d),
         "at_bound": max(d, default=0) + 1,

@@ -295,7 +295,7 @@ def _color_lists(n):
        st.sampled_from(["--stress", "--exhaustive", "--lists", "--certificate"]))
 def test_choosable_cli_fuzz_exits_on_a_documented_code(tmp_path_factory, data, spec_n, f, mode):
     spec, n = spec_n
-    argv = ["choosable", spec, "--f", str(f), mode]
+    argv = ["choosable", spec, *(["--f", str(f)] if mode != "--lists" else []), mode]
     trials = data.draw(st.integers(-3, 20))
     if mode == "--stress":
         argv.append(str(trials))
@@ -619,6 +619,8 @@ def _refused(capsys, workdir, argv):
     ("choosable cycle:4 --f 3 --lists lists.json --budget 5", "--budget"),
     ("choosable cycle:4 --f 3 --lists lists.json --seed 3", "--seed"),
     ("choosable cycle:4 --f 3 --lists lists.json --out x.json", "--out"),
+    ("choosable cycle:4 --f 3 --lists lists.json", "--f"),
+    ("gen cycle 5 --json", "--json"),
 ])
 def test_options_a_mode_never_reads_are_usage_errors(capsys, workdir, argv, option):
     err = _refused(capsys, workdir, argv)
@@ -745,6 +747,15 @@ def test_choosable_lists_refuses_malformed_json(tmp_path, capsys):
     path.write_text("[[1,2],[2,3],[1,3]]")
     code, payload, _ = run_json(capsys, "choosable", "cycle:3", "--lists", str(path))
     assert code == 0 and payload["result"]["coloring"] == [1, 2, 3]
+
+
+def test_choosable_lists_reads_only_the_lists(capsys, workdir, monkeypatch):
+    import graphpoly.cli
+
+    monkeypatch.setattr(graphpoly.cli, "coloring_number", None)  # --lists never sizes lists
+    code, payload, _ = run_json(capsys, "choosable", "cycle:4", "--lists", "lists.json")
+    assert code == 0 and payload["result"] == {"colorable": True, "coloring": [1, 2, 1, 2]}
+    assert payload["manifest"]["parameters"] == {"universe": None}
 
 
 def test_choosable_stress_refuses_a_negative_trial_count(capsys):

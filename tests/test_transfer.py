@@ -422,35 +422,61 @@ def test_trace_power_matches_big_integer_oracle(zoo12):
     (build_cycle_power(8, 3), 64),  # about 26 primes on the largest block
     # entries of 89 bits and a trace of 361 bits: no fixed-width cast survives
     (make_graph(3, [(1, 2), (2, 3), (1, 3)] * 40), 4),
-], ids=["C3xC3-k24", "cyclepower8_3-k64", "K3x40-k4"])
+    (make_graph(2, [(1, 2)] * 1100), 4),  # entries of 1095 bits, past any float64
+], ids=["C3xC3-k24", "cyclepower8_3-k64", "K3x40-k4", "digon1100-k4"])
 def test_trace_power_matches_oracle_on_large_values(q, k):
     phi = build_phi(q)
     assert trace_power(phi, k) == _oracle_trace(_oracle_blocks(phi), k)
+
+
+def _python_trace(phi, k):
+    """tr(Phi^k) by square-and-multiply of each dense block in Python ints."""
+    total = 0
+    for s, block in phi.blocks.items():
+        if 2 * s > phi.n or not any(block):
+            continue
+        base, power, e = block.dense().astype(object), None, k // 2
+        while e:
+            if e & 1:
+                power = base if power is None else power.dot(base)
+            e >>= 1
+            if e:
+                base = base.dot(base)
+        total += (1 if 2 * s == phi.n else 2) * int((power * power.T).sum())
+    return total
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("k", [1000, 20000])
+def test_trace_power_matches_python_int_powers_at_large_k(n, k):
+    # thousands of primes in stacks of thousands, and a CRT over all of them
+    phi = build_phi(build_cycle(n))
+    assert trace_power(phi, k) == _python_trace(phi, k)
 
 
 def test_word_primes_match_trial_division():
     # the sieve must give, in order, every prime the exactness bound admits
     for dim in (1, 3, 10, 70, 462, 3432):
         bits = dim.bit_length()
-        p, expected = 2 * math.isqrt((2**53 - 1) >> bits) + 1, []
+        p, expected = math.isqrt((2**53 - 1) >> bits) + 1, []  # the largest p with (p-1)^2 < 2^(53-bits)
         while len(expected) < 200:
-            if all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
+            if p % 2 and all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
                 expected.append(p)
-            p -= 2
-        got = list(itertools.islice(transfer._word_primes(dim), 200))
+            p -= 1
+        got = transfer._word_primes(dim, 200).tolist()
         assert got == expected, dim
-        assert dim * ((got[0] - 1) // 2) ** 2 < 2**53
+        assert dim * (got[0] - 1) ** 2 < 2**53
 
 
 def test_sym_mod_is_exact_up_to_2_53():
-    # the chain hands exact entries of up to 2^53 - 1 to the primes; rounding the
-    # quotient to nearest would make q * p pass 2^53 within p/2 of it and lose a unit
+    # the chain hands exact entries of up to 2^53 - 1 to the primes; one truncating division must
+    # leave x - p trunc(x/p), in (-p, p), though a rounded quotient q would make q * p pass 2^53
     for dim in (1, 3, 70, 3432):
-        for p in itertools.islice(transfer._word_primes(dim), 40):
+        for p in transfer._word_primes(dim, 40).tolist():
             ints = list(range(2**53 - 1, 2**53 - p, -(p // 97)))
             ints += [-x for x in ints]
-            got = transfer._sym_mod(np.array(ints, dtype=np.float64), p)
-            assert got.tolist() == [(x + p // 2) % p - p // 2 for x in ints], p
+            got = transfer._reduce(np.array(ints, dtype=np.float64), p)
+            assert got.tolist() == [x % p if x >= 0 else -(-x % p) for x in ints], p
 
 
 def _reference_sym_mod(m, p, scratch=None):
@@ -487,7 +513,7 @@ def _reference_trace_power(phi, k):
         dense = block.dense().astype(object)
         bound = 2 * int((dense**2).sum()) ** (k // 2)
         found, modulus = [], 1
-        for p in transfer._word_primes(width):
+        for p in transfer._word_primes(width, 4096).tolist():
             a = _reference_sym_mod((dense % p).astype(np.float64), p)
             found.append((p, _reference_trace_mod(a, k // 2, p)))
             if modulus > bound:
@@ -569,14 +595,54 @@ def test_trace_charge_bounds_the_cells_the_chains_write(monkeypatch, q, k):
     assert 0 < sum(cells) <= charge
 
 
+def _modular_stacks(monkeypatch):
+    """Record (rows, primes) of every modular _chain run, checking that a lone prime runs 2-d."""
+    log, run = [], transfer._chain
+
+    def logged(a, r, steps, p=None):
+        if p is not None:
+            assert a.shape[:-2] == np.shape(p)[:-2] and (a.ndim == 3) == (np.size(p) > 1)
+            log.append((a.shape[-1], np.size(p)))
+        return run(a, r, steps, p)
+
+    monkeypatch.setattr(transfer, "_chain", logged)
+    return log
+
+
+@pytest.mark.parametrize("q, k", [
+    (build_cycle_power(8, 3), 64),
+    (cartesian_product(build_cycle(3), build_cycle(3)), 24),
+    (make_graph(3, [(1, 2), (2, 3), (1, 3)] * 40), 4),  # Python-int coefficients
+], ids=["cyclepower8_3-k64", "C3xC3-k24", "K3x40-k4"])
+@pytest.mark.parametrize("chunk", ["one", "two", "partial"])
+def test_trace_power_is_the_same_in_any_chunks(monkeypatch, q, k, chunk):
+    phi = build_phi(q)
+    expected = _reference_trace_power(phi, k)
+    log = _modular_stacks(monkeypatch)
+    trace_power(phi, k)
+    rows = max(dim for dim, _ in log)
+    count = sum(primes for dim, primes in log if dim == rows)  # the largest modular block's primes
+    per = {"one": 1, "two": 2, "partial": count - 1}[chunk]
+    monkeypatch.setattr(transfer, "TRACE_CHUNK_CELLS", 1 if chunk == "one" else per * rows * rows)
+    log.clear()
+    assert trace_power(phi, k) == expected
+    sizes = [primes for dim, primes in log if dim == rows]
+    assert sum(sizes) == count and max(sizes) == per
+    if chunk == "one":
+        assert all(primes == 1 for _, primes in log)
+    elif chunk == "partial":
+        assert sizes == [count - 1, 1]
+
+
 def test_trace_power_rejects_prime_beyond_float_bound(monkeypatch):
-    # cyclepower:8:3 at k = 64 passes 2^53 mid-chain; 70 * ((2^31 - 2)/2)^2 is far above it
-    monkeypatch.setattr(transfer, "_word_primes", lambda dim: itertools.repeat(2**31 - 1))
+    # cyclepower:8:3 at k = 64 passes 2^53 mid-chain; 70 * (2^31 - 2)^2 is far above it
+    monkeypatch.setattr(transfer, "_word_primes", lambda dim, count: np.full(count, 2**31 - 1))
     with pytest.raises(InvariantViolationError, match="2\\^53"):
         trace_power(build_phi(build_cycle_power(8, 3)), 64)
 
 
 def _first_residue_off_by_one(monkeypatch):
+    """Add one to the middle residue of the first modular chain; return its primes."""
     exact = transfer._chain
     calls = []
 
@@ -584,16 +650,21 @@ def _first_residue_off_by_one(monkeypatch):
         left, value = exact(a, r, steps, p)
         if p is None:
             return left, value
-        calls.append(p)
-        return left, (value + (len(calls) == 1)) % p
+        calls.append(np.ravel(p))
+        if len(calls) == 1:
+            value, i = np.ravel(value).copy(), calls[0].size // 2
+            value[i] = (value[i] + 1) % calls[0][i]
+        return left, value
 
     monkeypatch.setattr(transfer, "_chain", chain)
+    return calls
 
 
 def test_trace_power_spare_prime_catches_bad_residue(monkeypatch):
-    _first_residue_off_by_one(monkeypatch)
+    calls = _first_residue_off_by_one(monkeypatch)
     with pytest.raises(InvariantViolationError, match="spare prime"):
         trace_power(build_phi(build_cycle_power(8, 3)), 64)
+    assert calls[0].size > 2  # the bad residue sits inside a stack
 
 
 def test_spare_prime_failure_states_a_trace_past_the_int_str_digit_limit(monkeypatch):
