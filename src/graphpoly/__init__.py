@@ -64,6 +64,7 @@ from .graphs import (
 from .orientations import (
     Orientation,
     WindowConditionsReport,
+    WindowViolation,
     acyclic_orientation,
     at_lower_bound,
     box_orientation,
@@ -75,6 +76,7 @@ from .orientations import (
     orientation_from_bitstring,
     orient_with_bounds,
     reciprocal_sum_ok,
+    window_orientation,
 )
 from .transfer import (
     PhiMatrix,

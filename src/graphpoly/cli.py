@@ -39,15 +39,16 @@ from .graphio import (
     to_json_obj,
 )
 from .graphs import coloring_number
-from .limits import DEFAULT_ASSIGNMENT_BUDGET, DEFAULT_BUDGET, SUBSET_VERTEX_CAP
+from .limits import DEFAULT_ASSIGNMENT_BUDGET, DEFAULT_BUDGET
 from .orientations import (
+    WindowViolation,
     acyclic_orientation,
     box_orientation,
     check_window_conditions,
     has_odd_directed_cycle,
     odd_cycle_product_orientation,
     orientation_certificate,
-    orient_with_bounds,
+    window_orientation,
 )
 from .transfer import build_phi, check_trace_request, even_cycle_certificate, trace_power
 
@@ -243,8 +244,8 @@ def _cmd_orient(args, run: _Run) -> int:
     if args.odd_product is not None:
         run.param(odd_product=list(args.odd_product))
         ori = odd_cycle_product_orientation(args.odd_product)
-        run.graph(ori.graph)
         cert = orientation_certificate(ori)  # raises on an odd directed cycle
+        run.manifest["graph_digest"] = cert["graph_digest"]
         run.emit({"outdegrees_range": sorted(set(cert["outdegrees"])),
                   "odd_directed_cycle": False,
                   "at_bound": cert["at_bound"]}, cert)
@@ -265,14 +266,9 @@ def _cmd_orient(args, run: _Run) -> int:
             "subsets_checked": report.subsets_checked,
         })
         return EXIT_OK if report.ok else EXIT_NO_CERTIFICATE
-    ori = orient_with_bounds(g, lower, upper)
-    if ori is None:
-        report = check_window_conditions(g, lower, upper) if g.n <= SUBSET_VERTEX_CAP else None
-        result = {"feasible": False}
-        if report is not None and not report.ok:
-            result["violating_subset"] = list(report.failing_subset)
-            result["condition"] = report.condition
-        run.emit(result)
+    ori = window_orientation(g, lower, upper)
+    if isinstance(ori, WindowViolation):
+        run.emit({"feasible": False, "violating_subset": list(ori.subset), "condition": ori.condition})
         return EXIT_NO_CERTIFICATE
     run.emit({"feasible": True, "directions": ori.bitstring(),
               "outdegrees": list(ori.outdegree_vector()),

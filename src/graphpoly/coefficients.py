@@ -478,6 +478,18 @@ class SupportMap:
             keys = keys[col == xi[-1]]
         return tuple(xi), int(self.coef[np.searchsorted(self.keys, keys[0])])
 
+    def at(self, xi: Sequence[int]) -> int:
+        """The coefficient at xi where xi lies in the scanned window, 0 elsewhere: an exponent
+        off a one-value window or past a field's width has no row, and any other is one key."""
+        key = 0
+        for x, sh, mask, fixed in zip(xi, self.shift, self.mask, self.fixed):
+            if fixed is None and 0 <= x <= mask:
+                key += x << sh
+            elif x != fixed:
+                return 0
+        i = int(np.searchsorted(self.keys, key))
+        return int(self.coef[i]) if i < self.keys.size and self.keys[i] == key else 0
+
     @functools.cached_property
     def entries(self) -> dict[ExponentVector, int]:
         """{exponent vector: coefficient}, decoded from the whole layer on first read."""

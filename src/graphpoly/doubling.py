@@ -35,6 +35,7 @@ from .graphs import (
     make_graph,
 )
 from .limits import TRACE_VERTEX_CAP
+from .orientations import acyclic_orientation
 from .transfer import build_phi, nonzero_trace
 
 
@@ -53,7 +54,10 @@ def cycle_cover_certificate(
     the transfer trace for cycle length 4 is embedded as a numeric
     sub-check, and the witness comes from the transfer matrix's own scan.
     Above that, it is the central exponent unless its coefficient is 0
-    (odd cycles): one DP in place of a window that can be exponential.
+    (odd cycles), and then the outdegrees of acyclic_orientation where they
+    are almost-central, since an orientation with no odd directed cycle has
+    a nonzero coefficient at its outdegrees (Alon and Tarsi): one DP each in
+    place of a window that can be exponential.
     """
     if not g.is_simple():
         raise ValueError("cover pipeline expects a simple graph")
@@ -72,7 +76,13 @@ def cycle_cover_certificate(
     if phi is None:
         centre = central_exponent(gprime)
         value = coefficient(gprime, centre, budget=budget)
-        found = (centre, value) if value else almost_central_scan(gprime, budget=budget).witness()
+        out = None if value else acyclic_orientation(gprime).outdegree_vector()
+        if value:
+            found = centre, value
+        elif all(abs(2 * x - d) <= 2 for x, d in zip(out, gprime.degree_vector())):
+            found = out, coefficient(gprime, out, budget=budget)
+        else:
+            found = almost_central_scan(gprime, budget=budget).witness()
     else:
         found = phi.scan.witness()
     if found is None:

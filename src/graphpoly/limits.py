@@ -20,7 +20,8 @@ DEFAULT_ASSIGNMENT_BUDGET = 5_000_000
 LIST_COLOR_CAP = 10**6
 
 # Vertices above which 2^n subset indexes (transfer matrices, window conditions) are refused; at
-# 20 the chunked window check takes about 0.12 s on 2 cores (numpy 2.4), and each vertex doubles it.
+# 20 the window check's subset sums take 6-8 ms over all 2^20 subsets of `cycle:20` (2-core Xeon
+# VM, numpy 2.4.6), and each vertex doubles it.
 SUBSET_VERTEX_CAP = 20
 
 # Rows of a block that a trace holds dense: C(14, 7) = 3432 takes 94 MB per float64 copy, with up

@@ -8,9 +8,11 @@ directed cycles forces that coefficient to be nonzero.  That turns any
 such orientation into a machine-checkable Alon-Tarsi bound.
 
 Degree-window orientations (l_v <= outdeg(v) <= u_v) are found by path
-reversal from a greedy start (Hakimi 1965); the classical two counting
-conditions over all vertex subsets are implemented as an independent
-exhaustive checker.  The chess construction for odd-cycle products works
+reversal from a greedy start (Hakimi 1965), and where none exists the
+failed search returns a vertex set that breaks one of the classical two
+counting conditions.  Those conditions over all vertex subsets are an
+independent exhaustive checker, which counts each subset's edges and
+bounds by subset sums.  The chess construction for odd-cycle products works
 on numpy arrays of all edges: box bits and chess colors per endpoint, and
 one sorted-key lookup per box shape into that shape's window orientation.
 Odd directed cycles are found in linear time: Kosaraju's two passes give
@@ -87,23 +89,55 @@ def _window_bounds(g: SignedMultigraph, lower: Sequence[int], upper: Sequence[in
     return lower, upper
 
 
-def orient_with_bounds(
+@dataclass(frozen=True)
+class WindowViolation:
+    """A vertex set W that breaks one of the two counting conditions.
+
+    Condition 1: lhs = |E(W)| exceeds rhs = the sum of upper over W.
+    Condition 2: lhs = the number of edges touching W is below rhs = the
+    sum of lower over W.
+    """
+
+    subset: tuple[int, ...]
+    condition: int  # 1 or 2
+    lhs: int
+    rhs: int
+
+
+def _violation(g: SignedMultigraph, subset, condition: int, bound: Sequence[int]) -> WindowViolation:
+    """W = subset with its edge count for the condition, recounted, and the bound summed over W."""
+    w = set(subset)
+    hits = [(u in w) + (v in w) for u, v, _ in g.edges]
+    lhs = hits.count(2) if condition == 1 else len(hits) - hits.count(0)
+    rhs = sum(bound[x - 1] for x in w)
+    if (lhs <= rhs) if condition == 1 else (lhs >= rhs):
+        raise InvariantViolationError(f"path reversal stopped at a set that breaks no condition {condition}")
+    return WindowViolation(tuple(sorted(w)), condition, lhs, rhs)
+
+
+def window_orientation(
     g: SignedMultigraph, lower: Sequence[int], upper: Sequence[int]
-) -> Optional[Orientation]:
-    """Orientation with lower[v] <= outdeg(v) <= upper[v], or None if infeasible.
+) -> Orientation | WindowViolation:
+    """Orientation with lower[v] <= outdeg(v) <= upper[v], or a vertex set showing there is none.
 
     Path reversal (Hakimi 1965): each edge first leaves the endpoint whose
     outdegree so far minus upper bound is smaller (u on ties); then, vertex
     by vertex, a BFS path from a vertex over its upper bound to one below it
     is reversed, and after that a path to a vertex under its lower bound
-    from one above it.  A search that finds no such path reaches a vertex
-    set that violates one of the two counting conditions, so None is exact.
-    Infeasibility is a value, not an error; run check_window_conditions for
-    the violating subset.
+    from one above it.  A forward search that finds no such path has
+    reached a set R that every arc leaving a vertex of R stays inside, so
+    |E(R)| is the outdegree sum over R, which exceeds the upper sum:
+    condition 1 fails.  A backward search that fails reaches a set whose
+    touching edges number its outdegree sum, below the lower sum: condition
+    2 fails.  With sum(upper) < |E| or sum(lower) > |E| the set is V.  The
+    set is the first one the search reached, not check_window_conditions'
+    first in bitmask order.
     """
     lower, upper = _window_bounds(g, lower, upper)
-    if sum(lower) > g.num_edges or sum(upper) < g.num_edges:  # the conditions on W = V
-        return None
+    if sum(upper) < g.num_edges:
+        return _violation(g, range(1, g.n + 1), 1, upper)
+    if sum(lower) > g.num_edges:
+        return _violation(g, range(1, g.n + 1), 2, lower)
     out = [0] * (g.n + 1)
     tails: list[int] = []
     incident: list[list[tuple[int, int]]] = [[] for _ in range(g.n + 1)]
@@ -114,8 +148,9 @@ def orient_with_bounds(
         incident[u].append((i, v))
         incident[v].append((i, u))
 
-    def reverse_path(s: int, forward: bool, target) -> bool:
-        """BFS from s along (or against) the arcs to a target vertex; reverse the path found."""
+    def reverse_path(s: int, forward: bool, target) -> Optional[list[int]]:
+        """BFS from s along (or against) the arcs to a target vertex and reverse the path
+        found; None once reversed, else the vertices the search reached."""
         via: list[Optional[tuple[int, int]]] = [None] * (g.n + 1)
         via[s] = (-1, s)
         queue = [s]
@@ -131,25 +166,36 @@ def orient_with_bounds(
                         i, x = via[y]
                         tails[i] = y if forward else x
                         y = x
-                    return True
+                    return None
                 queue.append(y)
-        return False
+        return queue
 
     # A reversal moves one unit of outdegree between the path's ends and never past a bound,
     # so a vertex once inside its bound stays there and one pass over the vertices suffices.
     for v in range(1, g.n + 1):
         while out[v] > upper[v - 1]:
-            if not reverse_path(v, True, lambda y: out[y] < upper[y - 1]):
-                return None
+            if (reached := reverse_path(v, True, lambda y: out[y] < upper[y - 1])) is not None:
+                return _violation(g, reached, 1, upper)
     for v in range(1, g.n + 1):
         while out[v] < lower[v - 1]:
-            if not reverse_path(v, False, lambda y: out[y] > lower[y - 1]):
-                return None
+            if (reached := reverse_path(v, False, lambda y: out[y] > lower[y - 1])) is not None:
+                return _violation(g, reached, 2, lower)
     ori = Orientation(g, tuple(t == u for t, (u, _, _) in zip(tails, g.edges)))
     d = ori.outdegree_vector()
     if any(not (l <= x <= u) for x, l, u in zip(d, lower, upper)):
         raise InvariantViolationError("path reversal produced out-of-window outdegrees")
     return ori
+
+
+def orient_with_bounds(
+    g: SignedMultigraph, lower: Sequence[int], upper: Sequence[int]
+) -> Optional[Orientation]:
+    """window_orientation's orientation, or None where it returns a violating set.
+
+    Infeasibility is a value, not an error.
+    """
+    found = window_orientation(g, lower, upper)
+    return found if isinstance(found, Orientation) else None
 
 
 @dataclass(frozen=True)
@@ -170,6 +216,25 @@ class WindowConditionsReport:
     subsets_checked: int
 
 
+def _subset_sums(weights: Sequence[int], out: np.ndarray) -> np.ndarray:
+    """out[L] = the sum of weights[i] over the bits i of L, for every L < 2^len(weights)."""
+    out[0] = 0
+    for i, w in enumerate(weights):
+        np.add(out[:1 << i], w, out=out[1 << i:2 << i])
+    return out
+
+
+def _inside_counts(adj: np.ndarray) -> np.ndarray:
+    """e[L] = the edges with both ends in L, for every set L of adj's vertices (bit i is row i):
+    adding vertex i to a set L of lower vertices adds its edges into L, a subset sum of row i."""
+    k = len(adj)
+    e = np.zeros(1 << k, dtype=np.int64)
+    row = np.empty(max(1 << k >> 1, 1), dtype=np.int64)
+    for i in range(1, k):
+        np.add(e[:1 << i], _subset_sums(adj[i, :i], row[:1 << i]), out=e[1 << i:2 << i])
+    return e
+
+
 def check_window_conditions(
     g: SignedMultigraph, lower: Sequence[int], upper: Sequence[int]
 ) -> WindowConditionsReport:
@@ -179,30 +244,50 @@ def check_window_conditions(
     time as int64 arrays with the bounds capped at m + 1, which keeps every verdict exact.
     The first W that violates a condition is reported (condition 1 before 2, rhs summed
     from the bounds as given), and subsets_checked counts the subsets up to it.
+
+    Each count is a subset sum, so the check costs O(2^n): W splits into its low
+    log2(_WINDOW_CHUNK) vertices L and the high ones H, one chunk per H, and |E(W)| is
+    |E(L)| + |E(H)| plus the edges between L and H.  The first two and the bound sums
+    are tabulated once; the third is a subset sum over L of each low vertex's edges into H.
+    The edges touching W number deg(W) - |E(W)|, so condition 2 fails where |E(W)|
+    exceeds the sum of deg - lower over W.
     """
     if g.n > SUBSET_VERTEX_CAP:
         raise GraphPolyError(f"exhaustive subset check refused for n={g.n} > {SUBSET_VERTEX_CAP}")
     lower, upper = _window_bounds(g, lower, upper)
-    masks = [(1 << (u - 1)) | (1 << (v - 1)) for u, v, _ in g.edges]
-    cap, total = len(masks) + 1, 1 << g.n
-    for start in range(0, total, _WINDOW_CHUNK):
-        w = np.arange(start, min(start + _WINDOW_CHUNK, total), dtype=np.int64)
-        inside, touching, su, sl = (np.zeros_like(w) for _ in range(4))
-        for em in masks:
-            hit = w & em
-            inside += hit == em
-            touching += hit != 0
-        for i in range(g.n):
-            su += min(upper[i], cap) * (bit := w >> i & 1)
-            sl += min(lower[i], cap) * bit
-        bad = (inside > su) | (touching < sl)
+    n, cap, deg = g.n, g.num_edges + 1, g.degree_vector()
+    adj = np.zeros((n, n), dtype=np.int64)
+    for u, v, _ in g.edges:
+        adj[u - 1, v - 1] += 1
+        adj[v - 1, u - 1] += 1
+    su = [min(x, cap) for x in upper]
+    sd = [d - min(x, cap) for d, x in zip(deg, lower)]
+    low = min(n, _WINDOW_CHUNK.bit_length() - 1)
+    size, chunks = 1 << low, 1 << (n - low)
+    buf = np.empty(size, dtype=np.int64)
+    # condition c fails at W = L + H where cross(L, H) + a_c[L] > s_c[H]
+    e_low = _inside_counts(adj[:low, :low])
+    a1 = e_low - _subset_sums(su[:low], buf)
+    a2 = e_low - _subset_sums(sd[:low], buf)
+    e_high = _inside_counts(adj[low:, low:])
+    s1 = _subset_sums(su[low:], np.empty(chunks, dtype=np.int64)) - e_high
+    s2 = _subset_sums(sd[low:], np.empty(chunks, dtype=np.int64)) - e_high
+    # into[h, i]: the edges from low vertex i into the high set h
+    into = (np.arange(chunks)[:, None] >> np.arange(n - low) & 1) @ adj[low:, :low]
+    for h in range(chunks):
+        cross = _subset_sums(into[h], buf)
+        bad1 = cross + a1 > s1[h]
+        bad = bad1 | (cross + a2 > s2[h])
         if bad.any():
             j = int(bad.argmax())
-            subset = tuple(i + 1 for i in range(g.n) if (start + j) >> i & 1)
-            cond, lhs, bound = (1, inside, upper) if inside[j] > su[j] else (2, touching, lower)
-            rhs = sum(bound[v - 1] for v in subset)
-            return WindowConditionsReport(False, subset, cond, int(lhs[j]), rhs, start + j + 1)
-    return WindowConditionsReport(True, None, None, None, None, total)
+            w = h * size + j
+            subset = tuple(i + 1 for i in range(n) if w >> i & 1)
+            inside = int(cross[j] + e_low[j] + e_high[h])
+            if bad1[j]:
+                return WindowConditionsReport(False, subset, 1, inside, sum(upper[v - 1] for v in subset), w + 1)
+            touching = sum(deg[v - 1] for v in subset) - inside
+            return WindowConditionsReport(False, subset, 2, touching, sum(lower[v - 1] for v in subset), w + 1)
+    return WindowConditionsReport(True, None, None, None, None, 1 << n)
 
 
 # ---------------------------------------------------------------------------

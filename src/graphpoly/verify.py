@@ -29,7 +29,7 @@ from .graphio import _int, canonical_json, from_json_obj, graph_digest
 from .graphs import SignedMultigraph, build_cycle, cartesian_product, cover_edge_indices, double_edges
 from .limits import TRACE_VERTEX_CAP
 from .orientations import at_lower_bound, has_odd_directed_cycle, orientation_from_bitstring, reciprocal_sum_ok
-from .transfer import build_phi, check_trace_request, trace_power
+from .transfer import PhiMatrix, build_phi, check_trace_request, trace_power
 
 
 class _Refuted(Exception):
@@ -67,27 +67,40 @@ def _almost_central(xi: list[int], g: SignedMultigraph) -> bool:
     return len(xi) == g.n and all(abs(2 * x - d) <= 2 for x, d in zip(xi, g.degree_vector()))
 
 
-def _check_almost_central_witness(g: SignedMultigraph, cert: dict, budget, refusal: str) -> int:
-    """The cycle length k of a trace or cover certificate, once its witness is
-    shown almost-central in g with the stated nonzero coefficient."""
+def _check_almost_central_witness(g: SignedMultigraph, cert: dict, budget, refusal: str, *, trace: bool) -> None:
+    """The witness of a trace or cover certificate must be almost-central in g with the stated
+    nonzero coefficient, for an even cycle length k >= 2, and with trace, so must tr(Phi^k) of g
+    be the stated one.  Phi's scan holds every almost-central coefficient, so with trace the
+    witness is read from it and runs no DP of its own."""
     k = _int(cert["k"])
     if k < 2 or k % 2:
         raise _Refuted(f"cycle length {k} is not an even integer >= 2")
     xi = _int(cert["witness_exponent"], 1)
     if not _almost_central(xi, g):
         raise _Refuted(refusal)
-    _check_witness_coefficient(g, xi, cert.get("witness_value"), budget=budget)
-    return k
+    stated = cert.get("witness_value")
+    if not trace:
+        _check_witness_coefficient(g, xi, stated, budget=budget)
+        return
+    try:
+        check_trace_request(g.n, k)
+        phi = build_phi(g, budget=budget)
+    except GraphPolyError:  # a witness its own DP refutes is refuted, whatever stops Phi
+        _check_witness_coefficient(g, xi, stated, budget=budget)
+        raise
+    _check_witness_coefficient(g, xi, stated, budget=budget, value=phi.scan.at(xi))
+    _check_trace(g, k, cert.get("trace_value"), budget, phi)
 
 
-def _check_trace(g: SignedMultigraph, k: int, stated, budget) -> None:
-    """tr(Phi^k) of g, recomputed, must be nonzero and equal the stated value.
+def _check_trace(g: SignedMultigraph, k: int, stated, budget, phi: Optional[PhiMatrix] = None) -> None:
+    """tr(Phi^k) of g, recomputed from phi where the caller has built it, must be
+    nonzero and equal the stated value.
 
     A graph that build_phi or check_trace_request refuses fails the check
     through verify.
     """
     check_trace_request(g.n, k)
-    tr = trace_power(build_phi(g, budget=budget), k, budget=budget)
+    tr = trace_power(build_phi(g, budget=budget) if phi is None else phi, k, budget=budget)
     if tr == 0:
         raise _Refuted("recomputed trace is zero")
     if stated is None or decode_int(stated) != tr:
@@ -150,10 +163,9 @@ def _verify_trace(cert: dict, budget, notes: list[str]) -> None:
     g = _load_graph(cert)
     if not g.has_even_degrees():
         raise _Refuted("trace certificate on a graph with odd degrees")
-    k = _check_almost_central_witness(g, cert, budget, "witness exponent is not almost-central")
     if _int(cert.get("at_bound"), optional=True) != g.max_degree() // 2 + 2:
         raise _Refuted("at_bound does not equal max degree / 2 + 2")
-    _check_trace(g, k, cert.get("trace_value"), budget)
+    _check_almost_central_witness(g, cert, budget, "witness exponent is not almost-central", trace=True)
 
 
 def _verify_orientation(cert: dict, budget, notes: list[str]) -> None:
@@ -206,11 +218,11 @@ def _verify_prop_cover(cert: dict, budget, notes: list[str]) -> None:
     gprime = double_edges(g, doubled)
     if _int(cert.get("at_bound"), optional=True) != delta + 1:
         raise _Refuted("at_bound does not equal max degree + 1")
-    k = _check_almost_central_witness(gprime, cert, budget, "witness is not almost-central for the doubled graph")
-    if gprime.n <= TRACE_VERTEX_CAP:
-        _check_trace(gprime, k, cert.get("trace_value"), budget)
-    elif cert.get("trace_value") is not None:
+    traced = gprime.n <= TRACE_VERTEX_CAP
+    if not traced and cert.get("trace_value") is not None:
         raise _Refuted(f"trace stated for a doubled graph on more than {TRACE_VERTEX_CAP} vertices")
+    _check_almost_central_witness(gprime, cert, budget, "witness is not almost-central for the doubled graph",
+                                  trace=traced)
 
 
 def _verify_fplan(cert: dict, budget, notes: list[str]) -> None:

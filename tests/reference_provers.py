@@ -1,6 +1,6 @@
 """Plain per-element forms of the chess construction, the list-colouring sweeps, the
-enumeration engine, the odd-directed-cycle test, the exact Alon-Tarsi certificate and
-the f-plan sign search.
+enumeration engine, the odd-directed-cycle test, the window-condition check, the exact
+Alon-Tarsi certificate and the f-plan sign search.
 
 Kept as test oracles for the versions in graphpoly: this chess construction
 walks the edges one by one, the sweep tries every assignment of the
@@ -8,6 +8,7 @@ universe with MRV search alone, the greedy colours one assignment at a time, the
 stress loop runs MRV on every trial, Floyd's sampler keeps each list in a set,
 the enumeration returns how many search nodes it entered, the odd-cycle
 test finds strongly connected components by Tarjan's low-links, the
+window check tests every edge and vertex against each chunk of subsets, the
 exact certificate recomputes its witness coefficient with a second DP,
 and the sign search runs one DP per sign choice, even where the plan
 already holds the coefficient.  Given the same input, each must give the
@@ -33,7 +34,7 @@ from graphpoly.doubling import ChoosabilityPlan, plan_polynomial, plan_target_ex
 from graphpoly.errors import InvariantViolationError
 from graphpoly.graphio import graph_digest, to_json_obj
 from graphpoly.graphs import DIFF, SignedMultigraph, build_cycle, cartesian_product, coloring_number, double_edges
-from graphpoly.orientations import Orientation, box_orientation
+from graphpoly.orientations import _WINDOW_CHUNK, Orientation, WindowConditionsReport, box_orientation
 
 
 def _flat_index(coords: Sequence[int], dims: Sequence[int]) -> int:
@@ -291,6 +292,32 @@ def has_odd_directed_cycle(ori: Orientation) -> bool:
                     elif color[y] == color[x]:
                         return True
     return False
+
+
+def check_window_conditions(g: SignedMultigraph, lower: Sequence[int], upper: Sequence[int]) -> WindowConditionsReport:
+    """Both counting conditions on every subset, each edge and vertex tested against a whole
+    chunk of subsets at once: O((m + n) 2^n) array work, in the same chunks and order."""
+    lower, upper = tuple(int(x) for x in lower), tuple(int(x) for x in upper)
+    masks = [(1 << (u - 1)) | (1 << (v - 1)) for u, v, _ in g.edges]
+    cap, total = len(masks) + 1, 1 << g.n
+    for start in range(0, total, _WINDOW_CHUNK):
+        w = np.arange(start, min(start + _WINDOW_CHUNK, total), dtype=np.int64)
+        inside, touching, su, sl = (np.zeros_like(w) for _ in range(4))
+        for em in masks:
+            hit = w & em
+            inside += hit == em
+            touching += hit != 0
+        for i in range(g.n):
+            su += min(upper[i], cap) * (bit := w >> i & 1)
+            sl += min(lower[i], cap) * bit
+        bad = (inside > su) | (touching < sl)
+        if bad.any():
+            j = int(bad.argmax())
+            subset = tuple(i + 1 for i in range(g.n) if (start + j) >> i & 1)
+            cond, lhs, bound = (1, inside, upper) if inside[j] > su[j] else (2, touching, lower)
+            rhs = sum(bound[v - 1] for v in subset)
+            return WindowConditionsReport(False, subset, cond, int(lhs[j]), rhs, start + j + 1)
+    return WindowConditionsReport(True, None, None, None, None, total)
 
 
 def at_certificate_exact(g: SignedMultigraph) -> dict:

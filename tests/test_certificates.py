@@ -2,6 +2,7 @@ import copy
 import json
 import random
 import sys
+from unittest import mock
 
 import pytest
 
@@ -13,6 +14,7 @@ from graphpoly.certificates import (
     encode_int,
     finalize_certificate,
 )
+from graphpoly import verify
 from graphpoly.choosability import at_certificate_exact, coefficient_choosability_certificate
 from graphpoly.cli import main
 from graphpoly.coefficients import central_exponent, coefficient
@@ -341,6 +343,10 @@ _REFUSALS = {
     "engine refusal": (lambda c: _redigested(c["trace"], **_graph_fields("cycle:21"),
                                              witness_exponent=[2, 0] + [1] * 19),
                        _C21_REFUSAL),
+    # a witness its own DP refutes is refuted before the refusal of Phi
+    "engine refusal zero witness": (lambda c: _redigested(c["trace"], **_graph_fields("cycle:21"),
+                                                          witness_exponent=[1] * 21),
+                                    f"witness exponent {(1,) * 21} has zero coefficient"),
     "missing field": (lambda c: _redigested({k: v for k, v in c["trace"].items() if k != "k"}),
                       "malformed certificate: KeyError('k')"),
     # graphs
@@ -377,6 +383,13 @@ _REFUSALS = {
     "trace at_bound": (lambda c: _redigested(c["trace"], at_bound=4),
                        "at_bound does not equal max degree / 2 + 2"),
     "trace value": (lambda c: _redigested(c["trace"], trace_value="4381"), "stated trace 4381 != recomputed 4380"),
+    # witnesses read from Phi's scan: C5's central exponent (zero), one past m, a wrong value
+    "trace zero witness": (lambda c: _redigested(c["trace"], witness_exponent=[1] * 5),
+                           "witness exponent (1, 1, 1, 1, 1) has zero coefficient"),
+    "trace witness sum": (lambda c: _redigested(c["trace"], witness_exponent=[2, 2, 1, 1, 1]),
+                          "witness exponent (2, 2, 1, 1, 1) has zero coefficient"),
+    "trace witness value": (lambda c: _redigested(c["trace"], witness_value="7"),
+                            "stated witness value 7 != recomputed 1"),
     # orientation
     "orientation value": (lambda c: _redigested(c["orientation"], witness_value="1"),
                           "an orientation certificate states no witness value; the orientation is the witness"),
@@ -409,6 +422,10 @@ _REFUSALS = {
     "cover at_bound": (lambda c: _redigested(c["prop_cover"], at_bound=5), "at_bound does not equal max degree + 1"),
     "cover witness": (lambda c: _redigested(c["prop_cover"], witness_exponent=[0, 2, 3, 3]),
                       "witness is not almost-central for the doubled graph"),
+    "cover zero witness": (lambda c: _redigested(c["prop_cover"], witness_exponent=[2] * 4),
+                           "witness exponent (2, 2, 2, 2) has zero coefficient"),
+    "cover witness value": (lambda c: _redigested(c["prop_cover"], witness_value="-4"),
+                            "stated witness value -4 != recomputed 2"),
     "cover trace": (lambda c: _redigested(cycle_cover_certificate(build_cycle(13)), trace_value="1"),
                     "trace stated for a doubled graph on more than 12 vertices"),
     # fplan
@@ -453,6 +470,13 @@ _REFUSALS = {
 # Not reachable by a forgery: a nonzero almost-central witness forces a nonzero
 # trace, build_plan makes the augmented degrees 2f - 4, and every chain graph is
 # a product of cycles, so its degrees are even.
+
+
+def test_trace_and_cover_checks_read_the_witness_from_the_scan(certs, monkeypatch):
+    # Phi's scan holds every almost-central coefficient: no witness DP of its own
+    monkeypatch.setattr(verify, "coefficient", mock.Mock(side_effect=AssertionError("witness DP")))
+    for name in ("trace", "trace-power", "prop_cover", "chain"):
+        assert check_certificate(certs[name]).ok, name
 
 
 @pytest.mark.parametrize("name", sorted(_REFUSALS))

@@ -16,7 +16,7 @@ from graphpoly.doubling import build_plan, cycle_cover_certificate, epsilon_sear
 from graphpoly.graphs import build_complete, build_cycle
 from graphpoly.orientations import cycle_product_chain, odd_cycle_product_orientation, orientation_certificate
 from graphpoly.transfer import even_cycle_certificate
-from graphpoly.graphio import canonical_json
+from graphpoly.graphio import canonical_json, graph_digest
 
 
 def run_cli(capsys, *argv):
@@ -434,6 +434,21 @@ def test_orient_infeasible_reports_subset(capsys):
     assert payload["result"]["violating_subset"] == [1, 2]
 
 
+def test_orient_reports_the_solvers_set_past_the_vertex_cap(capsys):
+    # sum of upper is 24 < 25 edges: the whole vertex set breaks condition 1
+    upper = ",".join(["0"] + ["1"] * 24)
+    code, payload, _ = run_json(capsys, "orient", "cycle:25", "--upper", upper)
+    assert code == 1
+    assert payload["result"] == {"feasible": False, "violating_subset": list(range(1, 26)), "condition": 1}
+
+
+def test_orient_odd_product_manifest_digest_is_the_certificates(capsys):
+    code, payload, _ = run_json(capsys, "orient", "--odd-product", "2,3,6")
+    assert code == 0
+    digest = graph_digest(odd_cycle_product_orientation([2, 3, 6]).graph)
+    assert payload["manifest"]["graph_digest"] == payload["result"]["certificate"]["graph_digest"] == digest
+
+
 def test_orient_box(capsys):
     code, payload, _ = run_json(capsys, "orient", "--box", "2,2")
     assert code == 0
@@ -574,9 +589,10 @@ def test_check_rejects_tampered(tmp_path, capsys):
     assert payload["result"]["pass"] is False
 
 
-@pytest.mark.parametrize("spec", ["product:cycle:4:cycle:4", "cycle:40"])
+@pytest.mark.parametrize("spec", ["product:cycle:4:cycle:4", "cycle:40", "cycle:25", "cycle:41"])
 def test_cover_certificate_over_the_trace_cap_fits_a_small_budget(tmp_path, capsys, spec):
-    # the whole almost-central window of either doubled graph exceeds 10^6 expansions
+    # the whole almost-central window of each doubled graph exceeds 10^6 expansions; an odd
+    # cycle's central coefficient is 0, and its witness is an acyclic orientation's outdegrees
     path = tmp_path / "cover.json"
     code, _, _ = run_json(capsys, "at", spec, "--prop6", "--budget", "1000000", "--out", str(path))
     assert code == 0

@@ -76,7 +76,10 @@ def test_support_respects_caps():
     sup = support(c3, (2, 2, 1))
     assert sup.entries == {k: v for k, v in C3_SUPPORT.items() if k[2] <= 1}
     e = build_path(2)
-    assert support(e, (1, 1)).entries == {(0, 1): 1, (1, 0): -1}
+    sup = support(e, (1, 1))
+    assert sup.entries == {(0, 1): 1, (1, 0): -1}
+    # the two counts sit in adjacent one-bit fields: at never carries (2, 0) into (0, 1)
+    assert sup.at((0, 1)) == 1 and sup.at((2, 0)) == 0
 
 
 def test_engines_agree_on_generator_families():
@@ -265,6 +268,7 @@ def test_keys_past_62_bits_are_exact():
     assert sup.keys.dtype == object
     assert len(sup) == 3 and sup.witness() == (xi[:40] + (2, 4), comb(6, 2))
     assert sup.entries == {xi[:40] + (h, 6 - h): comb(6, h) for h in (2, 3, 4)}
+    assert sup.at(xi) == comb(6, 3) and sup.at(xi[:40] + (2, 3)) == 0
 
 
 def test_doubled_graph_big_coefficients():
@@ -320,7 +324,11 @@ def test_support_windows_match_oracle(g, data):
         for xi, c in expand_polynomial(g).items()
         if all(f <= x <= k for f, x, k in zip(floor, xi, cap))
     }
-    assert support(g, cap, floor=floor).entries == expected
+    sup = support(g, cap, floor=floor)
+    assert sup.entries == expected
+    # at reads one row: the window's coefficients, and 0 off the window or off the support
+    probes = set(expand_polynomial(g)) | {tuple(data.draw(st.integers(0, d + 1)) for d in deg) for _ in range(5)}
+    assert {xi: sup.at(xi) for xi in probes} == {xi: expected.get(xi, 0) for xi in probes}
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

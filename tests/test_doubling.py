@@ -5,7 +5,7 @@ import pytest
 import graphpoly.doubling as doubling
 from graphpoly.certificates import check_certificate
 from graphpoly.choosability import random_list_stress
-from graphpoly.coefficients import almost_central_scan, central_exponent, coefficient, mirror_sign
+from graphpoly.coefficients import central_exponent, coefficient, mirror_sign
 from graphpoly.doubling import (
     build_plan,
     cycle_cover_certificate,
@@ -22,6 +22,7 @@ from graphpoly.graphs import (
     double_edges,
     make_graph,
 )
+from graphpoly.orientations import acyclic_orientation
 
 from conftest import expand_polynomial
 from reference_provers import squared_central_check
@@ -96,13 +97,16 @@ def test_cover_certificate_above_the_trace_cap_reads_the_central_coefficient_fir
     gprime = double_edges(g, cert["doubled_edge_indices"])
     assert cert["witness_exponent"] == list(central_exponent(gprime)) == [3] * 16
     assert cert["trace_value"] is None and check_certificate(cert).ok
-    # an odd cycle is its own cover, and its central coefficient is 0: the scan's witness
-    odd = build_cycle(13)
-    assert coefficient(odd, central_exponent(odd)) == 0
-    cert = cycle_cover_certificate(odd)
-    witness, value = almost_central_scan(odd).witness()
-    assert cert["witness_exponent"] == list(witness) and int(cert["witness_value"]) == value
-    assert check_certificate(cert).ok
+    # an odd cycle is its own cover, and its central coefficient is 0: an acyclic orientation's
+    # outdegrees are almost-central with coefficient -1, so no window is scanned either
+    for n in (13, 25, 41):
+        odd = build_cycle(n)
+        assert coefficient(odd, central_exponent(odd)) == 0
+        with mock.patch.object(doubling, "almost_central_scan", side_effect=AssertionError("scanned")):
+            cert = cycle_cover_certificate(odd)
+        assert cert["witness_exponent"] == list(acyclic_orientation(odd).outdegree_vector())
+        assert cert["witness_exponent"] == [2] + [1] * (n - 2) + [0] and int(cert["witness_value"]) == -1
+        assert check_certificate(cert).ok
 
 
 def test_cover_certificate_no_cover():

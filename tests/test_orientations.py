@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphpoly.certificates import check_certificate
@@ -18,6 +18,7 @@ from graphpoly.graphs import (
     make_graph,
 )
 from graphpoly.orientations import (
+    _WINDOW_CHUNK,
     Orientation,
     WindowConditionsReport,
     acyclic_orientation,
@@ -31,8 +32,10 @@ from graphpoly.orientations import (
     orientation_from_bitstring,
     orient_with_bounds,
     reciprocal_sum_ok,
+    window_orientation,
 )
 
+import reference_provers
 from conftest import random_simple_graph
 
 
@@ -140,11 +143,84 @@ def test_window_violation_past_the_first_chunk():
     assert report == window_conditions_loop(g, [0] * 15, upper)
 
 
+def _random_window(rng, n):
+    """A multigraph on n vertices with parallel edges and a window at the edge of feasibility:
+    tight upper bounds (condition 1 can fail), raised lower bounds (condition 2 can fail) or
+    a half-degree window, each with one bound of 10^30."""
+    edges = [(*rng.sample(range(1, n + 1), 2), rng.choice([SUM, DIFF])) for _ in range(rng.randint(n, 3 * n))]
+    g = make_graph(n, edges)
+    deg = g.degree_vector()
+    mode = rng.randrange(3)
+    lower = [0 if mode == 1 else d // 2 + (mode == 2 and rng.random() < 0.4) for d in deg]
+    upper = [max(lo, (d + 1) // 2 - (mode == 1 and rng.random() < 0.4)) for lo, d in zip(lower, deg)]
+    i = rng.randrange(n)
+    upper[i] = 10**30
+    if mode == 0:
+        lower[i] = 10**30
+    return g, lower, upper
+
+
+def _chunk_edges():
+    """C14 plus a doubled edge 15-16: upper bounds that fail first at the last subset of the
+    first chunk, {1..14}, and lower bounds that fail first at the first of the second, {15}."""
+    g = make_graph(16, list(build_cycle(14).edges) + [(15, 16), (15, 16)])
+    return [
+        (g, [0] * 16, [1] * 13 + [0, 1, 1], WindowConditionsReport(False, tuple(range(1, 15)), 1, 14, 13, 1 << 14)),
+        (g, [0] * 14 + [10**30, 0], [2] * 14 + [10**30, 2],
+         WindowConditionsReport(False, (15,), 2, 2, 10**30, (1 << 14) + 1)),
+    ]
+
+
+def test_window_conditions_match_the_chunked_oracle():
+    rng = random.Random(2023)
+    cases = [(*_random_window(rng, rng.randint(10, 20)), None) for _ in range(60)] + _chunk_edges()
+    outcomes = set()
+    for g, lower, upper, expected in cases:
+        report = check_window_conditions(g, lower, upper)
+        assert report == reference_provers.check_window_conditions(g, lower, upper)
+        assert expected is None or report == expected
+        outcomes.add((report.condition, report.subsets_checked > _WINDOW_CHUNK))
+    # both conditions fail and both pass, inside the first chunk and past it
+    assert outcomes == {(c, late) for c in (None, 1, 2) for late in (False, True)}
+
+
 def test_window_conditions_keep_huge_bounds_exact():
     big = 10**30
     report = check_window_conditions(build_path(3), [0, big, 0], [big, big, big])
     assert report == WindowConditionsReport(False, (2,), 2, 2, big, 3)
     assert check_window_conditions(build_path(3), [0] * 3, [big] * 3).ok
+
+
+@st.composite
+def larger_windows(draw):
+    """A multigraph on up to 40 vertices, past SUBSET_VERTEX_CAP, with a window near its degrees."""
+    n = draw(st.integers(2, 40))
+    pair = st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True)
+    g = make_graph(n, [tuple(p) for p in draw(st.lists(pair, max_size=3 * n))])
+    lower = [max(draw(st.integers(-2, 1)) + d // 2, 0) for d in g.degree_vector()]
+    upper = [lo + draw(st.integers(0, 2)) for lo in lower]
+    return g, lower, upper
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(multigraph_windows(), larger_windows()))
+@example((build_cycle(25), [0] * 25, [0] + [1] * 24))
+def test_the_solver_reports_a_set_that_violates_its_condition(window):
+    g, lower, upper = window
+    found = window_orientation(g, lower, upper)
+    if isinstance(found, Orientation):
+        assert all(lo <= d <= up for d, lo, up in zip(found.outdegree_vector(), lower, upper))
+        return
+    w = set(found.subset)
+    assert sorted(w) == list(found.subset) and w <= set(range(1, g.n + 1))
+    inside = sum(u in w and v in w for u, v, _ in g.edges)
+    touching = sum(u in w or v in w for u, v, _ in g.edges)
+    if found.condition == 1:
+        assert (found.lhs, found.rhs) == (inside, sum(upper[v - 1] for v in w)) and inside > found.rhs
+    else:
+        assert found.condition == 2
+        assert (found.lhs, found.rhs) == (touching, sum(lower[v - 1] for v in w)) and touching < found.rhs
+    assert orient_with_bounds(g, lower, upper) is None
 
 
 def test_orient_cycle_exact_window():
