@@ -18,8 +18,13 @@ Two independent engines are provided and must agree:
   determined; each edge maps a whole layer of states with numpy array
   operations.  A bound is tested only from the edge at which some state
   could break it, and a layer with no repeated key skips the merge, so
-  an edge costs about 22 us plus 0.07 us per state (least-squares fit
-  over the 2,126 edges of one perfbench coeff pass; numpy 2.4, 2 cores).
+  an edge costs about 21-26 us plus 0.06 us per state (least-squares fits
+  over the 1,901 edges of a perfbench coeff pass; numpy 2.4, 2 cores).
+  A layer of more than DP_PIECE_STATES states is merged one key range at
+  a time, so a step's temporaries stay cache-sized and its peak near two
+  copies of the layer: on the scans of C3xC5 under caps 3 and of C4xC4's
+  almost-central window (up to 9.4*10^6 states) such steps take
+  0.065-0.072 us per state, against 0.088-0.136 us merged whole.
   A scan returns its last layer as arrays (a SupportMap) and decodes
   exponent tuples only when a caller asks for them.  ``support`` first
   cuts its window to the exponents that can sum to |E| (the degree-sum
@@ -43,6 +48,7 @@ before the bound would fail; the enumeration uses Python integers only.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Optional, Sequence
@@ -51,7 +57,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, InvariantViolationError
 from .graphs import DIFF, SignedMultigraph
-from .limits import DEFAULT_BUDGET
+from .limits import DEFAULT_BUDGET, DP_PIECE_STATES
 
 ExponentVector = tuple[int, ...]
 
@@ -172,16 +178,17 @@ def _scan(
 
     States are partial products over the edges processed so far, held as
     a sorted array of distinct integer keys and a parallel array of
-    coefficients; each edge maps the whole layer at once.  A vertex gets a
-    bit field in the state key at its first edge, wide enough for
-    min(cap, deg); adding the field's place value counts one more choice
-    of that vertex.  A branch dies when a count would pass its cap or can
-    no longer reach its floor; each bound is tested only from the edge at
-    which some state could break it.  At a vertex's last edge a window
-    [floor, cap] of one value fixes its count, so the field is cleared (by
-    the same addition) and handed to a later vertex: keys stay as wide as
-    the live frontier.  Two expansions are counted per state per edge
-    against the budget.
+    coefficients; each edge maps the whole layer with array operations,
+    a key range at a time past DP_PIECE_STATES states (_edge_step).  A
+    vertex gets a bit field in the state key at its first edge, wide
+    enough for min(cap, deg); adding the field's place value counts one
+    more choice of that vertex.  A branch dies when a count would pass its
+    cap or can no longer reach its floor; each bound is tested only from
+    the edge at which some state could break it.  At a vertex's last edge
+    a window [floor, cap] of one value fixes its count, so the field is
+    cleared (by the same addition) and handed to a later vertex: keys stay
+    as wide as the live frontier.  Two expansions are counted per state
+    per edge against the budget.
 
     Both arrays start as int64 and become Python-int object arrays, under
     the same expressions, once a bound checked before each edge no longer
@@ -260,7 +267,19 @@ def _edge_step(keys: np.ndarray, coef: np.ndarray, field_u: tuple, field_v: tupl
     v moves to key + d_hi, one that chooses u to key + d_lo with its
     coefficient negated on a DIFF edge.  The temporaries die on return,
     before the next edge allocates its own.
+
+    A layer of more than DP_PIECE_STATES states is merged a key range at a
+    time.  Both halves are shifts of the same sorted keys, so the output
+    keys in [c, c') come from the contiguous input slices keys[c - d_lo <=
+    key < c' - d_lo] (choosing u) and keys[c - d_hi <= key < c' - d_hi]
+    (choosing v).  Each cut c' is the lesser of the input key P places past
+    either slice's start, shifted by its move, so no slice holds more than
+    P states; each piece is masked, merged and summed alone, and the pieces
+    are concatenated in key order.  The temporaries of a step then stay
+    within a few P states, and the layers are those of one whole merge.
     """
+    if keys.size > DP_PIECE_STATES:
+        return _edge_step_by_pieces(keys, coef, field_u, field_v, d_hi, d_lo, diff)
     su, mu, cap_u, need_u = field_u
     sv, mv, cap_v, need_v = field_v
     up = down = None  # the states that may choose v, and u; None for all of them
@@ -279,6 +298,57 @@ def _edge_step(keys: np.ndarray, coef: np.ndarray, field_u: tuple, field_v: tupl
             down = cu < cap_u << su if down is None else down & (cu < cap_u << su)
     up_keys, up_coef = (keys, coef) if up is None else (keys[up], coef[up])
     down_keys, down_coef = (keys, coef) if down is None else (keys[down], coef[down])
+    return _merge(up_keys, up_coef, down_keys, down_coef, d_hi, d_lo, diff)
+
+
+def _edge_step_by_pieces(keys: np.ndarray, coef: np.ndarray, field_u: tuple, field_v: tuple,
+                         d_hi: int, d_lo: int, diff: bool) -> tuple[np.ndarray, np.ndarray]:
+    """_edge_step on a layer of more than DP_PIECE_STATES states, one key range at a time."""
+    n, piece = keys.size, DP_PIECE_STATES
+    key_parts, coef_parts = [], []
+    down = up = 0  # the starts of the next piece's slices: keys choosing u, and v
+    while down < n or up < n:
+        cut = min(int(keys[down + piece]) + d_lo if down + piece < n else math.inf,
+                  int(keys[up + piece]) + d_hi if up + piece < n else math.inf)
+        if cut == math.inf:
+            down_end = up_end = n
+        else:
+            down_end, up_end = (int(np.searchsorted(keys, cut - d)) for d in (d_lo, d_hi))
+        up_keys, up_coef = _choosing(keys[up:up_end], coef[up:up_end], field_v, field_u)
+        down_keys, down_coef = _choosing(keys[down:down_end], coef[down:down_end], field_u, field_v)
+        part_keys, part_coef = _merge(up_keys, up_coef, down_keys, down_coef, d_hi, d_lo, diff)
+        if part_keys.size:
+            key_parts.append(part_keys)
+            coef_parts.append(part_coef)
+        down, up = down_end, up_end
+    if not key_parts:
+        empty = keys[:0].copy()
+        return empty, empty
+    out = np.concatenate(key_parts)
+    del key_parts  # freed before the coefficients are joined
+    return out, np.concatenate(coef_parts)
+
+
+def _choosing(keys: np.ndarray, coef: np.ndarray, chosen: tuple,
+              other: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The states of a slice that may choose the endpoint with field chosen: its count below
+    its cap, and the other endpoint's count at least its need (fields as in _edge_step)."""
+    s, mask, cap, _ = chosen
+    s_other, mask_other, _, need = other
+    ok = None
+    if cap is not None:
+        ok = keys & mask << s < cap << s
+    if need is not None:
+        met = keys & mask_other << s_other >= need << s_other
+        ok = met if ok is None else ok & met
+    return (keys, coef) if ok is None else (keys[ok], coef[ok])
+
+
+def _merge(up_keys: np.ndarray, up_coef: np.ndarray, down_keys: np.ndarray, down_coef: np.ndarray,
+           d_hi: int, d_lo: int, diff: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted union of up_keys + d_hi and down_keys + d_lo (each sorted and distinct), with
+    the coefficients of a repeated key summed and the zero sums dropped; down_coef enters
+    negated on a DIFF edge."""
     # each half stays sorted, so the stable sort only merges two runs
     merged = np.concatenate((up_keys + d_hi, down_keys + d_lo))
     if not merged.size:

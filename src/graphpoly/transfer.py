@@ -29,9 +29,10 @@ residue matrices, one per prime, a chunk of TRACE_CHUNK_CELLS cells at a
 time: one truncating division per product keeps residues in (-p, p), so
 every partial sum stays below 2^53.  Such a block trace is rebuilt by a
 product and remainder tree CRT over enough primes that their product
-exceeds 2 * ||B||_F^k, which bounds |tr B^k|, and is checked against one
-spare prime; a chain that stays exact draws no prime.  The budget is
-charged before any product.
+exceeds twice the lesser of ||B||_F^k and dim ||B||_inf^k (the largest
+absolute row sum, where B's floats give it exactly), each a bound on
+|tr B^k|, and is checked against one spare prime; a chain that stays
+exact draws no prime.  The budget is charged before any product.
 """
 
 from __future__ import annotations
@@ -101,7 +102,16 @@ class PhiMatrix:
 
     @property
     def blocks(self) -> dict[int, Block]:  # not cached: a Block refers back to phi
-        return {s: Block(self, s, int(self.counts(s).sum())) for s in range(self.n + 1)}
+        return {s: Block(self, s, nnz) for s, nnz in enumerate(self._block_counts)}
+
+    @functools.cached_property
+    def _block_counts(self) -> list[int]:
+        """The nonzero count of each block: a row with f free places and b places at a_i - 1
+        fills C(f, s - b) places of block s, so one table of rows per (f, b) gives every count."""
+        size = self.n + 1
+        rows = np.bincount(self.free * size + self.base, minlength=size * size).reshape(size, size)
+        f, b = np.arange(size)[:, None], np.arange(size)
+        return [int((rows * _COMB[f, s - b]).sum()) for s in range(size)]
 
     def nnz(self) -> int:
         return sum(self.block_nnz().values())
@@ -206,12 +216,12 @@ def _word_primes(dim: int, count: int) -> np.ndarray:
     return found[:count]
 
 
-def _crt_primes(norm2: int, half: int, width: int) -> np.ndarray:
+def _crt_primes(bits: float, width: int) -> np.ndarray:
     """The primes of width one block's CRT takes, largest first: the fewest whose log2 sum passes
-    log2 of the bound 2 ||B||_F^(2 half) by 2^-10, far more than the float rounding of these
+    bits, log2 of a bound on twice the trace, by 2^-10, far more than the float rounding of these
     sums (below 10^-6 for a million bits), so that their product exceeds the bound; then one
     spare."""
-    bits = 1 + half * math.log2(norm2) + 2**-10
+    bits += 2**-10
     count = 64
     while (logs := np.cumsum(np.log2(_word_primes(width, count))))[-1] <= bits:
         count *= 2
@@ -317,8 +327,12 @@ def _block_trace(phi: PhiMatrix, s: int, half: int, norm2: int, ext: Optional[np
     are Python ints, for which ext is None (int64 ones of 2^53 or more break
     the first step's bound).
     |tr B^(2h)| <= ||B^h||_F^2 <= ||B||_F^(2h) by Cauchy-Schwarz and
-    submultiplicativity, so residues modulo primes whose product exceeds
-    twice that bound fix the trace by the CRT.  The primes are drawn up
+    submultiplicativity, and |tr B^(2h)| <= dim rho(B)^(2h) <= dim
+    ||B||_inf^(2h), ||B||_inf the largest absolute row sum; residues modulo
+    primes whose product exceeds twice the lesser bound fix the trace by the
+    CRT.  ||B||_inf is read from B as gathered in floats, where it is below
+    2^53 and so exact; the Frobenius bound stands alone for Python-int
+    coefficients and for larger row sums.  The primes are drawn up
     front with one spare, which the reconstruction does not use and which
     checks its result.  Else ext holds 0, then the coefficients as floats,
     for phi.gather; the primes are those of width, so every block of one Phi
@@ -333,7 +347,13 @@ def _block_trace(phi: PhiMatrix, s: int, half: int, norm2: int, ext: Optional[np
         if not steps:
             return held
 
-    primes = _crt_primes(norm2, half, width)
+    bits = 1 + half * math.log2(norm2)
+    if ext is not None:  # a holds B: sums of its absolute integer entries are exact below 2^53
+        step = max(1, TRACE_CHUNK_CELLS // dim)  # rows at a time, which bounds the temporary
+        row_norm = max(float(np.abs(a[i:i + step]).sum(axis=1).max()) for i in range(0, dim, step))
+        if row_norm < _FLOAT_EXACT:
+            bits = min(bits, 1 + math.log2(dim) + 2 * half * math.log2(row_norm))
+    primes = _crt_primes(bits, width)
     if dim * (int(primes.max()) - 1) ** 2 >= _FLOAT_EXACT:
         raise InvariantViolationError(
             f"prime {primes.max()} on a {dim}x{dim} block breaks the 2^53 exactness bound"

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from math import comb
 from unittest import mock
 
@@ -228,6 +229,36 @@ def test_budget_trips_at_the_same_expansion_count():
     with pytest.raises(BudgetExceededError) as info:
         coefficient(g, central_exponent(g), budget=10**6)
     assert info.value.explored == 1053970
+
+
+# 257 states leaves short, uneven pieces; the budget job's largest layer holds 82,384 states,
+# so one less leaves that step a one-state last piece
+@pytest.mark.parametrize("piece", [257, 82383])
+def test_budget_trips_at_the_same_expansion_count_in_pieces(piece):
+    g = cartesian_product(build_cycle_power(10, 2), build_cycle(4))
+    with mock.patch.object(coefficients, "DP_PIECE_STATES", piece), \
+            mock.patch.object(coefficients, "_edge_step", wraps=coefficients._edge_step) as step, \
+            mock.patch.object(coefficients, "_merge", wraps=coefficients._merge) as merge, \
+            pytest.raises(BudgetExceededError) as info:
+        coefficient(g, central_exponent(g), budget=10**6)
+    assert info.value.explored == 1053970
+    assert merge.call_count > step.call_count  # some step ran as more than one piece
+
+
+def test_budget_job_peak_memory_stays_near_two_copies_of_its_largest_layer():
+    # the layers before the budget trips peak at 82,384 states; a step that held its halves,
+    # their concatenation, its sort order and the gathered copies at once peaked at 6.9 MB
+    # (84 bytes per state), one merged a key range at a time at 3.3 MB
+    g = cartesian_product(build_cycle_power(10, 2), build_cycle(4))
+    xi = central_exponent(g)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            coefficient(g, xi, budget=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
 
 
 def test_a_window_whose_caps_sum_to_m_is_one_coefficient():

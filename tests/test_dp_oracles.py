@@ -67,21 +67,30 @@ def _layer(rng: random.Random, dtype: str):
 @pytest.mark.parametrize("active", list(itertools.product([False, True], repeat=4)),
                          ids=lambda a: "".join("ab"[x] for x in a))
 def test_step_matches_the_reference_step(dtype, diff, collide, active):
+    # the colliding layers run the duplicate merge, the distinct ones never
+    assert bool(_check_random_steps(dtype, diff, collide, active, 40)) == collide
+
+
+def _check_random_steps(dtype, diff, collide, active, layers, piece=None) -> int:
     # active flags, in order: cap_u, need_u, cap_v, need_v; an inactive
     # bound is None for the lean step and a bound no state breaks for the
-    # reference (a cap above every field, a need of 0)
+    # reference (a cap above every field, a need of 0).  piece, if given,
+    # sets the piece size from the layer size.  Returns the number of
+    # layers whose step summed a repeated key.
     rng = random.Random(repr((dtype, diff, collide, active)))
     # choosing v adds one to v's field; choosing u adds one to u's field,
     # and in the distinct layers also a bit that no key of the up half has
     d_hi = 1 << SV
     d_lo = (1 << SU) + (0 if collide else 1 << 9)
     merges = 0
-    for _ in range(40):
+    for _ in range(layers):
         keys, coef = _layer(rng, dtype)
         bounds = [rng.randint(0, MASK) if on else None for on in active]
         cap_u, need_u, cap_v, need_v = bounds
-        lean = coefficients._edge_step(keys, coef, (SU, MASK, cap_u, need_u), (SV, MASK, cap_v, need_v),
-                                       d_hi, d_lo, diff)
+        size = coefficients.DP_PIECE_STATES if piece is None else piece(keys.size)
+        with mock.patch.object(coefficients, "DP_PIECE_STATES", size):
+            lean = coefficients._edge_step(keys, coef, (SU, MASK, cap_u, need_u),
+                                           (SV, MASK, cap_v, need_v), d_hi, d_lo, diff)
         full = [MASK + 1 if cap_u is None else cap_u, need_u or 0, MASK + 1 if cap_v is None else cap_v,
                 need_v or 0]
         expected = reference_dp._edge_step(keys, coef, (SU, MASK, *full[:2]), (SV, MASK, *full[2:]),
@@ -91,8 +100,25 @@ def test_step_matches_the_reference_step(dtype, diff, collide, active):
         up = sum(y < full[2] and x >= full[1] for x, y in zip(cu, cv))
         down = sum(x < full[0] and y >= full[3] for x, y in zip(cu, cv))
         merges += up + down > expected[0].size
-    # the colliding layers run the duplicate merge, the distinct ones never
+    return merges
+
+
+# piece sizes forced on the step, from the layer size: 1, 2 and 3 states, and one state less
+# than the layer, which leaves a one-state last piece
+PIECES = {"1": lambda n: 1, "2": lambda n: 2, "3": lambda n: 3, "less-one": lambda n: max(1, n - 1)}
+
+
+@pytest.mark.parametrize("dtype", ["int64", "object"])
+@pytest.mark.parametrize("collide", [True, False], ids=["colliding", "distinct"])
+@pytest.mark.parametrize("piece", PIECES.values(), ids=PIECES.keys())
+def test_step_in_pieces_matches_the_reference_step(piece, dtype, collide):
+    merges = 0
+    with mock.patch.object(coefficients, "_merge", wraps=coefficients._merge) as merge:
+        for diff in (True, False):
+            for active in itertools.product([False, True], repeat=4):
+                merges += _check_random_steps(dtype, diff, collide, active, 5, piece)
     assert bool(merges) == collide
+    assert merge.call_count > 2 * 16 * 5  # some step ran as more than one piece
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +143,20 @@ def _scan_cases():
 
 @pytest.mark.parametrize("name,g,floor,cap", _scan_cases(), ids=[c[0] for c in _scan_cases()])
 def test_scan_layers_match_the_reference_step_with_every_bound(name, g, floor, cap):
+    _check_scan_layers(g, floor, cap)
+
+
+@pytest.mark.parametrize("name,g,floor,cap", _scan_cases(), ids=[c[0] for c in _scan_cases()])
+@pytest.mark.parametrize("piece", PIECES.values(), ids=PIECES.keys())
+def test_scan_layers_in_pieces_match_the_reference_step(piece, name, g, floor, cap):
+    with mock.patch.object(coefficients, "_merge", wraps=coefficients._merge) as merge:
+        steps = _check_scan_layers(g, floor, cap, piece)
+    assert merge.call_count > steps  # some step ran as more than one piece
+
+
+def _check_scan_layers(g, floor, cap, piece=None) -> int:
+    """Runs the scan with every step checked against the reference; returns the step count.
+    piece, if given, sets each step's piece size from its layer size."""
     deg = g.degree_vector()
     hi = [min(c, d) for c, d in zip(cap, deg)]
     order = iter(coefficients._plan_order(g, floor, cap))
@@ -132,14 +172,18 @@ def test_scan_layers_match_the_reference_step_with_every_bound(name, g, floor, c
         for t, (shift, mask, _, _) in ((u, field_u), (v, field_v)):
             done[t] += 1
             full.append((shift, mask, hi[t - 1], floor[t - 1] - deg[t - 1] + done[t]))
-        out = lean_step(keys, coef, field_u, field_v, d_hi, d_lo, diff)
+        size = coefficients.DP_PIECE_STATES if piece is None else piece(keys.size)
+        with mock.patch.object(coefficients, "DP_PIECE_STATES", size):
+            out = lean_step(keys, coef, field_u, field_v, d_hi, d_lo, diff)
         _assert_identical(out, reference_dp._edge_step(keys, coef, *full, d_hi, d_lo, diff))
+        assert all(a.base is None for a in out)  # each layer owns its buffer, and no larger one
         steps += 1
         return out
 
     with mock.patch.object(coefficients, "_edge_step", checked_step):
         coefficients._scan(g, floor, cap, 10**9)
     assert steps
+    return steps
 
 
 # ---------------------------------------------------------------------------

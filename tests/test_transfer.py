@@ -634,6 +634,39 @@ def test_trace_power_is_the_same_in_any_chunks(monkeypatch, q, k, chunk):
         assert sizes == [count - 1, 1]
 
 
+@pytest.mark.parametrize("q, k", [(build_cycle(3), 2000), (build_cycle_power(8, 3), 64)],
+                         ids=["C3-k2000", "cyclepower8_3-k64"])
+def test_crt_primes_pass_the_lesser_of_the_frobenius_and_row_sum_bounds(monkeypatch, q, k):
+    # |tr B^k| <= ||B||_F^k and <= dim ||B||_inf^k: the CRT takes the fewest primes whose product
+    # passes twice the lesser bound (one more where the float log sums land within 2^-10 of it),
+    # plus the spare
+    phi = build_phi(q)
+    log = _modular_stacks(monkeypatch)
+    assert trace_power(phi, k) == _reference_trace_power(phi, k)
+    width = math.comb(phi.n, phi.n // 2)
+    blocks = {len(b): b.dense().astype(object)
+              for s, b in phi.blocks.items() if 2 * s <= phi.n and any(b)}
+    drawn_by_dim = {}
+    for dim, primes in log:  # a block's primes may run as several stacks
+        drawn_by_dim[dim] = drawn_by_dim.get(dim, 0) + primes
+    fewer = 0
+    for dim, drawn in drawn_by_dim.items():
+        b = blocks[dim]
+        frobenius = int((b * b).sum()) ** (k // 2)
+        row_sums = dim * int(abs(b).sum(axis=1).max()) ** k
+        needed = []
+        for bound in (2 * frobenius, 2 * min(frobenius, row_sums)):
+            product, count = 1, 0
+            for p in transfer._word_primes(width, 4 * drawn).tolist():
+                if product > bound:
+                    break
+                product, count = product * p, count + 1
+            needed.append(count)
+        assert drawn - 1 in (needed[1], needed[1] + 1)
+        fewer += needed[1] < needed[0]
+    assert fewer  # some block needs fewer primes than its Frobenius bound asks for
+
+
 def test_trace_power_rejects_prime_beyond_float_bound(monkeypatch):
     # cyclepower:8:3 at k = 64 passes 2^53 mid-chain; 70 * (2^31 - 2)^2 is far above it
     monkeypatch.setattr(transfer, "_word_primes", lambda dim, count: np.full(count, 2**31 - 1))
