@@ -66,6 +66,15 @@ def _parse_vector(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _non_negative(text: str) -> int:
+    try:
+        if (value := int(text)) >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 class _Run:
     """Collects the manifest and prints the result in the chosen format."""
 
@@ -335,7 +344,7 @@ def _cmd_check(args, run: _Run) -> int:
 
 
 _OPTIONS = {
-    "--budget": dict(type=int, help=f"DP states and trace matrix cells (default {DEFAULT_BUDGET}); list "
+    "--budget": dict(type=_non_negative, help=f"DP states and trace matrix cells (default {DEFAULT_BUDGET}); list "
                                     f"assignments for choosable --exhaustive (default {DEFAULT_ASSIGNMENT_BUDGET})"),
     "--seed": dict(type=int),
     "--out": dict(help="write the certificate (gen: the graph) to this file"),

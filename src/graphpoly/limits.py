@@ -47,7 +47,8 @@ DENSE_BLOCK_DIM_CAP = 3432
 # primes, 31.8 us alone); past 2^16 cells the 210- and 252-row blocks of `cyclepower:10:2` at k = 8
 # run as stacks of 2 to 5 and their trace slows from 8.1 to 11.0-12.6 ms, and `cyclepower:8:3` at
 # k = 512 takes 57 ms at 2^16, 71 ms at 2^15 and 88 ms at 2^18 (2-core Xeon VM, 2 MB of L2 cache per
-# core, numpy 2.4.6).  Each of a chain's three stacks then takes 512 KB.
+# core, numpy 2.4.6).  Each of a chain's three stacks then takes 512 KB.  It also bounds the window
+# of a block gather (transfer.PhiMatrix.gather), whose index takes 12 bytes a cell: 768 KB.
 TRACE_CHUNK_CELLS = 1 << 16
 
 # Vertices up to which the chain and cover provers record a transfer trace (blocks up to C(12, 6) = 924).

@@ -15,20 +15,29 @@ k-cycle; nonzero entries therefore certify nonzero central coefficients
 for every even cycle length at once.
 
 Phi is held as its scan: a dense block is one gather from a table of 3^n
-scan rows by ternary exponent code, and a coefficient with b places at
-a_i - 1 and f at a_i fills C(f, s - b) places of block s.  By the mirror
-law c(2a - xi) = sigma c(xi), checked on the scan, block n - s is (-1)^n
+scan rows by ternary exponent code, a window of rows at a time whose index
+temporaries (int64 codes, then int32 scan rows: 12 bytes a cell) stay
+within TRACE_CHUNK_CELLS cells, and a coefficient with b places at a_i - 1
+and f at a_i fills C(f, s - b) places of block s.  By the mirror law
+c(2a - xi) = sigma c(xi), checked on the scan, block n - s is (-1)^n
 sigma J B_s J (J reverses the ranks): only blocks with 2s <= n are powered.
-Traces are exact.  Each block is raised to the power k/2 once, in float64
-BLAS on its integer entries: a product whose partial sums stay below 2^53
-is exact, and before every product that bound is checked on the maxima of
-the actual operands.  Only from the first product that would break it on
+The same law makes each block B (its coefficients unsigned) satisfy
+B^T = sigma B, so (B^h)^T = sigma^h B^h and tr(B^(2h)) = sigma^h
+||B^h||_F^2: each block is raised to the power h = k/2 once, and the
+trace is sigma^h times the sum of the squares of B^h, read as contiguous
+row sums.  Traces are exact.  The products run on BLAS on B's integer
+entries: below 2^24 every integer is a float32 and below 2^53 a float64,
+so a product whose partial sums all stay below the bound rounds nowhere,
+in whatever order BLAS sums.  Before every product that bound is checked
+on the maxima of the actual operands: B and the power held stay float32
+while dim * max|X| * max|Y| < 2^24 and move to float64 at the first
+product past it.  Only from the first product that would pass 2^53 on
 does the rest of the chain run modulo word-size primes p with
 dim * (p-1)^2 < 2^53, all of a block's primes at once as a stack of
 residue matrices, one per prime, a chunk of TRACE_CHUNK_CELLS cells at a
 time: one truncating division per product keeps residues in (-p, p), so
-every partial sum stays below 2^53.  Such a block trace is rebuilt by a
-product and remainder tree CRT over enough primes that their product
+every partial sum stays below 2^53.  Such a block's ||B^h||_F^2 is rebuilt
+by a product and remainder tree CRT over enough primes that their product
 exceeds twice the lesser of ||B||_F^k and dim ||B||_inf^k (the largest
 absolute row sum, where B's floats give it exactly), each a bound on
 |tr B^k|, and is checked against one spare prime; a chain that stays
@@ -129,13 +138,17 @@ class PhiMatrix:
 
     def gather(self, s: int, ext: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Block s with ext[..., 1 + e] at the places of scan row e and ext[..., 0] elsewhere,
-        written into out (dense, ext's dtype; a stack of blocks, one per row of a 2-d ext) a few
-        rows at a time.  Place (S, T) holds the exponent a + 1_T - 1_S, of code
-        c0 + P(T) - P(S) with P(X) = sum_{i in X} 3^i."""
+        written into out (dense, ext's dtype; a stack of blocks, one per row of a 2-d ext).  Place
+        (S, T) holds the exponent a + 1_T - 1_S, of code c0 + P(T) - P(S) with P(X) =
+        sum_{i in X} 3^i.  The rows are gathered a window at a time, at most TRACE_CHUNK_CELLS
+        places (at least one row): its codes (int64) and scan rows (int32) take 12 bytes a place,
+        768 KB at 2^16.  Gathering the 462-row block of `cyclepower:11:2` whole (2.6 MB of index)
+        faulted 508 fresh pages and took 2.9 ms per gather in a loop of trace certificates, and in
+        windows of 2^16 places 101 pages and 1.5 ms (2-core Xeon VM, numpy 2.4.6)."""
         masks = np.flatnonzero(np.bitwise_count(np.arange(1 << self.n)) == s)
         p = (masks[:, None] >> np.arange(self.n) & 1) @ 3 ** np.arange(self.n)
         out = np.empty(ext.shape[:-1] + (p.size, p.size), ext.dtype) if out is None else out
-        c0, step = (3**self.n - 1) // 2, max(1, 2**18 // p.size)  # step bounds the index temporaries
+        c0, step = (3**self.n - 1) // 2, max(1, TRACE_CHUNK_CELLS // p.size)  # bounds the index temporaries
         for i in range(0, p.size, step):
             np.take(ext, self._rows[c0 - p[i:i + step, None] + p], axis=-1, out=out[..., i:i + step, :],
                     mode="clip")
@@ -189,6 +202,7 @@ def build_phi(q: SignedMultigraph, *, budget: Optional[int] = None) -> PhiMatrix
 # Below 2^53 every integer is a float64, so a product whose partial sums
 # all stay below it is exact whatever order BLAS sums in.
 _FLOAT_EXACT = 2**53
+_FLOAT32_EXACT = 2**24
 
 # dimension bit length -> primes found so far, largest first
 _PRIMES: dict[int, np.ndarray] = {}
@@ -243,22 +257,27 @@ def _reduce(m: np.ndarray, p, out: Optional[np.ndarray] = None) -> np.ndarray:
 
 def _peak(m: np.ndarray) -> int:
     """max |m_ij|, read with no temporary."""
-    return int(max(m.max(), -m.min()))
+    return int(max(m.max(initial=0), -m.min(initial=0)))
 
 
 def _chain(a: np.ndarray, r: np.ndarray, steps: str, p=None) -> tuple[str, np.ndarray | int]:
-    """Run steps on float64 integer matrices, or on stacks of them: "s" squares r, "m" multiplies
-    it by a, and "t", the last, takes tr(r r) = sum_ij r_ij r_ji (no (skew-)symmetry assumed).
+    """Run steps on float integer matrices, or on stacks of them: "s" squares r, "m" multiplies
+    it by a, and "t", the last, takes ||r||_F^2 = sum_ij r_ij^2 as contiguous row sums, summed in
+    float64.  For r = B^h with B^T = sigma B, that is sigma^h tr(r r); the caller applies the sign.
 
     A step on operands x, y sums at most dim terms of size at most max|x| * max|y|, so it is
-    exact while dim * max|x| * max|y| < 2^53.  Without p, r is a and that is checked on the actual
-    operands before each step: the run returns the steps left and r, unreduced, at the first step
-    that breaks it, else ("", the exact trace).  With p, a prime or a (primes, 1, 1) column of them
-    against a stack a, a holds residues in (-p, p) and r is a or one matrix exact below 2^53,
-    which _reduce takes into (-p, p) as well.  Each product of such residues sums dim terms below
-    (p-1)^2, exact as dim * (p-1)^2 < 2^53, and is reduced again; ("", the trace modulo each p,
-    an array of p's leading shape) is returned.  a and r are never written: the products and
-    reductions take turns in two spare buffers.
+    exact while dim * max|x| * max|y| < 2^53, or < 2^24 in float32: below 2^24 every integer is
+    a float32 (24-bit significand) as below 2^53 it is a float64 (53 bits), so no term or partial
+    sum rounds, in whatever order BLAS sums and whether or not it fuses the multiply-adds.
+    Without p, r is a (float32 or float64) and that is checked on the actual operands before
+    each step: float32 operands are widened to float64 at the first product past 2^24 (a only
+    where a later "m" reads it), and the run returns the steps left and r, unreduced, at the
+    first step past 2^53, else ("", the exact ||r||_F^2).  With p, a prime or a (primes, 1, 1)
+    column of them against a float64 stack a, a holds residues in (-p, p) and r is a or one
+    matrix exact below 2^53, which _reduce takes into (-p, p) as well.  Each product of such
+    residues sums dim terms below (p-1)^2, exact as dim * (p-1)^2 < 2^53, and is reduced again;
+    ("", ||r||_F^2 modulo each p, an array of p's leading shape) is returned.  a and r are never
+    written: the products and reductions take turns in two spare buffers.
     """
     dim = a.shape[-1]
     top_a = top_r = _peak(a) if p is None else 0  # without p, r is a
@@ -266,16 +285,22 @@ def _chain(a: np.ndarray, r: np.ndarray, steps: str, p=None) -> tuple[str, np.nd
     if p is not None and r is not a:
         r, spare = _reduce(r, p, spare), np.empty_like(a)
     for i, step in enumerate(steps):
-        y, top_y = (a, top_a) if step == "m" else (r, top_r)
-        if p is None and dim * top_r * top_y >= _FLOAT_EXACT:
+        bound = dim * top_r * (top_a if step == "m" else top_r)
+        if p is None and bound >= _FLOAT_EXACT:
             return steps[i:], r
         if step == "t":
             break
-        product = np.matmul(r, y, out=spare)
-        free = np.empty_like(a) if r is a else r
+        if r.dtype == np.float32 and bound >= _FLOAT32_EXACT:  # float64 from this step on
+            wide = r.astype(np.float64)
+            a = wide if r is a else a.astype(np.float64) if "m" in steps[i:] else a
+            r, spare = wide, np.empty_like(wide)
+        # r r, not r r^T: numpy's syrk path for the latter ran no faster on one float32 block of
+        # any size up to 462 rows, and 1.4-4x slower on stacks of residue matrices
+        product = np.matmul(r, a if step == "m" else r, out=spare)
+        free = np.empty_like(r) if r is a else r
         r, spare = (product, free) if p is None else (_reduce(product, p, free), product)
         top_r = _peak(r) if p is None else 0
-    rows = np.einsum("...ij,...ji->...i", r, r)  # the row sums of r o r^T, with no dense temporary
+    rows = np.einsum("...ij,...ij->...i", r, r, dtype=np.float64)  # contiguous row sums of r o r
     if p is None:  # each row sum is below 2^53, their total need not be
         return "", sum(map(int, rows.tolist()))
     p = np.reshape(p, rows.shape[:-1] + (1,))  # row sums below dim (p-1)^2, reduced ones below p
@@ -316,41 +341,46 @@ def _block_trace(phi: PhiMatrix, s: int, half: int, norm2: int, ext: Optional[np
                  residues: Callable[[np.ndarray], np.ndarray], width: int) -> int:
     """Exact tr(B^(2 half)) of block s of phi, B, with ||B||_F^2 = norm2.
 
-    One _chain builds B^half by square-and-multiply from the leading bit of
-    half and traces it as tr(B^half B^half).  It runs exact on B's integer
-    coefficients while its bound holds; from the first step that breaks it,
-    the rest runs on stacks of residue matrices, one per prime, each stack
-    of at most TRACE_CHUNK_CELLS cells (a lone prime's stays 2-d).  A stack
-    takes B's residues from one gather of residues(its primes), the rows of
-    the coefficients modulo each prime, and the power held so far, exact
-    below 2^53, is reduced into it.  B starts reduced when its coefficients
-    are Python ints, for which ext is None (int64 ones of 2^53 or more break
-    the first step's bound).
-    |tr B^(2h)| <= ||B^h||_F^2 <= ||B||_F^(2h) by Cauchy-Schwarz and
-    submultiplicativity, and |tr B^(2h)| <= dim rho(B)^(2h) <= dim
-    ||B||_inf^(2h), ||B||_inf the largest absolute row sum; residues modulo
-    primes whose product exceeds twice the lesser bound fix the trace by the
-    CRT.  ||B||_inf is read from B as gathered in floats, where it is below
-    2^53 and so exact; the Frobenius bound stands alone for Python-int
-    coefficients and for larger row sums.  The primes are drawn up
-    front with one spare, which the reconstruction does not use and which
-    checks its result.  Else ext holds 0, then the coefficients as floats,
-    for phi.gather; the primes are those of width, so every block of one Phi
-    shares them.  The sign (-1)^s cancels in an even power: the coefficients
-    enter unsigned.
+    B^T = sigma B, as build_phi checked the mirror law, so tr(B^(2h)) =
+    sigma^h ||B^h||_F^2.  One _chain builds B^half by square-and-multiply
+    from the leading bit of half and takes ||B^half||_F^2; the sign is
+    applied here.  It runs exact on B's integer coefficients while its
+    bound holds, in float32 while that is below 2^24 (B is gathered in
+    ext's dtype: float32 when every coefficient is below 2^24, and so exact
+    in it); from the first step that breaks the 2^53 bound, the rest runs on
+    stacks of residue matrices, one per prime, each stack of at most
+    TRACE_CHUNK_CELLS cells (a lone prime's stays 2-d).  A stack takes B's
+    residues from one gather of residues(its primes), the rows of the
+    coefficients modulo each prime, and the power held so far, exact below
+    2^53, is reduced into it.  The residues satisfy B^T = sigma B only
+    modulo p, which is all the sum of squares needs.  B starts reduced when
+    its coefficients are Python ints, for which ext is None (int64 ones of
+    2^53 or more break the first step's bound).
+    ||B^h||_F^2 = |tr B^(2h)| <= ||B||_F^(2h) by submultiplicativity, and
+    <= dim rho(B)^(2h) <= dim ||B||_inf^(2h), ||B||_inf the largest
+    absolute row sum; residues modulo primes whose product exceeds twice
+    the lesser bound fix it by the CRT.  ||B||_inf is read from B as
+    gathered in floats and summed in float64, where it is below 2^53 and
+    so exact; the Frobenius bound stands alone for Python-int coefficients
+    and for larger row sums.  The primes are drawn up front with one spare,
+    which the reconstruction does not use and which checks its result.
+    Else ext holds 0, then the coefficients as floats, for phi.gather; the
+    primes are those of width, so every block of one Phi shares them.  The
+    sign (-1)^s cancels in an even power: the coefficients enter unsigned.
     """
     dim = math.comb(phi.n, s)
-    a = held = np.empty((dim, dim))  # B, then the power held so far
-    steps = _steps(half)
+    a = held = np.empty((dim, dim), np.float64 if ext is None else ext.dtype)  # B, then the power
+    steps, sign = _steps(half), phi.sigma**half
     if ext is not None:
         steps, held = _chain(phi.gather(s, ext, a), a, steps)
         if not steps:
-            return held
+            return sign * held
 
     bits = 1 + half * math.log2(norm2)
     if ext is not None:  # a holds B: sums of its absolute integer entries are exact below 2^53
         step = max(1, TRACE_CHUNK_CELLS // dim)  # rows at a time, which bounds the temporary
-        row_norm = max(float(np.abs(a[i:i + step]).sum(axis=1).max()) for i in range(0, dim, step))
+        row_norm = max(float(np.abs(a[i:i + step]).sum(axis=1, dtype=np.float64).max())
+                       for i in range(0, dim, step))
         if row_norm < _FLOAT_EXACT:
             bits = min(bits, 1 + math.log2(dim) + 2 * half * math.log2(row_norm))
     primes = _crt_primes(bits, width)
@@ -359,12 +389,13 @@ def _block_trace(phi: PhiMatrix, s: int, half: int, norm2: int, ext: Optional[np
             f"prime {primes.max()} on a {dim}x{dim} block breaks the 2^53 exactness bound"
         )
     found, start_from_b = [], held is a  # no product ran: every chain starts from B's residues
+    lone = a if a.dtype == np.float64 else np.empty((dim, dim))  # B is read no more
     per = max(1, TRACE_CHUNK_CELLS // (dim * dim))
     for chunk in np.split(primes, range(per, primes.size, per)):
         if chunk.size == 1:  # a lone prime's matrices stay two-dimensional
             chunk = chunk[0]
         p = np.float64(chunk)[..., None, None] if np.ndim(chunk) else np.float64(chunk)
-        stack = np.empty(np.shape(chunk) + (dim, dim)) if np.ndim(chunk) else a  # B is read no more
+        stack = np.empty(np.shape(chunk) + (dim, dim)) if np.ndim(chunk) else lone
         if start_from_b or "m" in steps:  # else _chain reads only the power held
             phi.gather(s, residues(chunk), stack)
         found.append(np.ravel(_chain(stack, stack if start_from_b else held, steps, p)[1]))
@@ -376,7 +407,7 @@ def _block_trace(phi: PhiMatrix, s: int, half: int, norm2: int, ext: Optional[np
         raise InvariantViolationError(
             f"CRT trace {encode_int(total)} disagrees with its residue modulo the spare prime {spare}"
         )
-    return total
+    return sign * total
 
 
 # Cells charged per step of each chunk of primes beside its matrix cells (fitted in _trace_cost).
@@ -384,7 +415,7 @@ _STEP_CELLS = 600
 
 
 def _steps(half: int) -> str:
-    """The steps of a chain from B to tr(B^half B^half), by square-and-multiply."""
+    """The steps of a chain from B to ||B^half||_F^2, by square-and-multiply."""
     return bin(half)[3:].replace("1", "sm").replace("0", "s") + "t"
 
 
@@ -395,14 +426,17 @@ def _trace_cost(dim: int, norm2: int, half: int, width: int, exact_first: bool) 
 
     The matrix cells its gathers, products and reductions write: a step whose operands B^e, B^f
     have dim ||B||_F^(e + f) < 2^53 is sure to run exact, and the leading such steps are charged
-    dim^2 once; from the first other step on, each step and the residues of B or of the power
-    held are charged dim^2 per prime, as if the exact pass stopped there (where it goes further,
-    it writes less).  Each step of each chunk of primes: _STEP_CELLS, as that 3x3 step took
-    4.5 us more on one prime than on 1/1024 of the stack of 1024.  The CRT over N primes:
-    N^2 / 4 + 550 N, as _crt took 1.8e-9 N^2 + 4.1e-6 N seconds (least squares, in relative
-    error, over N = 300 to 20,000).  Primes for width exceed 2^((51 - bits of width) / 2) for
-    the first 50,000 of any width, which sizes the CRT bound 2 ||B||_F^(2 half) in primes, left
-    unevaluated."""
+    dim^2 once.  A float32 step is charged as a float64 one, though it writes half the bytes and
+    takes about half the time (1.3 against 2.6 ms for a 462-row square), so the charge stays an
+    upper bound; it also covers the one widening of B and the power held to float64, a copy far
+    cheaper than the product it precedes.  From the first step not sure to run exact on, each
+    step and the residues of B or of the power held are charged dim^2 per prime, as if the exact
+    pass stopped there (where it goes further, it writes less).  Each step of each chunk of
+    primes: _STEP_CELLS, as that 3x3 step took 4.5 us more on one prime than on 1/1024 of the
+    stack of 1024.  The CRT over N primes: N^2 / 4 + 550 N, as _crt took 1.8e-9 N^2 + 4.1e-6 N
+    seconds (least squares, in relative error, over N = 300 to 20,000).  Primes for width exceed
+    2^((51 - bits of width) / 2) for the first 50,000 of any width, which sizes the CRT bound
+    2 ||B||_F^(2 half) in primes, left unevaluated."""
     steps, log_norm = _steps(half), math.log2(norm2) / 2
     sure, power = 0, 1  # the leading steps sure to run exact, and the power they reach
     while exact_first and sure < len(steps):
@@ -434,10 +468,11 @@ def check_trace_request(n: int, k: int) -> None:
 
 def trace_power(phi: PhiMatrix, k: int, *, budget: Optional[int] = None) -> int:
     """Exact tr(Phi^k) for even k >= 2, once check_trace_request admits it: twice the trace of
-    each block B_s with 2s < n (its mirror's is the same), plus the middle block's.  Each block
-    is gathered dense and powered once, in float64 products checked exact one by one, and only
-    from the first product past 2^53 on modulo primes, stacked; every block takes the primes of
-    the middle (largest) block.  Before any product the cost of every block's trace
+    each block B_s with 2s < n (its mirror's is the same), plus the middle block's, each
+    sigma^(k/2) ||B_s^(k/2)||_F^2.  Each block is gathered dense, a window of rows at a time, and
+    powered once, in products checked exact one by one: in float32 while they stay below 2^24,
+    then in float64, and only from the first product past 2^53 on modulo primes, stacked; every
+    block takes the primes of the middle (largest) block.  Before any product the cost of every block's trace
     (_trace_cost) is charged against the budget (default DEFAULT_BUDGET), past which it raises."""
     check_trace_request(phi.n, k)
     half, values = k // 2, phi.scan.coef
@@ -452,7 +487,8 @@ def trace_power(phi: PhiMatrix, k: int, *, budget: Optional[int] = None) -> int:
                for s, norm2 in norms.items())
     if cost > budget:
         raise BudgetExceededError(budget, cost, "trace matrix cells")
-    ext = None if values.dtype == object else np.concatenate(([0.0], values.astype(np.float64)))
+    ext = None if values.dtype == object else np.concatenate(([0], values)).astype(
+        np.float32 if _peak(values) < _FLOAT32_EXACT else np.float64)
 
     def residues(primes):  # 0, then the coefficients modulo each prime, as float rows
         mod = (values % np.asarray(primes).astype(values.dtype)[..., None]).astype(np.float64)

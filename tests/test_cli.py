@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from graphpoly.certificates import certificate_digest, finalize_certificate
 from graphpoly.choosability import coefficient_choosability_certificate, list_coloring_exists
-from graphpoly.cli import main
+from graphpoly.cli import build_parser, main
 from graphpoly.doubling import build_plan, cycle_cover_certificate, epsilon_search
 from graphpoly.graphs import build_complete, build_cycle
 from graphpoly.orientations import cycle_product_chain, odd_cycle_product_orientation, orientation_certificate
@@ -682,6 +682,25 @@ def test_every_accepted_out_writes_its_file(capsys, tmp_path, argv):
 def test_every_accepted_budget_is_spent(capsys, workdir, argv):
     code, _, err = run_cli(capsys, *argv.split(), "--budget", "1")
     assert code == 3 and err.startswith("budget exceeded: budget of 1 "), err
+
+
+# one mode of each subcommand that declares --budget
+_BUDGET_MODES = {
+    "coeff": "coeff cycle:4 --almost-central", "at": "at petersen --exact", "phi": "phi cycle:3",
+    "choosable": "choosable cycle:4 --f 2 --exhaustive", "check": "check cert.json",
+}
+
+
+def test_budget_modes_cover_every_subcommand_that_declares_budget():
+    subcommands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    assert set(_BUDGET_MODES) == {name for name, p in subcommands.items() if "--budget" in p._option_string_actions}
+
+
+@pytest.mark.parametrize("budget", ["-1", "-5", "x"])
+@pytest.mark.parametrize("command", sorted(_BUDGET_MODES))
+def test_a_budget_below_zero_is_a_usage_error(capsys, workdir, command, budget):
+    err = _refused(capsys, workdir, f"{_BUDGET_MODES[command]} --budget {budget}")
+    assert f"argument --budget: expected a non-negative integer, got '{budget}'" in err
 
 
 @pytest.mark.parametrize("trials", [0, 5])

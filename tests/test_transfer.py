@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -569,6 +570,109 @@ def test_trace_power_regimes_match_the_reference(monkeypatch, q, k, regime):
         assert any("" != left != given for given, left in exact) and modular
     else:  # no product ran unreduced
         assert all(left == given for given, left in exact) and modular
+
+
+class _LoggedNumpy:
+    """numpy, with the operand dtypes of every matmul appended to products."""
+
+    def __init__(self):
+        self.products = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, x, y, **kwargs):
+        self.products.append((x.dtype, y.dtype))
+        return np.matmul(x, y, **kwargs)
+
+
+def _chain_products(monkeypatch):
+    """Record (rows, p, steps left, operand dtypes of each product) of every _chain run."""
+    numpy, log, run = _LoggedNumpy(), [], transfer._chain
+
+    def logged(a, r, steps, p=None):
+        numpy.products = []
+        left, value = run(a, r, steps, p)
+        log.append((a.shape[-1], p, left, numpy.products))
+        return left, value
+
+    monkeypatch.setattr(transfer, "np", numpy)
+    monkeypatch.setattr(transfer, "_chain", logged)
+    return log
+
+
+F32, F64 = (np.dtype(np.float32),) * 2, (np.dtype(np.float64),) * 2
+
+
+def test_the_middle_block_of_cyclepower_11_2_runs_float32_throughout(monkeypatch):
+    # its square stays below 4.6 * 10^-4 * 2^24; the trace step sums the squares in float64
+    log = _chain_products(monkeypatch)
+    trace_power(build_phi(build_cycle_power(11, 2)), 4)
+    assert [(p, left, products) for rows, p, left, products in log if rows == 462] == [(None, "", [F32])]
+
+
+def test_the_largest_block_of_cyclepower_10_2_leaves_float32_before_its_second_square(monkeypatch):
+    # B^2 reaches 17 * 2^24 on the second square, and the trace step passes 2^53
+    log = _chain_products(monkeypatch)
+    trace_power(build_phi(build_cycle_power(10, 2)), 8)
+    exact = [(left, products) for rows, p, left, products in log if rows == 252 and p is None]
+    assert exact == [("t", [F32, F64])]
+
+
+@pytest.mark.parametrize("multiplicities, bound", [((1, 5, 5, 5), 0.9537), ((2, 2, 6, 6), 1.0020)],
+                         ids=["below", "above"])
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_a_block_at_the_float32_bound_gives_the_reference_trace(monkeypatch, multiplicities, bound, k):
+    # C4 with parallel edges: block 1 has 4 rows and entries up to 2000 or 2050, so dim max^2 sits
+    # just below or just above 2^24, and its first product runs in float32 or float64
+    edges = [(1, 2), (2, 3), (3, 4), (1, 4)]
+    phi = build_phi(make_graph(4, [e for e, m in zip(edges, multiplicities) for _ in range(m)]))
+    dense = phi.blocks[1].dense()
+    assert round(4 * int(abs(dense).max()) ** 2 / 2**24, 4) == bound
+    log = _chain_products(monkeypatch)
+    assert trace_power(phi, k) == _python_trace(phi, k) == _reference_trace_power(phi, k)
+    first = [products[0] if products else None for rows, p, _, products in log if rows == 4 and p is None]
+    assert first == [(F32 if bound < 1 else F64) if k > 2 else None]
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+@pytest.mark.parametrize("k", [4, 6, 10])
+def test_skew_symmetric_blocks_give_the_reference_trace(n, k):
+    # B^T = -B: tr(B^(2h)) = (-1)^h ||B^h||_F^2, negative at k = 6 and 10
+    phi = build_phi(build_cycle(n))
+    assert phi.sigma == -1
+    assert trace_power(phi, k) == _python_trace(phi, k) == _reference_trace_power(phi, k)
+
+
+@pytest.mark.parametrize("q, s", [(build_cycle_power(11, 2), 5), (build_cycle_power(10, 2), 3), (build_cycle(5), 2)],
+                         ids=["cyclepower11_2-s5", "cyclepower10_2-s3", "C5-s2"])
+def test_gather_gives_the_same_block_in_any_window(monkeypatch, q, s):
+    phi = build_phi(q)
+    values = phi.scan.coef
+    ext = np.concatenate(([0], values)).astype(np.float64)
+    stack = np.stack([ext, -ext, 2 * ext])
+    expected, expected_stack = phi.gather(s, ext), phi.gather(s, stack)
+    dim = math.comb(q.n, s)
+    assert np.array_equal(expected, phi.blocks[s].dense() * (-1) ** s)
+    for cells in (1, dim, dim * dim):  # one row at a time, and the whole block at once
+        monkeypatch.setattr(transfer, "TRACE_CHUNK_CELLS", cells)
+        assert np.array_equal(phi.gather(s, ext), expected)
+        assert np.array_equal(phi.gather(s, stack), expected_stack)
+
+
+def test_gather_of_the_462_row_block_holds_index_temporaries_of_one_window():
+    # an index cell costs 12 bytes (int64 codes, then int32 rows); the block itself is float32
+    phi = build_phi(build_cycle_power(11, 2))
+    ext = np.concatenate(([0], phi.scan.coef)).astype(np.float32)
+    expected = phi.gather(5, ext)  # also builds the cached table of rows
+    tracemalloc.start()
+    try:
+        got = phi.gather(5, ext)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, expected)
+    assert peak < got.nbytes + 12 * transfer.TRACE_CHUNK_CELLS + 150_000
 
 
 @pytest.mark.parametrize("q, k", [
