@@ -21,7 +21,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .graphio import canonical_json
+from .graphio import canonical_json, graph_json
+from .graphs import SignedMultigraph
 
 CERTIFICATE_KINDS = (
     "coefficient",
@@ -33,16 +34,26 @@ CERTIFICATE_KINDS = (
 )
 
 
-def certificate_digest(cert: dict) -> str:
+def certificate_json(cert: dict, graph: Optional[SignedMultigraph] = None) -> str:
+    """canonical_json(cert).  With graph, whose to_json_obj cert["graph"] must be, the text is
+    joined from each key's canonical_json in key order, the graph's being graph_json(graph), so
+    one serialisation of the graph serves its digest, the certificate's and the file."""
+    if graph is None or not all(type(k) is str for k in cert):
+        return canonical_json(cert)
+    parts = sorted((k, graph_json(graph) if k == "graph" else canonical_json(v)) for k, v in cert.items())
+    return "{" + ",".join(f"{canonical_json(k)}:{text}" for k, text in parts) + "}"
+
+
+def certificate_digest(cert: dict, graph: Optional[SignedMultigraph] = None) -> str:
     body = {k: v for k, v in cert.items() if k != "digest"}
-    return hashlib.sha256(canonical_json(body).encode()).hexdigest()
+    return hashlib.sha256(certificate_json(body, graph).encode()).hexdigest()
 
 
-def finalize_certificate(cert: dict) -> dict:
-    """Attach the tamper-evidence digest; returns the same dict."""
+def finalize_certificate(cert: dict, graph: Optional[SignedMultigraph] = None) -> dict:
+    """Attach the tamper-evidence digest; returns the same dict.  graph is as in certificate_json."""
     if cert.get("kind") not in CERTIFICATE_KINDS:
         raise ValueError(f"unknown certificate kind {cert.get('kind')!r}")
-    cert["digest"] = certificate_digest(cert)
+    cert["digest"] = certificate_digest(cert, graph)
     return cert
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from .certificates import encode_int, finalize_certificate
 from .coefficients import alon_tarsi_number_exact, support
 from .errors import BudgetExceededError
-from .graphs import SignedMultigraph
+from .graphs import SignedMultigraph, degeneracy_order
 from .graphio import graph_digest, graph_fields
 from .limits import DEFAULT_ASSIGNMENT_BUDGET, LIST_COLOR_CAP
 
@@ -121,18 +121,19 @@ def _random_lists(rng: np.random.Generator, f: Sequence[int], u: int, trials: in
     return np.sort(shift + np.where(repeat.reshape(t.shape), top, t), axis=None).reshape(t.shape) - shift
 
 
-def _greedy_rows(adj: list[list[int]], f: Sequence[int], rows: np.ndarray) -> np.ndarray:
-    """Per row of lists laid out as _random_lists lays them: True if coloring 1..n in label
-    order, each vertex with its lowest list color that no earlier neighbour holds, colors every
-    vertex; False decides nothing."""
+def _greedy_rows(adj: list[list[int]], f: Sequence[int], rows: np.ndarray, order: Sequence[int]) -> np.ndarray:
+    """Per row of lists laid out as _random_lists lays them: True if coloring the vertices in
+    the given order, each with its lowest list color that no neighbour colored before it holds,
+    colors every vertex; False decides nothing."""
     color = np.zeros((len(rows), len(adj)), dtype=rows.dtype)  # column v: vertex v's color
     fits = np.ones(len(rows), dtype=bool)
     every = np.arange(len(rows))
-    at = 0
-    for v, k in enumerate(f, 1):
-        lists = rows[:, at:at + k]
-        at += k
-        earlier = sorted({w for w in adj[v] if w < v})
+    starts = [0, *itertools.accumulate(f)]
+    colored = [False] * len(adj)
+    for v in order:
+        lists = rows[:, starts[v - 1]:starts[v]]
+        earlier = [w for w in adj[v] if colored[w]]
+        colored[v] = True
         free = (lists[:, :, None] != color[:, None, earlier]).all(axis=2)
         first = free.argmax(axis=1)
         fits &= free[every, first]
@@ -141,12 +142,12 @@ def _greedy_rows(adj: list[list[int]], f: Sequence[int], rows: np.ndarray) -> np
 
 
 def _uncolorable_rows(
-    adj: list[list[int]], f: Sequence[int], rows: np.ndarray
+    adj: list[list[int]], f: Sequence[int], rows: np.ndarray, order: Sequence[int]
 ) -> Iterator[tuple[int, list[list[int]]]]:
     """The index and lists of each row, in row order, that admits no coloring: the batched
-    greedy colors most rows, and MRV decides the rest."""
+    greedy colors most rows in the given order, and MRV decides the rest."""
     ends = list(itertools.accumulate(f))
-    for i in np.flatnonzero(~_greedy_rows(adj, f, rows)).tolist():
+    for i in np.flatnonzero(~_greedy_rows(adj, f, rows, order)).tolist():
         row = rows[i].tolist()
         lists = [row[b - k:b] for k, b in zip(f, ends)]
         if not _mrv_coloring(adj, lists)[0]:
@@ -213,13 +214,14 @@ def find_uncolorable_assignment(
     shape = [len(lists) for lists in per_vertex]
     walked = math.prod(shape)
     adj = g.adjacency()
+    order = degeneracy_order(g)[1][::-1]  # smallest-last: few neighbours colored before each vertex
     first, step = 0, 1
     while first < walked:
         # the product's assignments first .. first + step - 1, in order, one row each; chunks
         # double up to LIST_COLOR_CAP colors, so an early refutation builds few rows
         picks = np.unravel_index(np.arange(first, min(first + step, walked)), shape)
         rows = np.concatenate([lists[i] for lists, i in zip(per_vertex, picks)], axis=1)
-        for _, lists in _uncolorable_rows(adj, f, rows):
+        for _, lists in _uncolorable_rows(adj, f, rows, order):
             return tuple(map(tuple, lists))
         first, step = first + step, min(2 * step, LIST_COLOR_CAP // sum(f))
     return None
@@ -238,7 +240,7 @@ def _coefficient_certificate(
         "f": list(f),
         "at_bound": max(witness, default=0) + 1,
     }
-    return finalize_certificate(cert)
+    return finalize_certificate(cert, g)
 
 
 def coefficient_choosability_certificate(
@@ -285,9 +287,10 @@ def random_list_stress(
     The lists come from Floyd's algorithm on numpy's PCG64 generator seeded with |seed|, and
     the seed is recorded, so a reported failure is replayable; the lists that versions before
     this sampler drew with Python's random module are not.  Trials are drawn and greedily
-    colored LIST_COLOR_CAP colors at a time, and MRV decides the trials the greedy misses, in
-    trial order.  Against a held coefficient certificate any failure is a soundness bug, not a
-    statistical event.
+    colored LIST_COLOR_CAP colors at a time, smallest-last (the reverse of the degeneracy
+    order), and MRV decides the trials the greedy misses, in trial order, so the report does
+    not depend on the greedy's order.  Against a held coefficient certificate any failure is
+    a soundness bug, not a statistical event.
     """
     f, u = _list_sizes(g, f, universe_size)
     trials = int(trials)
@@ -295,11 +298,12 @@ def random_list_stress(
         raise ValueError(f"trial count must be non-negative, got {trials}")
     rng = np.random.default_rng(abs(int(seed)))
     adj = g.adjacency()
+    order = degeneracy_order(g)[1][::-1]  # smallest-last: few neighbours colored before each vertex
     step = LIST_COLOR_CAP // sum(f)
     failures = []
     for first in range(0, trials, step):
         rows = _random_lists(rng, f, u, min(step, trials - first))
-        failures += [{"trial": first + i, "lists": lists} for i, lists in _uncolorable_rows(adj, f, rows)]
+        failures += [{"trial": first + i, "lists": lists} for i, lists in _uncolorable_rows(adj, f, rows, order)]
     return {
         "graph_digest": graph_digest(g),
         "f": list(f),

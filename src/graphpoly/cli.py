@@ -19,7 +19,7 @@ import time
 from typing import Optional
 
 from . import __version__
-from .certificates import check_certificate, encode_int
+from .certificates import certificate_json, check_certificate, encode_int
 from .choosability import (
     at_certificate_exact,
     coefficient_choosability_certificate,
@@ -89,11 +89,13 @@ class _Run:
             "budget": getattr(args, "budget", None),
             "outputs": [],
         }
+        self.g = None
 
     def param(self, **kwargs):
         self.manifest["parameters"].update(kwargs)
 
     def graph(self, g):
+        self.g = g
         self.manifest["graph_digest"] = graph_digest(g)
 
     def emit(self, result: dict, certificate: Optional[dict] = None) -> None:
@@ -101,8 +103,10 @@ class _Run:
         out_path = getattr(self.args, "out", None)
         if certificate is not None:
             if out_path:
+                # a certificate of the run's graph reuses that graph's serialisation
+                same = certificate.get("graph_digest") == self.manifest.get("graph_digest")
                 with open(out_path, "w") as fh:
-                    fh.write(canonical_json(certificate) + "\n")
+                    fh.write(certificate_json(certificate, self.g if same else None) + "\n")
                 self.manifest["outputs"].append(out_path)
             else:
                 result = dict(result)
@@ -254,7 +258,7 @@ def _cmd_orient(args, run: _Run) -> int:
         run.param(odd_product=list(args.odd_product))
         ori = odd_cycle_product_orientation(args.odd_product)
         cert = orientation_certificate(ori)  # raises on an odd directed cycle
-        run.manifest["graph_digest"] = cert["graph_digest"]
+        run.graph(ori.graph)
         run.emit({"outdegrees_range": sorted(set(cert["outdegrees"])),
                   "odd_directed_cycle": False,
                   "at_bound": cert["at_bound"]}, cert)

@@ -101,7 +101,7 @@ def cycle_cover_certificate(
         "k": 4,
         "trace_value": None if phi is None else encode_int(nonzero_trace(phi, 4, budget=budget)),
     }
-    return finalize_certificate(cert)
+    return finalize_certificate(cert, g)
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ def from_edge_list(text: str) -> SignedMultigraph:
 
 
 def to_json_obj(g: SignedMultigraph) -> dict:
-    return {"n": g.n, "edges": [[u, v, tag] for u, v, tag in g.edges]}
+    return {"n": g.n, "edges": list(map(list, g.edges))}
 
 
 def _int(value, depth: int = 0, *, optional: bool = False):
@@ -73,27 +73,44 @@ def _int(value, depth: int = 0, *, optional: bool = False):
 
 
 def from_json_obj(obj: dict) -> SignedMultigraph:
-    """A graph in to_json_obj form, read strictly: n and the endpoints must be
-    JSON integers and each edge a [u, v, tag] triple, or ValueError."""
+    """A graph in to_json_obj form, read strictly in one pass: n and the endpoints must be
+    JSON integers and each edge a [u, v, tag] triple, or ValueError; edges as make_graph orders them."""
     try:
-        return make_graph(_int(obj["n"]), [(_int(u), _int(v), tag) for u, v, tag in obj["edges"]])
+        n, edges = _int(obj["n"]), []
+        for u, v, tag in obj["edges"]:
+            if not type(u) is type(v) is int:
+                _int(u), _int(v)  # raises on the first endpoint that is not an integer
+            edges.append((u, v, tag) if u <= v else (v, u, tag))
+        return SignedMultigraph(n, tuple(sorted(edges)))
     except (LookupError, TypeError) as exc:
         raise ValueError(str(exc)) from None
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
 def canonical_json(obj) -> str:
-    """Deterministic JSON used for digests and byte-identical output."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    """Deterministic JSON used for digests and byte-identical output, from one shared encoder."""
+    return _ENCODER.encode(obj)
+
+
+def graph_json(g: SignedMultigraph) -> str:
+    """canonical_json(to_json_obj(g)), written from the edges once per graph and kept with it (a graph
+    is immutable), for its digest and for the certificates and files that hold it."""
+    text = g.__dict__.get("_json")
+    if text is None:
+        edges = ",".join([f'[{u},{v},"{tag}"]' for u, v, tag in g.edges])
+        text = g.__dict__["_json"] = f'{{"edges":[{edges}],"n":{g.n}}}'
+    return text
 
 
 def graph_fields(g: SignedMultigraph) -> dict:
-    """A certificate's "graph" and "graph_digest" fields for g, from one to_json_obj."""
-    obj = to_json_obj(g)
-    return {"graph": obj, "graph_digest": hashlib.sha256(canonical_json(obj).encode()).hexdigest()}
+    """A certificate's "graph" and "graph_digest" fields for g, the digest over graph_json(g)."""
+    return {"graph": to_json_obj(g), "graph_digest": graph_digest(g)}
 
 
 def graph_digest(g: SignedMultigraph) -> str:
-    return graph_fields(g)["graph_digest"]
+    return hashlib.sha256(graph_json(g).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +178,7 @@ def save_graph(g: SignedMultigraph, path: Union[str, os.PathLike], fmt: str = "e
     if fmt == "edgelist":
         text = to_edge_list(g)
     elif fmt == "json":
-        text = canonical_json(to_json_obj(g)) + "\n"
+        text = graph_json(g) + "\n"
     else:
         raise ValueError(f"unknown graph format {fmt!r}")
     with open(path, "w") as fh:

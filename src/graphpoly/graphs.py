@@ -12,6 +12,7 @@ values produced by the package are comparable bit for bit.
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -216,24 +217,30 @@ def degeneracy_order(g: SignedMultigraph) -> tuple[int, list[int]]:
     """Repeated minimum-degree removal (lowest label breaks ties).
 
     Returns (degeneracy, removal order).  Parallel edges count with
-    multiplicity, which is documented behaviour for multigraph input.
+    multiplicity, which is documented behaviour for multigraph input.  A heap
+    keyed by (degree, label) gives each next vertex in O(log n); a degree
+    change pushes the vertex anew, and stale entries are skipped.
     """
     mult: list[dict[int, int]] = [dict() for _ in range(g.n + 1)]
     for u, v, _ in g.edges:
         mult[u][v] = mult[u].get(v, 0) + 1
         mult[v][u] = mult[v].get(u, 0) + 1
     deg = [sum(m.values()) for m in mult]
-    alive = set(range(1, g.n + 1))
+    heap = [(deg[v], v) for v in range(1, g.n + 1)]
+    heapq.heapify(heap)
     order: list[int] = []
     degeneracy = 0
-    while alive:
-        v = min(alive, key=lambda x: (deg[x], x))
-        degeneracy = max(degeneracy, deg[v])
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d != deg[v]:  # a stale entry, or v is removed
+            continue
+        degeneracy = max(degeneracy, d)
         order.append(v)
-        alive.remove(v)
+        deg[v] = None
         for w, k in mult[v].items():
-            if w in alive:
+            if deg[w] is not None:
                 deg[w] -= k
+                heapq.heappush(heap, (deg[w], w))
     return degeneracy, order
 
 

@@ -55,6 +55,6 @@ TRACE_CHUNK_CELLS = 1 << 16
 TRACE_VERTEX_CAP = 12
 
 # Vertices of the box and odd-cycle products that `orient` builds and orients in Python:
-# `orient --odd-product 12,12,12` (15,625 vertices) takes 0.6 s at 55 MB and prints 1 MB of JSON, and
-# a 141x141 box (19,881 vertices) is built and oriented in 0.12 s (same host).
+# `orient --odd-product 12,12,12 --out` (15,625 vertices) takes 0.43 s at 54 MB as a whole process and
+# writes 1 MB of JSON, and a 141x141 box (19,881 vertices) is built and oriented in 0.07-0.11 s (2-core Xeon VM).
 ORIENT_VERTEX_CAP = 20000

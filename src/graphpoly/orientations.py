@@ -64,10 +64,10 @@ class Orientation:
         return [(u, v) if fwd else (v, u) for (u, v, _), fwd in zip(self.graph.edges, self.directions)]
 
     def outdegree_vector(self) -> ExponentVector:
-        d = [0] * self.graph.n
-        for tail, _ in self.arcs():
-            d[tail - 1] += 1
-        return tuple(d)
+        d = [0] * (self.graph.n + 1)
+        for (u, v, _), fwd in zip(self.graph.edges, self.directions):
+            d[u if fwd else v] += 1
+        return tuple(d[1:])
 
     def bitstring(self) -> str:
         return "".join("1" if f else "0" for f in self.directions)
@@ -392,15 +392,16 @@ def has_odd_directed_cycle(ori: Orientation) -> bool:
     unlabelled vertex labels exactly its component.  That BFS tree's arcs
     lie inside the component and 2-colour it by depth parity, so the
     component is bipartite iff no arc inside it joins two vertices of one
-    colour.
+    colour.  Both adjacencies come from one pass over the edges, and that
+    last look reads the edges, as it does not depend on the arcs' directions.
     """
-    n = ori.graph.n
-    arcs = ori.arcs()
+    g, n = ori.graph, ori.graph.n
     out: list[list[int]] = [[] for _ in range(n + 1)]
     into: list[list[int]] = [[] for _ in range(n + 1)]
-    for u, v in arcs:
-        out[u].append(v)
-        into[v].append(u)
+    for (u, v, _), fwd in zip(g.edges, ori.directions):
+        tail, head = (u, v) if fwd else (v, u)
+        out[tail].append(head)
+        into[head].append(tail)
     finished: list[int] = []
     seen = [False] * (n + 1)
     for root in range(1, n + 1):
@@ -431,7 +432,7 @@ def has_odd_directed_cycle(ori: Orientation) -> bool:
                     comp[y] = root
                     odd_depth[y] = not odd_depth[x]
                     queue.append(y)
-    return any(comp[u] == comp[v] and odd_depth[u] == odd_depth[v] for u, v in arcs)
+    return any(comp[u] == comp[v] and odd_depth[u] == odd_depth[v] for u, v, _ in g.edges)
 
 
 def acyclic_orientation(g: SignedMultigraph) -> Orientation:
@@ -457,7 +458,7 @@ def orientation_certificate(ori: Orientation) -> dict:
     is the witness: with no odd directed cycle its even and odd Eulerian
     subgraphs differ in number, so the coefficient at its outdegree vector
     is nonzero (Alon and Tarsi, 1992).  No coefficient value is computed
-    or carried.
+    or carried.  graph_json(g) serves both digests and any file written.
     """
     if has_odd_directed_cycle(ori):
         raise ValueError("orientation has an odd directed cycle; no certificate")
@@ -471,7 +472,7 @@ def orientation_certificate(ori: Orientation) -> dict:
         "at_bound": max(d, default=0) + 1,
         "witness_exponent": list(d),
     }
-    return finalize_certificate(cert)
+    return finalize_certificate(cert, g)
 
 
 def at_lower_bound(g: SignedMultigraph) -> tuple[int, str]:

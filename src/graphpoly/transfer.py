@@ -549,4 +549,4 @@ def even_cycle_certificate(
         "trace_value": encode_int(nonzero_trace(phi, k, budget=budget)),
         "at_bound": q.max_degree() // 2 + 2,
     }
-    return finalize_certificate(cert)
+    return finalize_certificate(cert, q)

@@ -25,7 +25,7 @@ from .certificates import CheckResult, certificate_digest, decode_int, encode_in
 from .coefficients import coefficient, support
 from .doubling import build_plan, plan_polynomial, plan_target_exponent
 from .errors import BudgetExceededError, GraphPolyError
-from .graphio import _int, canonical_json, from_json_obj, graph_digest
+from .graphio import _int, canonical_json, from_json_obj, graph_digest, to_json_obj
 from .graphs import SignedMultigraph, build_cycle, cartesian_product, cover_edge_indices, double_edges
 from .limits import TRACE_VERTEX_CAP
 from .orientations import at_lower_bound, has_odd_directed_cycle, orientation_from_bitstring, reciprocal_sum_ok
@@ -36,12 +36,19 @@ class _Refuted(Exception):
     """A sub-check failed; the message is the verdict's error."""
 
 
-def _load_graph(obj: dict) -> SignedMultigraph:
-    """obj["graph"], checked against obj["graph_digest"] where that is stated."""
+def _parse_graph(obj: dict) -> SignedMultigraph | _Refuted:
+    """obj["graph"] read as a graph, or the refusal that loading it raises."""
     try:
-        g = from_json_obj(obj["graph"])
+        return from_json_obj(obj["graph"])
     except (LookupError, TypeError, ValueError) as exc:
-        raise _Refuted(f"graph does not parse: {exc}") from None
+        return _Refuted(f"graph does not parse: {exc}")
+
+
+def _load_graph(obj: dict, parsed: SignedMultigraph | _Refuted | None = None) -> SignedMultigraph:
+    """obj["graph"], or verify's reading of it, checked against obj["graph_digest"] where stated."""
+    g = parsed or _parse_graph(obj)
+    if isinstance(g, _Refuted):
+        raise g
     if "graph_digest" in obj and graph_digest(g) != obj["graph_digest"]:
         raise _Refuted("graph digest mismatch")
     return g
@@ -115,12 +122,15 @@ def verify(cert: dict, *, budget: Optional[int] = None) -> CheckResult:
         result.kind = kind = cert.get("kind", "<missing>")
         if "digest" not in cert:
             raise _Refuted("certificate has no digest")
-        if certificate_digest(cert) != cert["digest"]:
+        # cert["graph"] is read once, and serves both digests where it is in its graph's own form
+        g = _parse_graph(cert)
+        same = isinstance(g, SignedMultigraph) and cert["graph"] == to_json_obj(g)
+        if certificate_digest(cert, g if same else None) != cert["digest"]:
             raise _Refuted("digest mismatch (certificate was modified)")
         checker = _CHECKERS.get(kind)
         if checker is None:
             raise _Refuted(f"unknown certificate kind {kind!r}")
-        checker(cert, budget, result.notes)
+        checker(cert, budget, result.notes, g)
     except _Refuted as exc:
         result.fail(str(exc))
     except BudgetExceededError:
@@ -132,11 +142,11 @@ def verify(cert: dict, *, budget: Optional[int] = None) -> CheckResult:
     return result
 
 
-def _verify_coefficient(cert: dict, budget, notes: list[str]) -> None:
+def _verify_coefficient(cert: dict, budget, notes: list[str], parsed) -> None:
     claim = cert.get("claim")
     if claim not in ("f-choosable", "alon-tarsi-exact"):
         raise _Refuted(f"unknown coefficient claim {claim!r}")
-    g = _load_graph(cert)
+    g = _load_graph(cert, parsed)
     xi = _int(cert["witness_exponent"], 1)
     _check_witness_coefficient(g, xi, cert.get("witness_value"), budget=budget)
     f = _int(cert.get("f"), 1, optional=True)
@@ -159,8 +169,8 @@ def _verify_coefficient(cert: dict, budget, notes: list[str]) -> None:
             notes.append(f"lower bound {k}: no nonzero coefficient has every exponent <= {k - 2}")
 
 
-def _verify_trace(cert: dict, budget, notes: list[str]) -> None:
-    g = _load_graph(cert)
+def _verify_trace(cert: dict, budget, notes: list[str], parsed) -> None:
+    g = _load_graph(cert, parsed)
     if not g.has_even_degrees():
         raise _Refuted("trace certificate on a graph with odd degrees")
     if _int(cert.get("at_bound"), optional=True) != g.max_degree() // 2 + 2:
@@ -168,8 +178,8 @@ def _verify_trace(cert: dict, budget, notes: list[str]) -> None:
     _check_almost_central_witness(g, cert, budget, "witness exponent is not almost-central", trace=True)
 
 
-def _verify_orientation(cert: dict, budget, notes: list[str]) -> None:
-    g = _load_graph(cert)
+def _verify_orientation(cert: dict, budget, notes: list[str], parsed) -> None:
+    g = _load_graph(cert, parsed)
     if "witness_value" in cert:
         raise _Refuted("an orientation certificate states no witness value; the orientation is the witness")
     try:
@@ -191,8 +201,8 @@ def _verify_orientation(cert: dict, budget, notes: list[str]) -> None:
     )
 
 
-def _verify_prop_cover(cert: dict, budget, notes: list[str]) -> None:
-    g = _load_graph(cert)
+def _verify_prop_cover(cert: dict, budget, notes: list[str], parsed) -> None:
+    g = _load_graph(cert, parsed)
     if not g.is_simple():
         raise _Refuted("cover certificate on a non-simple graph")
     deg = g.degree_vector()
@@ -225,7 +235,7 @@ def _verify_prop_cover(cert: dict, budget, notes: list[str]) -> None:
                                   trace=traced)
 
 
-def _verify_fplan(cert: dict, budget, notes: list[str]) -> None:
+def _verify_fplan(cert: dict, budget, notes: list[str], parsed) -> None:
     plan_obj = cert["plan"]
     g = _load_graph(plan_obj)
     try:
@@ -258,7 +268,7 @@ def _verify_fplan(cert: dict, budget, notes: list[str]) -> None:
     _check_witness_coefficient(q, target, cert.get("witness_value"), budget=budget, value=known)
 
 
-def _verify_chain(cert: dict, budget, notes: list[str]) -> None:
+def _verify_chain(cert: dict, budget, notes: list[str], parsed) -> None:
     odd = _int(cert["odd_factors"], 1)
     evens = _int(cert["even_factors"], 1)
     if any(x < 3 or x % 2 == 0 for x in odd):

@@ -1,6 +1,6 @@
 """Plain per-element forms of the chess construction, the list-colouring sweeps, the
 enumeration engine, the odd-directed-cycle test, the window-condition check, the exact
-Alon-Tarsi certificate and the f-plan sign search.
+Alon-Tarsi certificate, the f-plan sign search and the degeneracy order.
 
 Kept as test oracles for the versions in graphpoly: this chess construction
 walks the edges one by one, the sweep tries every assignment of the
@@ -10,9 +10,10 @@ the enumeration returns how many search nodes it entered, the odd-cycle
 test finds strongly connected components by Tarjan's low-links, the
 window check tests every edge and vertex against each chunk of subsets, the
 exact certificate recomputes its witness coefficient with a second DP,
-and the sign search runs one DP per sign choice, even where the plan
-already holds the coefficient.  Given the same input, each must give the
-same answer as the package.
+the sign search runs one DP per sign choice, even where the plan
+already holds the coefficient, and the degeneracy order scans every live
+vertex for the least (degree, label) at each step.  Given the same input,
+each must give the same answer as the package.
 
 Two test helpers that the package does not need end the module: the
 central coefficient of a fully doubled graph checked against its sum of
@@ -109,13 +110,13 @@ def find_uncolorable_assignment(
     return None
 
 
-def _greedy_colors(adj: list[list[int]], lists) -> bool:
-    """True if coloring 1..n in label order, each vertex with its lowest list color that no
-    earlier neighbour holds, colors every vertex; False decides nothing."""
+def _greedy_colors(adj: list[list[int]], lists, order: Sequence[int]) -> bool:
+    """True if coloring the vertices in the given order, each with its lowest list color that
+    no neighbour colored before it holds, colors every vertex; False decides nothing."""
     coloring: list[Optional[int]] = [None] * len(adj)
-    for v, colors in enumerate(lists, 1):
+    for v in order:
         taken = {coloring[w] for w in adj[v]}
-        for c in colors:
+        for c in lists[v - 1]:
             if c not in taken:
                 coloring[v] = c
                 break
@@ -396,3 +397,24 @@ def choice_number_exact(g: SignedMultigraph) -> int:
         if choosability.find_uncolorable_assignment(g, [m] * g.n) is None:
             return m
     return col
+
+
+def degeneracy_order(g: SignedMultigraph) -> tuple[int, list[int]]:
+    """Repeated minimum-degree removal, lowest label first, each step a min over every live vertex."""
+    mult: list[dict[int, int]] = [dict() for _ in range(g.n + 1)]
+    for u, v, _ in g.edges:
+        mult[u][v] = mult[u].get(v, 0) + 1
+        mult[v][u] = mult[v].get(u, 0) + 1
+    deg = [sum(m.values()) for m in mult]
+    alive = set(range(1, g.n + 1))
+    order: list[int] = []
+    degeneracy = 0
+    while alive:
+        v = min(alive, key=lambda x: (deg[x], x))
+        degeneracy = max(degeneracy, deg[v])
+        order.append(v)
+        alive.remove(v)
+        for w, k in mult[v].items():
+            if w in alive:
+                deg[w] -= k
+    return degeneracy, order

@@ -9,6 +9,7 @@ import pytest
 from conftest import alon_tarsi_zoo
 from graphpoly.certificates import (
     certificate_digest,
+    certificate_json,
     check_certificate,
     decode_int,
     encode_int,
@@ -19,7 +20,7 @@ from graphpoly.choosability import at_certificate_exact, coefficient_choosabilit
 from graphpoly.cli import main
 from graphpoly.coefficients import central_exponent, coefficient
 from graphpoly.doubling import build_plan, cycle_cover_certificate, epsilon_search
-from graphpoly.graphio import canonical_json, graph_digest, parse_graph_spec, to_json_obj
+from graphpoly.graphio import canonical_json, from_json_obj, graph_digest, parse_graph_spec, to_json_obj
 from graphpoly.graphs import build_complete, build_cycle, build_cycle_power
 from graphpoly.orientations import (
     acyclic_orientation,
@@ -67,6 +68,16 @@ def test_exact_alon_tarsi_certificates_on_the_zoo_prove_their_lower_bound():
 def test_digest_is_canonical(certs):
     for cert in certs.values():
         assert cert["digest"] == certificate_digest(cert)
+
+
+def test_certificate_text_joined_around_the_graphs_text_is_its_canonical_json(certs):
+    for name, cert in certs.items():
+        # the graph a builder passes is the one its graph_fields were made from
+        g = from_json_obj(cert["graph"]) if "graph" in cert else build_cycle(3)
+        assert certificate_json(cert, g) == canonical_json(cert), name
+        assert certificate_digest(cert, g) == cert["digest"], name
+    with pytest.raises(TypeError):  # keys that JSON cannot sort are left to canonical_json
+        certificate_json({1: 0, "graph": to_json_obj(build_cycle(3))}, build_cycle(3))
 
 
 def _mutate(value, rng):

@@ -1,7 +1,10 @@
 import contextlib
+import copy
 import functools
+import hashlib
 import io
 import json
+import random
 import time
 import tracemalloc
 
@@ -9,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphpoly.certificates import certificate_digest, finalize_certificate
+from graphpoly.certificates import certificate_digest, check_certificate, finalize_certificate
 from graphpoly.choosability import coefficient_choosability_certificate, list_coloring_exists
 from graphpoly.cli import build_parser, main
 from graphpoly.doubling import build_plan, cycle_cover_certificate, epsilon_search
@@ -819,3 +822,91 @@ def test_choosable_exhaustive_counts_assignments_before_listing_them(capsys):
     assert time.perf_counter() - start < 1
     assert code == 3 and not out and "Traceback" not in err
     assert err.startswith("budget exceeded: budget of 5000000 list assignments exceeded")
+
+
+# sha256 of the files these commands wrote when every digest and file serialised the graph anew
+_CERTIFICATE_SHA256 = {
+    "orient --odd-product 2,2": "f726b54ddc75d3177fe0ba3bb876b84e65ddd3a5b47a83d294c658a6a3c4219f",
+    "orient --odd-product 3,3,3": "8a13caebb294d56f09c8b7f1dec275117d0d95bf6df387cacac74449a0942091",
+    "at petersen --exact": "3c6ecafc8d3ce09713328b74b76b37e90050ecc9471c845e3f0bd8ea43bc2c7f",
+    "at cyclepower:8:2 --trace 4": "8eb7b95b8cee8eda41526bdc82d02b9dfc3f95d0eef99777b2aef94ba62b9d40",
+    "choosable product:cycle:4:cycle:4 --f 3 --certificate":
+        "2c0aac4ceb33990adb4a909e7888b54faa8892788daee133d38ba7c3f467d51c",
+}
+
+
+@pytest.mark.parametrize("command", _CERTIFICATE_SHA256)
+def test_certificate_files_keep_their_bytes(tmp_path, capsys, command):
+    path = tmp_path / "cert.json"
+    code, payload, _ = run_json(capsys, *command.split(), "--out", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _CERTIFICATE_SHA256[command]
+    assert payload["manifest"]["graph_digest"] == json.loads(path.read_text())["graph_digest"]
+
+
+def _shuffled(graph):
+    edges = list(graph["edges"])
+    random.Random(5).shuffle(edges)
+    return {"n": graph["n"], "edges": edges}
+
+
+def _swapped(graph):
+    return {"n": graph["n"], "edges": [[v, u, t] if i % 2 else [u, v, t] for i, (u, v, t) in enumerate(graph["edges"])]}
+
+
+def _raw_digest(graph):
+    return hashlib.sha256(canonical_json(graph).encode()).hexdigest()
+
+
+def _with_graph(cert, graph, *, graph_digest_over=None, redigest=True):
+    """cert holding graph, its graph digest over graph_digest_over's form where given, and its
+    certificate digest recomputed unless redigest is False."""
+    cert = dict(cert, graph=graph)
+    if graph_digest_over is not None:
+        cert["graph_digest"] = _raw_digest(graph_digest_over)
+    return finalize_certificate(cert) if redigest else cert
+
+
+_MISMATCH = [1, ["graph digest mismatch"]]
+_STALE = [1, ["digest mismatch (certificate was modified)"]]
+# each graph form of a certificate, with the exit code and errors of its check
+_GRAPH_FORMS = {
+    "as written": (lambda c: c, [0, []]),
+    "shuffled edges, canonical graph digest": (lambda c: _with_graph(c, _shuffled(c["graph"])), [0, []]),
+    "shuffled edges, raw graph digest": (
+        lambda c: _with_graph(c, g := _shuffled(c["graph"]), graph_digest_over=g), _MISMATCH),
+    "shuffled edges, stale digest": (lambda c: _with_graph(c, _shuffled(c["graph"]), redigest=False), _STALE),
+    "swapped endpoints, canonical graph digest": (lambda c: _with_graph(c, _swapped(c["graph"])), [0, []]),
+    "swapped endpoints, raw graph digest": (
+        lambda c: _with_graph(c, g := _swapped(c["graph"]), graph_digest_over=g), _MISMATCH),
+    "swapped endpoints, stale digest": (lambda c: _with_graph(c, _swapped(c["graph"]), redigest=False), _STALE),
+    "keys in another order": (lambda c: _with_graph(c, {"edges": c["graph"]["edges"], "n": c["graph"]["n"]}),
+                              [0, []]),
+    "an extra key": (lambda c: _with_graph(c, dict(c["graph"], extra=1)), [0, []]),
+    "a float endpoint": (
+        lambda c: _with_graph(c, {"n": c["graph"]["n"], "edges": [[1.0, 2, "diff"]] + c["graph"]["edges"][1:]}),
+        [1, ["graph does not parse: expected an integer, got 1.0"]]),
+    "no graph": (lambda c: finalize_certificate({k: v for k, v in c.items() if k != "graph"}),
+                 [1, ["graph does not parse: 'graph'"]]),
+}
+
+
+@functools.cache
+def _graph_certificates():
+    return {
+        "orientation": orientation_certificate(odd_cycle_product_orientation([2, 2])),
+        "coefficient": coefficient_choosability_certificate(build_cycle(5), [3] * 5),
+        "trace": even_cycle_certificate(build_cycle(5), 4),
+    }
+
+
+@pytest.mark.parametrize("form", _GRAPH_FORMS)
+@pytest.mark.parametrize("kind", ["orientation", "coefficient", "trace"])
+def test_check_verdicts_on_each_graph_form(tmp_path, capsys, kind, form):
+    make, expected = _GRAPH_FORMS[form]
+    cert = make(copy.deepcopy(_graph_certificates()[kind]))
+    path = tmp_path / "cert.json"
+    path.write_text(canonical_json(cert))
+    code, payload, _ = run_json(capsys, "check", str(path))
+    assert [code, payload["result"]["errors"]] == expected
+    assert check_certificate(cert).errors == expected[1]

@@ -1,12 +1,18 @@
+import hashlib
 import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphpoly.graphio import (
+    _int,
+    canonical_json,
     from_edge_list,
     from_json_obj,
     graph_digest,
+    graph_json,
     load_graph,
     parse_graph_spec,
     save_graph,
@@ -60,8 +66,62 @@ def test_json_roundtrip():
     [3, []],
 ])
 def test_json_reader_refuses_anything_but_integers_and_triples(obj):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as new:
         from_json_obj(obj)
+    with pytest.raises(ValueError) as ref:
+        _reference_reading(obj)
+    assert str(new.value) == str(ref.value)
+
+
+def _reference_reading(obj):
+    """The reader as a pass of _int over every endpoint, then make_graph's pass and the graph's."""
+    try:
+        return make_graph(_int(obj["n"]), [(_int(u), _int(v), tag) for u, v, tag in obj["edges"]])
+    except (LookupError, TypeError) as exc:
+        raise ValueError(str(exc)) from None
+
+
+_ENDPOINTS = st.integers(-1, 6) | st.sampled_from([1.0, 2.5, True, "2", None])
+_BAD_EDGES = st.tuples(_ENDPOINTS, _ENDPOINTS, st.sampled_from(["diff", "sum", "prod"])).map(list) | st.lists(
+    st.integers(1, 5), max_size=4)
+
+
+@st.composite
+def _json_graphs(draw):
+    """A graph in to_json_obj form with its edges in any order and either orientation, and, half
+    the time, one entry anywhere that is not a valid edge, or a count that is not a valid n."""
+    n = draw(st.integers(2, 6))
+    edge = st.tuples(st.integers(1, n), st.integers(1, n), st.sampled_from(["diff", "sum"]))
+    edges = draw(st.lists(edge.filter(lambda e: e[0] != e[1]).map(list), max_size=8))
+    if draw(st.booleans()):
+        edges.insert(draw(st.integers(0, len(edges))), draw(_BAD_EDGES))
+        n = draw(st.integers(-1, 6) | st.sampled_from([n, 3.0, False]))
+    return {"n": n, "edges": edges}
+
+
+def _read(reader, obj):
+    try:
+        return reader(obj)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_json_graphs())
+def test_json_reader_in_one_pass_gives_the_same_graph_or_error(obj):
+    assert _read(from_json_obj, obj) == _read(_reference_reading, obj)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(2, 8).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(st.integers(1, n), st.integers(1, n), st.sampled_from(["diff", "sum"])).filter(lambda e: e[0] != e[1]),
+    max_size=12))))
+def test_graph_json_is_the_canonical_json_of_the_graph(case):
+    g = make_graph(*case)
+    text = canonical_json(to_json_obj(g))
+    assert graph_json(g) == text and graph_json(g) is graph_json(g)
+    assert graph_digest(g) == hashlib.sha256(text.encode()).hexdigest()
+    assert from_json_obj(json.loads(graph_json(g))) == g
 
 
 def test_digest_is_stable_and_distinguishes():

@@ -1,7 +1,9 @@
 """The array chess construction, the pruned greedy-first sweep, the batched greedy, Floyd's
-sampler and the stress loop, the enumeration engine, the two-pass odd-cycle test, the one-scan exact Alon-Tarsi
-certificate and the f-plan sign search against their plain forms in reference_provers."""
+sampler and the stress loop, the enumeration engine, the two-pass odd-cycle test and the outdegrees,
+the one-scan exact Alon-Tarsi certificate, the f-plan sign search and the heap degeneracy order
+against their plain forms in reference_provers."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -20,8 +22,12 @@ from conftest import alon_tarsi_zoo, even_degree_zoo
 from graphpoly.coefficients import _coefficient_enumeration, central_exponent
 from graphpoly.errors import BudgetExceededError
 from graphpoly.graphio import canonical_json, parse_graph_spec
-from graphpoly.graphs import DIFF, SUM, build_complete, build_cycle, build_path, cartesian_product, make_graph
-from graphpoly.orientations import Orientation, has_odd_directed_cycle, odd_cycle_product_orientation
+from graphpoly.graphs import (
+    DIFF, SUM, build_complete, build_cycle, build_path, cartesian_product, degeneracy_order, make_graph,
+)
+from graphpoly.orientations import (
+    Orientation, has_odd_directed_cycle, odd_cycle_product_orientation, orientation_from_bitstring,
+)
 
 
 def _admissible(factors, max_vertices, ordered=True):
@@ -143,13 +149,14 @@ def _zoo_lists(draw):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(_zoo_lists())
-def test_batched_greedy_matches_the_one_assignment_greedy(case):
+@given(_zoo_lists(), st.sampled_from(["label", "smallest-last"]))
+def test_batched_greedy_matches_the_one_assignment_greedy(case, order):
     g, f, u, seed = case
+    order = range(1, g.n + 1) if order == "label" else reference_provers.degeneracy_order(g)[1][::-1]
     rows = choosability._random_lists(np.random.default_rng(seed), f, u, 40)
-    verdicts = choosability._greedy_rows(g.adjacency(), f, rows)
+    verdicts = choosability._greedy_rows(g.adjacency(), f, rows, order)
     lists = _rows(f, list(itertools.accumulate(f)), rows)
-    assert verdicts.tolist() == [reference_provers._greedy_colors(g.adjacency(), a) for a in lists]
+    assert verdicts.tolist() == [reference_provers._greedy_colors(g.adjacency(), a, order) for a in lists]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -243,6 +250,45 @@ def test_odd_cycle_test_matches_tarjan_on_seeded_orientations_of_the_zoo():
 def test_odd_cycle_test_matches_tarjan_on_chess_orientations(ks):
     ori = odd_cycle_product_orientation(ks)
     assert has_odd_directed_cycle(ori) is reference_provers.has_odd_directed_cycle(ori) is False
+
+
+_chess = functools.cache(odd_cycle_product_orientation)
+
+
+@st.composite
+def _orientations(draw):
+    """An orientation of a random multigraph, with parallel edges and, where the edges miss some
+    vertices, several components, or a chess torus with a drawn set of its edges reversed."""
+    if draw(st.booleans()):
+        ori = _chess(draw(st.sampled_from([ks for ks in CHESS_CASES if prod(2 * k + 1 for k in ks) <= 200])))
+        flips = draw(st.sets(st.integers(0, ori.graph.num_edges - 1), max_size=12))
+        return Orientation(ori.graph, tuple(d ^ (i in flips) for i, d in enumerate(ori.directions)))
+    n = draw(st.integers(1, 8))
+    pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] != e[1])
+    g = make_graph(n, draw(st.lists(pairs, min_size=n, max_size=24)) if n > 1 else [])
+    return Orientation(g, tuple(draw(st.lists(st.booleans(), min_size=g.num_edges, max_size=g.num_edges))))
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(_orientations())
+def test_odd_cycle_test_and_outdegrees_match_their_plain_forms(ori):
+    assert has_odd_directed_cycle(ori) == reference_provers.has_odd_directed_cycle(ori)
+    tails = [t for t, _ in ori.arcs()]
+    assert ori.outdegree_vector() == tuple(tails.count(v) for v in range(1, ori.graph.n + 1))
+    assert orientation_from_bitstring(ori.graph, ori.bitstring()) == ori
+
+
+@st.composite
+def _multigraphs(draw):
+    n = draw(st.integers(0, 12))
+    pairs = st.tuples(st.integers(1, max(n, 1)), st.integers(1, max(n, 1))).filter(lambda e: e[0] != e[1])
+    return make_graph(n, draw(st.lists(pairs, max_size=30)) if n > 1 else [])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_multigraphs())
+def test_degeneracy_order_matches_the_scan_of_every_live_vertex(g):
+    assert degeneracy_order(g) == reference_provers.degeneracy_order(g)
 
 
 def _at_exact_graphs():
