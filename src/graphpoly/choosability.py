@@ -253,13 +253,12 @@ def coefficient_choosability_certificate(
 
     Searches the support for an exponent with d_i <= f_i - 1; by the
     Combinatorial Nullstellensatz such a monomial forces a proper coloring
-    from any lists of sizes f.
+    from any lists of sizes f.  Where sum(f - 1) < |E| no exponent reaches
+    total degree |E|, and support's degree-sum cut answers without a DP.
     """
     f = [int(x) for x in f]
     if len(f) != g.n or any(x < 1 for x in f):
         raise ValueError("list sizes must be positive, one per vertex")
-    if sum(x - 1 for x in f) < g.num_edges:
-        return None  # no candidate exponent can reach total degree |E|
     deg = g.degree_vector()
     cap = tuple(min(x - 1, d) for x, d in zip(f, deg))
     found = support(g, cap, budget=budget).witness()

@@ -142,7 +142,8 @@ class ChoosabilityPlan:
     def as_json(self) -> dict:
         parts = {k: [list(p) for p in v] if k == "pairing" else list(v)
                  for k, v in vars(self).items() if isinstance(v, tuple)}
-        return {"graph": to_json_obj(self.graph), "tau_value": encode_int(self.tau_value), **parts}
+        # check compares the fields in this order and reports the first that disagrees
+        return {"graph": to_json_obj(self.graph), **parts, "tau_value": encode_int(self.tau_value)}
 
 
 def build_plan(

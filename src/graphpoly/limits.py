@@ -31,8 +31,9 @@ DEFAULT_ASSIGNMENT_BUDGET = 5_000_000
 LIST_COLOR_CAP = 10**6
 
 # Vertices above which 2^n subset indexes (transfer matrices, window conditions) are refused; at
-# 20 the window check's subset sums take 6-8 ms over all 2^20 subsets of `cycle:20` (2-core Xeon
-# VM, numpy 2.4.6), and each vertex doubles it.
+# 20 the window check's subset sums take 5-8 ms over all 2^20 subsets of `cycle:20` and peak at
+# 9.4 MB under tracemalloc, 9 bytes a subset (2-core Intel Xeon VM, Python 3.11.7, numpy 2.4.6),
+# and each vertex doubles both.
 SUBSET_VERTEX_CAP = 20
 
 # Rows of a block that a trace holds dense: C(14, 7) = 3432 takes 94 MB per float64 copy, with up

@@ -44,10 +44,6 @@ from .graphs import (
 from .limits import ORIENT_VERTEX_CAP, SUBSET_VERTEX_CAP, TRACE_VERTEX_CAP
 from .transfer import build_phi, nonzero_trace
 
-# Subsets per numpy chunk of the window check: of 2^10..2^16, 2^14 ran fastest on C4xC4; under 1 MB live.
-_WINDOW_CHUNK = 1 << 14
-
-
 @dataclass(frozen=True)
 class Orientation:
     """A direction per canonical edge of a graph."""
@@ -224,70 +220,51 @@ def _subset_sums(weights: Sequence[int], out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _inside_counts(adj: np.ndarray) -> np.ndarray:
-    """e[L] = the edges with both ends in L, for every set L of adj's vertices (bit i is row i):
-    adding vertex i to a set L of lower vertices adds its edges into L, a subset sum of row i."""
-    k = len(adj)
-    e = np.zeros(1 << k, dtype=np.int64)
-    row = np.empty(max(1 << k >> 1, 1), dtype=np.int64)
-    for i in range(1, k):
-        np.add(e[:1 << i], _subset_sums(adj[i, :i], row[:1 << i]), out=e[1 << i:2 << i])
-    return e
-
-
 def check_window_conditions(
     g: SignedMultigraph, lower: Sequence[int], upper: Sequence[int]
 ) -> WindowConditionsReport:
     """Check both counting conditions on all 2^n subsets (n <= SUBSET_VERTEX_CAP).
 
-    Subsets W (bit i - 1 is vertex i) go in increasing bitmask order, _WINDOW_CHUNK at a
-    time as int64 arrays with the bounds capped at m + 1, which keeps every verdict exact.
-    The first W that violates a condition is reported (condition 1 before 2, rhs summed
-    from the bounds as given), and subsets_checked counts the subsets up to it.
+    Subsets W (bit i - 1 is vertex i) go in increasing bitmask order.  The first W that
+    violates a condition is reported (condition 1 before 2, rhs summed from the bounds as
+    given), and subsets_checked counts the subsets up to it.
 
-    Each count is a subset sum, so the check costs O(2^n): W splits into its low
-    log2(_WINDOW_CHUNK) vertices L and the high ones H, one chunk per H, and |E(W)| is
-    |E(L)| + |E(H)| plus the edges between L and H.  The first two and the bound sums
-    are tabulated once; the third is a subset sum over L of each low vertex's edges into H.
-    The edges touching W number deg(W) - |E(W)|, so condition 2 fails where |E(W)|
-    exceeds the sum of deg - lower over W.
+    Each count is a subset sum over all 2^n sets at once, so the check costs O(2^n): |E(W)|
+    is tabulated once, and then each condition's bound sum in turn, through one reused buffer,
+    with the bounds capped at m + 1, which keeps every verdict exact.  The edges touching W number
+    deg(W) - |E(W)|, so condition 2 fails where |E(W)| exceeds the sum of deg - lower over W.
+    Every capped sum lies within (n + 1)(m + 1) of 0, so the arrays are int32 below 2^31 and
+    int64 past it.
     """
     if g.n > SUBSET_VERTEX_CAP:
         raise GraphPolyError(f"exhaustive subset check refused for n={g.n} > {SUBSET_VERTEX_CAP}")
     lower, upper = _window_bounds(g, lower, upper)
     n, cap, deg = g.n, g.num_edges + 1, g.degree_vector()
-    adj = np.zeros((n, n), dtype=np.int64)
+    adj = np.zeros((n, n), dtype=np.int32 if (n + 1) * cap < 1 << 31 else np.int64)
     for u, v, _ in g.edges:
         adj[u - 1, v - 1] += 1
         adj[v - 1, u - 1] += 1
     su = [min(x, cap) for x in upper]
     sd = [d - min(x, cap) for d, x in zip(deg, lower)]
-    low = min(n, _WINDOW_CHUNK.bit_length() - 1)
-    size, chunks = 1 << low, 1 << (n - low)
-    buf = np.empty(size, dtype=np.int64)
-    # condition c fails at W = L + H where cross(L, H) + a_c[L] > s_c[H]
-    e_low = _inside_counts(adj[:low, :low])
-    a1 = e_low - _subset_sums(su[:low], buf)
-    a2 = e_low - _subset_sums(sd[:low], buf)
-    e_high = _inside_counts(adj[low:, low:])
-    s1 = _subset_sums(su[low:], np.empty(chunks, dtype=np.int64)) - e_high
-    s2 = _subset_sums(sd[low:], np.empty(chunks, dtype=np.int64)) - e_high
-    # into[h, i]: the edges from low vertex i into the high set h
-    into = (np.arange(chunks)[:, None] >> np.arange(n - low) & 1) @ adj[low:, :low]
-    for h in range(chunks):
-        cross = _subset_sums(into[h], buf)
-        bad1 = cross + a1 > s1[h]
-        bad = bad1 | (cross + a2 > s2[h])
-        if bad.any():
-            j = int(bad.argmax())
-            w = h * size + j
-            subset = tuple(i + 1 for i in range(n) if w >> i & 1)
-            inside = int(cross[j] + e_low[j] + e_high[h])
-            if bad1[j]:
-                return WindowConditionsReport(False, subset, 1, inside, sum(upper[v - 1] for v in subset), w + 1)
-            touching = sum(deg[v - 1] for v in subset) - inside
-            return WindowConditionsReport(False, subset, 2, touching, sum(lower[v - 1] for v in subset), w + 1)
-    return WindowConditionsReport(True, None, None, None, None, 1 << n)
+    # inside[W] = |E(W)|: adding vertex i to a set W of lower vertices adds its edges into W,
+    # a subset sum of row i
+    inside = np.zeros(1 << n, dtype=adj.dtype)
+    sums, bad = np.empty_like(inside), np.empty(len(inside), dtype=bool)
+    for i in range(1, n):
+        np.add(inside[:1 << i], _subset_sums(adj[i, :i], sums[:1 << i]), out=inside[1 << i:2 << i])
+    w, condition = len(inside), None
+    for c, weights in ((1, su), (2, sd)):
+        # a violation comes first only before the first one found so far (condition 1 on ties)
+        found = np.greater(inside[:w], _subset_sums(weights, sums)[:w], out=bad[:w])
+        if found.any():
+            w, condition = int(found.argmax()), c
+    if condition is None:
+        return WindowConditionsReport(True, None, None, None, None, 1 << n)
+    subset = tuple(i + 1 for i in range(n) if w >> i & 1)
+    lhs, bound = int(inside[w]), upper
+    if condition == 2:  # the edges touching W
+        lhs, bound = sum(deg[v - 1] for v in subset) - lhs, lower
+    return WindowConditionsReport(False, subset, condition, lhs, sum(bound[v - 1] for v in subset), w + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from graphpoly.doubling import ChoosabilityPlan, plan_polynomial, plan_target_ex
 from graphpoly.errors import InvariantViolationError
 from graphpoly.graphio import graph_digest, to_json_obj
 from graphpoly.graphs import DIFF, SignedMultigraph, build_cycle, cartesian_product, coloring_number, double_edges
-from graphpoly.orientations import _WINDOW_CHUNK, Orientation, WindowConditionsReport, box_orientation
+from graphpoly.orientations import Orientation, WindowConditionsReport, box_orientation
 
 
 def _flat_index(coords: Sequence[int], dims: Sequence[int]) -> int:
@@ -295,14 +295,18 @@ def has_odd_directed_cycle(ori: Orientation) -> bool:
     return False
 
 
+# Subsets per chunk of the oracle's window check.
+WINDOW_CHUNK = 1 << 14
+
+
 def check_window_conditions(g: SignedMultigraph, lower: Sequence[int], upper: Sequence[int]) -> WindowConditionsReport:
     """Both counting conditions on every subset, each edge and vertex tested against a whole
-    chunk of subsets at once: O((m + n) 2^n) array work, in the same chunks and order."""
+    chunk of WINDOW_CHUNK subsets at once: O((m + n) 2^n) int64 array work, in bitmask order."""
     lower, upper = tuple(int(x) for x in lower), tuple(int(x) for x in upper)
     masks = [(1 << (u - 1)) | (1 << (v - 1)) for u, v, _ in g.edges]
     cap, total = len(masks) + 1, 1 << g.n
-    for start in range(0, total, _WINDOW_CHUNK):
-        w = np.arange(start, min(start + _WINDOW_CHUNK, total), dtype=np.int64)
+    for start in range(0, total, WINDOW_CHUNK):
+        w = np.arange(start, min(start + WINDOW_CHUNK, total), dtype=np.int64)
         inside, touching, su, sl = (np.zeros_like(w) for _ in range(4))
         for em in masks:
             hit = w & em

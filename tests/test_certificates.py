@@ -296,6 +296,45 @@ def test_chain_structural_step_needs_an_almost_central_base():
     assert not check_certificate(_redigested(cert, steps=steps)).ok
 
 
+@pytest.mark.parametrize("odd,evens", [([1], [4]), ([2, 2], [4]), ([], [4, 6])])
+def test_chain_base_in_non_canonical_json_still_passes(odd, evens):
+    # edges reversed and endpoints swapped: the same graph, so the same verdict
+    cert = cycle_product_chain(odd, evens)
+    base = cert["base_certificate"]
+    graph = dict(base["graph"], edges=[[v, u, tag] for u, v, tag in reversed(base["graph"]["edges"])])
+    base = _redigested(base, graph=graph, graph_digest=graph_digest(from_json_obj(graph)))
+    assert base["graph"] != cert["base_certificate"]["graph"] and check_certificate(base).ok
+    assert check_certificate(_redigested(cert, base_certificate=base)).ok
+
+
+def _fplan_base_chain(**changes):
+    """The chain on C4 alone with its base swapped for an fplan certificate of C4, whose own
+    check never reads a graph field, given C4's graph fields and then the changes."""
+    base = epsilon_search(build_plan(build_cycle(4), (1, 1, 1, 1)))
+    base = _redigested(base, **dict(_graph_fields("cycle:4"), **changes))
+    return _redigested(cycle_product_chain([], [4]), base_certificate=base)
+
+
+def test_chain_base_graph_is_checked_against_its_digest_whatever_its_kind():
+    assert check_certificate(_fplan_base_chain()).ok
+    assert check_certificate(_fplan_base_chain(graph_digest="0" * 64)).errors == ["graph digest mismatch"]
+    assert check_certificate(_fplan_base_chain(graph={"n": 4})).errors == ["graph does not parse: 'edges'"]
+
+
+_PLAN_KEYS = [k for k in epsilon_search(build_plan(build_complete(4), (0, 1, 2, 3)))["plan"] if k != "graph"]
+
+
+@pytest.mark.parametrize("key", _PLAN_KEYS)
+def test_each_plan_field_is_compared_with_the_rebuilt_plan(certs, key):
+    value = certs["fplan"]["plan"][key]
+    forged = "2" if key == "tau_value" else value + [value[-1] if value else 1]
+    errors = check_certificate(_plan_forgery(**{key: forged})).errors
+    if key == "tau":  # the plan is rebuilt from tau, so a forged tau fails the rebuild
+        assert errors[0].startswith("plan does not rebuild: ")
+    else:
+        assert errors == [f"plan field {key} disagrees with canonical reconstruction"]
+
+
 def test_cover_trace_is_stated_only_where_recorded():
     # the doubled C13 has 13 vertices, one over the trace cap
     cert = cycle_cover_certificate(build_cycle(13))
@@ -459,6 +498,10 @@ _REFUSALS = {
                    "base certificate fails: ['at_bound does not match the maximum outdegree']"),
     "base graph": (lambda c: _redigested(c["chain"], odd_factors=[5]),
                    "base certificate graph is not the product of the declared factors"),
+    # a valid base on C25, declared as C5 x C5: as many vertices, other edges
+    "base other factors": (lambda c: _redigested(cycle_product_chain([2, 2], [4]), base_certificate=orientation_certificate(
+                               odd_cycle_product_orientation([12]))),
+                           "base certificate graph is not the product of the declared factors"),
     "base witness": (lambda c: _redigested(cycle_product_chain([2, 2], [4]), base_certificate=orientation_certificate(
                          acyclic_orientation(odd_cycle_product_orientation([2, 2]).graph))),
                      "base witness is not almost-central"),

@@ -1,10 +1,12 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphpoly import coefficients
 from graphpoly.certificates import check_certificate
 from graphpoly.choosability import (
     _random_lists,
@@ -195,6 +197,13 @@ def test_coefficient_certificates():
     assert cert is not None and max(cert["witness_exponent"]) == 2
     assert check_certificate(cert).ok
     assert coefficient_choosability_certificate(build_cycle(3), [2] * 3) is None
+
+
+def test_list_sizes_below_the_edge_count_run_no_dp(monkeypatch):
+    # sum(f - 1) < |E| leaves no exponent of total degree |E|: support's degree-sum cut answers
+    monkeypatch.setattr(coefficients, "_scan", mock.Mock(side_effect=AssertionError("DP ran")))
+    assert coefficient_choosability_certificate(build_complete(4), [2] * 4) is None
+    assert coefficient_choosability_certificate(build_cycle(5), [2, 2, 2, 2, 1]) is None
 
 
 def test_certificate_respects_exhaustive_truth():

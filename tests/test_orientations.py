@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,8 @@ from graphpoly.graphs import (
     cartesian_product,
     make_graph,
 )
+from graphpoly.limits import SUBSET_VERTEX_CAP
 from graphpoly.orientations import (
-    _WINDOW_CHUNK,
     Orientation,
     WindowConditionsReport,
     acyclic_orientation,
@@ -179,9 +180,43 @@ def test_window_conditions_match_the_chunked_oracle():
         report = check_window_conditions(g, lower, upper)
         assert report == reference_provers.check_window_conditions(g, lower, upper)
         assert expected is None or report == expected
-        outcomes.add((report.condition, report.subsets_checked > _WINDOW_CHUNK))
-    # both conditions fail and both pass, inside the first chunk and past it
+        outcomes.add((report.condition, report.subsets_checked > reference_provers.WINDOW_CHUNK))
+    # both conditions fail and both pass, inside the oracle's first chunk and past it
     assert outcomes == {(c, late) for c in (None, 1, 2) for late in (False, True)}
+
+
+def _cap_windows():
+    """SUBSET_VERTEX_CAP vertices: cycle:20 with its central window, and C16 plus a doubled edge 17-18
+    and an edge 19-20, whose first violations lie past 2^16: {17, 18} under upper 0 on both, and {19}
+    under lower 2 with upper bounds at the degrees elsewhere."""
+    g = make_graph(20, list(build_cycle(16).edges) + [(17, 18), (17, 18), (19, 20)])
+    deg = g.degree_vector()
+    return [
+        (build_cycle(20), [1] * 20, [1] * 20, WindowConditionsReport(True, None, None, None, None, 1 << 20)),
+        (g, [0] * 20, [1] * 16 + [0, 0, 1, 1],
+         WindowConditionsReport(False, (17, 18), 1, 2, 0, (1 << 16) + (1 << 17) + 1)),
+        (g, [0] * 18 + [2, 0], list(deg[:18]) + [2, 1], WindowConditionsReport(False, (19,), 2, 1, 2, (1 << 18) + 1)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_window_conditions_at_the_vertex_cap_match_the_oracle(case):
+    g, lower, upper, expected = _cap_windows()[case]
+    assert g.n == SUBSET_VERTEX_CAP
+    report = check_window_conditions(g, lower, upper)
+    assert report == expected
+    assert report == reference_provers.check_window_conditions(g, lower, upper)
+
+
+def test_window_check_at_the_vertex_cap_holds_about_twelve_bytes_per_subset():
+    g = build_cycle(SUBSET_VERTEX_CAP)
+    tracemalloc.start()
+    try:
+        assert check_window_conditions(g, [1] * g.n, [1] * g.n).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 << SUBSET_VERTEX_CAP, peak
 
 
 def test_window_conditions_keep_huge_bounds_exact():
