@@ -615,24 +615,20 @@ def almost_central_scan(g: SignedMultigraph, *, budget: Optional[int] = None) ->
     """Nonzero coefficients with every exponent within 1 of deg(v)/2.
 
     Only defined when all degrees are even (the half-degree point must be
-    integral); odd-degree input is rejected with the offending vertex.
+    integral); central_exponent rejects odd-degree input.
     """
-    deg = g.degree_vector()
-    for i, d in enumerate(deg):
-        if d % 2:
-            raise ValueError(
-                f"vertex {i + 1} has odd degree {d}; the half-degree window needs even degrees"
-            )
-    a = [d // 2 for d in deg]
+    a = central_exponent(g)
     cap = tuple(x + 1 for x in a)
     floor = tuple(max(x - 1, 0) for x in a)
     return support(g, cap, floor=floor, budget=budget)
 
 
 def central_exponent(g: SignedMultigraph) -> ExponentVector:
+    """deg(v)/2 at every vertex; odd-degree input is rejected with the first offending vertex."""
     deg = g.degree_vector()
-    if any(d % 2 for d in deg):
-        raise ValueError("central exponent needs all degrees even")
+    for i, d in enumerate(deg):
+        if d % 2:
+            raise ValueError(f"vertex {i + 1} has odd degree {d}; the half-degree point needs even degrees")
     return tuple(d // 2 for d in deg)
 
 

@@ -34,9 +34,7 @@ from .graphs import (
     find_cycle_cover,
     make_graph,
 )
-from .limits import TRACE_VERTEX_CAP
 from .orientations import acyclic_orientation
-from .transfer import build_phi, nonzero_trace
 
 
 def cycle_cover_certificate(
@@ -48,16 +46,14 @@ def cycle_cover_certificate(
 
     Finds vertex-disjoint cycles covering every maximum-degree vertex
     (None if no cover exists), doubles all other edges, and takes a
-    nonzero coefficient from the doubled graph's almost-central window.
-    An empty window would contradict the sum-of-squares argument and
-    raises.  When the doubled graph has at most TRACE_VERTEX_CAP vertices
-    the transfer trace for cycle length 4 is embedded as a numeric
-    sub-check, and the witness comes from the transfer matrix's own scan.
-    Above that, it is the central exponent unless its coefficient is 0
-    (odd cycles), and then the outdegrees of acyclic_orientation where they
-    are almost-central, since an orientation with no odd directed cycle has
-    a nonzero coefficient at its outdegrees (Alon and Tarsi): one DP each in
-    place of a window that can be exponential.
+    nonzero coefficient from the doubled graph's almost-central window,
+    which proves the bound for every even cycle length at once.  The
+    witness is the central exponent unless its coefficient is 0 (odd
+    cycles), and then the outdegrees of acyclic_orientation where they are
+    almost-central, since an orientation with no odd directed cycle has a
+    nonzero coefficient at its outdegrees (Alon and Tarsi): one DP each in
+    place of a window that can be exponential.  An empty window would
+    contradict the sum-of-squares argument and raises.
     """
     if not g.is_simple():
         raise ValueError("cover pipeline expects a simple graph")
@@ -72,19 +68,15 @@ def cycle_cover_certificate(
     in_cover = cover_edge_indices(g, cover)
     doubled_idx = sorted(set(range(g.num_edges)) - in_cover)
     gprime = double_edges(g, doubled_idx)
-    phi = build_phi(gprime, budget=budget) if gprime.n <= TRACE_VERTEX_CAP else None
-    if phi is None:
-        centre = central_exponent(gprime)
-        value = coefficient(gprime, centre, budget=budget)
-        out = None if value else acyclic_orientation(gprime).outdegree_vector()
-        if value:
-            found = centre, value
-        elif all(abs(2 * x - d) <= 2 for x, d in zip(out, gprime.degree_vector())):
-            found = out, coefficient(gprime, out, budget=budget)
-        else:
-            found = almost_central_scan(gprime, budget=budget).witness()
+    centre = central_exponent(gprime)
+    value = coefficient(gprime, centre, budget=budget)
+    out = None if value else acyclic_orientation(gprime).outdegree_vector()
+    if value:
+        found = centre, value
+    elif all(abs(2 * x - d) <= 2 for x, d in zip(out, gprime.degree_vector())):
+        found = out, coefficient(gprime, out, budget=budget)
     else:
-        found = phi.scan.witness()
+        found = almost_central_scan(gprime, budget=budget).witness()
     if found is None:
         raise InvariantViolationError(
             "cycle cover exists but the doubled graph has an empty almost-central window"
@@ -98,8 +90,6 @@ def cycle_cover_certificate(
         "witness_exponent": list(witness),
         "witness_value": encode_int(value),
         "at_bound": delta + 1,
-        "k": 4,
-        "trace_value": None if phi is None else encode_int(nonzero_trace(phi, 4, budget=budget)),
     }
     return finalize_certificate(cert, g)
 

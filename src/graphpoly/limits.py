@@ -52,7 +52,7 @@ DENSE_BLOCK_DIM_CAP = 3432
 # of a block gather (transfer.PhiMatrix.gather), whose index takes 12 bytes a cell: 768 KB.
 TRACE_CHUNK_CELLS = 1 << 16
 
-# Vertices up to which the chain and cover provers record a transfer trace (blocks up to C(12, 6) = 924).
+# Vertices up to which a chain step records a transfer trace (blocks up to C(12, 6) = 924); larger steps are structural.
 TRACE_VERTEX_CAP = 12
 
 # Vertices of the box and odd-cycle products that `orient` builds and orients in Python:

@@ -500,21 +500,16 @@ def cycle_product_chain(
     if odd_ks and not reciprocal_sum_ok(odd_ks):
         raise ValueError("reciprocal sum over odd-cycle parameters exceeds 1")
 
-    steps: list[dict] = []
     if odd_ks:
         ori = odd_cycle_product_orientation(odd_ks)
-        base_cert = orientation_certificate(ori)
-        current = ori.graph
-        remaining = list(evens)
     else:
         cyc = build_cycle(evens[0])
         # rim edges forward, the seam edge (1, L) backward
-        rot = Orientation(cyc, tuple(u + 1 == v for u, v, _ in cyc.edges))
-        base_cert = orientation_certificate(rot)
-        current = cyc
-        remaining = list(evens[1:])
-
-    for L in remaining:
+        ori = Orientation(cyc, tuple(u + 1 == v for u, v, _ in cyc.edges))
+    base_cert = orientation_certificate(ori)
+    current = ori.graph
+    steps: list[dict] = []
+    for L in evens if odd_ks else evens[1:]:
         step: dict = {"even_length": L}
         if current.n <= TRACE_VERTEX_CAP:
             step["verification"] = "trace"

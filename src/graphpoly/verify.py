@@ -10,11 +10,12 @@ object and its integer fields JSON integers: a float or a boolean is
 refused, never truncated.  Every stated coefficient and trace is
 recomputed under the budget, its only limit; running out raises
 BudgetExceededError.  Claims proved by a theorem instead (orientations,
-large chain steps) are named in the notes.  A coefficient certificate
-claims f-choosability or the exact Alon-Tarsi number k, nothing else; the
-witness bounds AT above, and the lower bound AT >= k is at_lower_bound's
-pigeonhole or odd-cycle bound where that reaches k, and otherwise an
-empty support scan at caps min(k - 2, deg).
+a cover's every even cycle length, large chain steps) are named in the
+notes.  A coefficient certificate claims f-choosability or the exact
+Alon-Tarsi number k, nothing else; the witness bounds AT above, and the
+lower bound AT >= k is at_lower_bound's pigeonhole or odd-cycle bound
+where that reaches k, and otherwise an empty support scan at caps
+min(k - 2, deg).
 """
 
 from __future__ import annotations
@@ -72,31 +73,6 @@ def _check_witness_coefficient(
 
 def _almost_central(xi: list[int], g: SignedMultigraph) -> bool:
     return len(xi) == g.n and all(abs(2 * x - d) <= 2 for x, d in zip(xi, g.degree_vector()))
-
-
-def _check_almost_central_witness(g: SignedMultigraph, cert: dict, budget, refusal: str, *, trace: bool) -> None:
-    """The witness of a trace or cover certificate must be almost-central in g with the stated
-    nonzero coefficient, for an even cycle length k >= 2, and with trace, so must tr(Phi^k) of g
-    be the stated one.  Phi's scan holds every almost-central coefficient, so with trace the
-    witness is read from it and runs no DP of its own."""
-    k = _int(cert["k"])
-    if k < 2 or k % 2:
-        raise _Refuted(f"cycle length {k} is not an even integer >= 2")
-    xi = _int(cert["witness_exponent"], 1)
-    if not _almost_central(xi, g):
-        raise _Refuted(refusal)
-    stated = cert.get("witness_value")
-    if not trace:
-        _check_witness_coefficient(g, xi, stated, budget=budget)
-        return
-    try:
-        check_trace_request(g.n, k)
-        phi = build_phi(g, budget=budget)
-    except GraphPolyError:  # a witness its own DP refutes is refuted, whatever stops Phi
-        _check_witness_coefficient(g, xi, stated, budget=budget)
-        raise
-    _check_witness_coefficient(g, xi, stated, budget=budget, value=phi.scan.at(xi))
-    _check_trace(g, k, cert.get("trace_value"), budget, phi)
 
 
 def _check_trace(g: SignedMultigraph, k: int, stated, budget, phi: Optional[PhiMatrix] = None) -> None:
@@ -175,7 +151,22 @@ def _verify_trace(cert: dict, budget, notes: list[str], parsed) -> None:
         raise _Refuted("trace certificate on a graph with odd degrees")
     if _int(cert.get("at_bound"), optional=True) != g.max_degree() // 2 + 2:
         raise _Refuted("at_bound does not equal max degree / 2 + 2")
-    _check_almost_central_witness(g, cert, budget, "witness exponent is not almost-central", trace=True)
+    k = _int(cert["k"])
+    if k < 2 or k % 2:
+        raise _Refuted(f"cycle length {k} is not an even integer >= 2")
+    xi = _int(cert["witness_exponent"], 1)
+    if not _almost_central(xi, g):
+        raise _Refuted("witness exponent is not almost-central")
+    stated = cert.get("witness_value")
+    try:
+        check_trace_request(g.n, k)
+        phi = build_phi(g, budget=budget)
+    except GraphPolyError:  # a witness its own DP refutes is refuted, whatever stops Phi
+        _check_witness_coefficient(g, xi, stated, budget=budget)
+        raise
+    # Phi's scan holds every almost-central coefficient, so the witness runs no DP of its own
+    _check_witness_coefficient(g, xi, stated, budget=budget, value=phi.scan.at(xi))
+    _check_trace(g, k, cert.get("trace_value"), budget, phi)
 
 
 def _verify_orientation(cert: dict, budget, notes: list[str], parsed) -> None:
@@ -228,11 +219,15 @@ def _verify_prop_cover(cert: dict, budget, notes: list[str], parsed) -> None:
     gprime = double_edges(g, doubled)
     if _int(cert.get("at_bound"), optional=True) != delta + 1:
         raise _Refuted("at_bound does not equal max degree + 1")
-    traced = gprime.n <= TRACE_VERTEX_CAP
-    if not traced and cert.get("trace_value") is not None:
-        raise _Refuted(f"trace stated for a doubled graph on more than {TRACE_VERTEX_CAP} vertices")
-    _check_almost_central_witness(gprime, cert, budget, "witness is not almost-central for the doubled graph",
-                                  trace=traced)
+    for key in ("k", "trace_value"):
+        if key in cert:
+            raise _Refuted(f"a cover certificate states no {key}; its claim holds for every even cycle length")
+    xi = _int(cert["witness_exponent"], 1)
+    if not _almost_central(xi, gprime):
+        raise _Refuted("witness is not almost-central for the doubled graph")
+    _check_witness_coefficient(gprime, xi, cert.get("witness_value"), budget=budget)
+    notes.append("every even cycle length by theorem: the doubled graph has a nonzero almost-central "
+                 "coefficient, so Phi != 0 and tr Phi^k != 0 for every even k")
 
 
 def _verify_fplan(cert: dict, budget, notes: list[str], parsed) -> None:
@@ -282,12 +277,14 @@ def _verify_chain(cert: dict, budget, notes: list[str], parsed) -> None:
     base = verify(cert["base_certificate"], budget=budget)
     if not base.ok:
         raise _Refuted(f"base certificate fails: {base.errors}")
+    # only an orientation proves a coefficient of the graph in its own graph field
+    if base.kind != "orientation":
+        raise _Refuted(f"base certificate kind {base.kind!r} is not 'orientation'")
     notes.extend(f"base: {n}" for n in base.notes)
-    # the base must be exactly the product of the declared factors, not merely some graph
-    # with a valid certificate; its graph is loaded against its digest here, since the
-    # nested check of some kinds (fplan, chain) never reads a graph field
+    # the base must be exactly the product of the declared factors, not merely some graph with
+    # a valid certificate; the nested check has loaded that graph against its digest
     base_graph = cartesian_product(*map(build_cycle, base_factors))
-    if _load_graph(cert["base_certificate"]) != base_graph:
+    if from_json_obj(cert["base_certificate"]["graph"]) != base_graph:
         raise _Refuted("base certificate graph is not the product of the declared factors")
     # the structural steps need the base witness to be almost-central
     if not _almost_central(_int(cert["base_certificate"]["witness_exponent"], 1), base_graph):

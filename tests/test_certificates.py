@@ -15,13 +15,13 @@ from graphpoly.certificates import (
     encode_int,
     finalize_certificate,
 )
-from graphpoly import verify
+from graphpoly import transfer, verify
 from graphpoly.choosability import at_certificate_exact, coefficient_choosability_certificate
 from graphpoly.cli import main
 from graphpoly.coefficients import central_exponent, coefficient
 from graphpoly.doubling import build_plan, cycle_cover_certificate, epsilon_search
 from graphpoly.graphio import canonical_json, from_json_obj, graph_digest, parse_graph_spec, to_json_obj
-from graphpoly.graphs import build_complete, build_cycle, build_cycle_power
+from graphpoly.graphs import build_complete, build_cycle, build_cycle_power, build_path
 from graphpoly.orientations import (
     acyclic_orientation,
     cycle_product_chain,
@@ -315,10 +315,29 @@ def _fplan_base_chain(**changes):
     return _redigested(cycle_product_chain([], [4]), base_certificate=base)
 
 
+def _orientation_base_chain(**changes):
+    """The chain on C4 alone with the changes made to its orientation base."""
+    cert = cycle_product_chain([], [4])
+    return _redigested(cert, base_certificate=_redigested(cert["base_certificate"], **changes))
+
+
 def test_chain_base_graph_is_checked_against_its_digest_whatever_its_kind():
-    assert check_certificate(_fplan_base_chain()).ok
-    assert check_certificate(_fplan_base_chain(graph_digest="0" * 64)).errors == ["graph digest mismatch"]
-    assert check_certificate(_fplan_base_chain(graph={"n": 4})).errors == ["graph does not parse: 'edges'"]
+    # an fplan base proves a coefficient of its plan's graph, so whatever graph it carries it
+    # proves nothing about the product; an orientation base is read against its digest
+    refusal = ["base certificate kind 'fplan' is not 'orientation'"]
+    for changes in ({}, {"graph_digest": "0" * 64}, {"graph": {"n": 4}}):
+        assert check_certificate(_fplan_base_chain(**changes)).errors == refusal
+    assert check_certificate(_orientation_base_chain()).ok
+    assert check_certificate(_orientation_base_chain(graph_digest="0" * 64)).errors == [
+        "base certificate fails: ['graph digest mismatch']"]
+    assert check_certificate(_orientation_base_chain(graph={"n": 4})).errors == [
+        "base certificate fails: [\"graph does not parse: 'edges'\"]"]
+
+
+# the witness is recomputed, so the note names the theorem without the words perfbench/spans.py
+# reads as "accepted without recomputing"
+_COVER_NOTE = ("every even cycle length by theorem: the doubled graph has a nonzero almost-central coefficient, "
+               "so Phi != 0 and tr Phi^k != 0 for every even k")
 
 
 _PLAN_KEYS = [k for k in epsilon_search(build_plan(build_complete(4), (0, 1, 2, 3)))["plan"] if k != "graph"]
@@ -335,12 +354,16 @@ def test_each_plan_field_is_compared_with_the_rebuilt_plan(certs, key):
         assert errors == [f"plan field {key} disagrees with canonical reconstruction"]
 
 
-def test_cover_trace_is_stated_only_where_recorded():
-    # the doubled C13 has 13 vertices, one over the trace cap
-    cert = cycle_cover_certificate(build_cycle(13))
-    assert cert["trace_value"] is None
-    assert check_certificate(cert).ok
-    assert not check_certificate(_redigested(cert, trace_value="1")).ok
+def test_cover_certificate_states_no_cycle_length_or_trace():
+    # one almost-central witness proves every even length, so no k and no trace is stated
+    for spec in ("cycle:3", "product:cycle:3:cycle:4", "cycle:13"):
+        cert = cycle_cover_certificate(parse_graph_spec(spec))
+        assert "k" not in cert and "trace_value" not in cert
+        result = check_certificate(cert)
+        assert result.ok and result.notes == [_COVER_NOTE], spec
+        for key, value in (("k", 4), ("trace_value", None), ("trace_value", "1")):
+            assert check_certificate(_redigested(cert, **{key: value})).errors == [
+                f"a cover certificate states no {key}; its claim holds for every even cycle length"]
 
 
 def test_fplan_witness_without_pairing_is_checked():
@@ -476,8 +499,10 @@ _REFUSALS = {
                            "witness exponent (2, 2, 2, 2) has zero coefficient"),
     "cover witness value": (lambda c: _redigested(c["prop_cover"], witness_value="-4"),
                             "stated witness value -4 != recomputed 2"),
-    "cover trace": (lambda c: _redigested(cycle_cover_certificate(build_cycle(13)), trace_value="1"),
-                    "trace stated for a doubled graph on more than 12 vertices"),
+    "cover k": (lambda c: _redigested(c["prop_cover"], k=4),
+                "a cover certificate states no k; its claim holds for every even cycle length"),
+    "cover trace": (lambda c: _redigested(c["prop_cover"], trace_value="1"),
+                    "a cover certificate states no trace_value; its claim holds for every even cycle length"),
     # fplan
     "plan rebuild": (lambda c: _plan_forgery(tau=[0, 0, 0, 0]),
                      "plan does not rebuild: tau (0, 0, 0, 0) has zero coefficient; a plan needs a support element"),
@@ -496,6 +521,10 @@ _REFUSALS = {
     "ch_lower": (lambda c: _redigested(c["chain"], ch_lower=2), "ch_lower is not 3 with an odd factor and 2 without"),
     "base fails": (lambda c: _base_forgery(at_bound=4),
                    "base certificate fails: ['at_bound does not match the maximum outdegree']"),
+    # a valid fplan certificate of P4 given C4's graph fields: it proves nothing about C4
+    "base kind": (lambda c: _redigested(cycle_product_chain([], [4]), base_certificate=_redigested(
+                      epsilon_search(build_plan(build_path(4), (0, 1, 1, 1))), **_graph_fields("cycle:4"))),
+                  "base certificate kind 'fplan' is not 'orientation'"),
     "base graph": (lambda c: _redigested(c["chain"], odd_factors=[5]),
                    "base certificate graph is not the product of the declared factors"),
     # a valid base on C25, declared as C5 x C5: as many vertices, other edges
@@ -526,11 +555,20 @@ _REFUSALS = {
 # a product of cycles, so its degrees are even.
 
 
-def test_trace_and_cover_checks_read_the_witness_from_the_scan(certs, monkeypatch):
+def test_trace_checks_read_the_witness_from_the_scan(certs, monkeypatch):
     # Phi's scan holds every almost-central coefficient: no witness DP of its own
     monkeypatch.setattr(verify, "coefficient", mock.Mock(side_effect=AssertionError("witness DP")))
-    for name in ("trace", "trace-power", "prop_cover", "chain"):
+    for name in ("trace", "trace-power", "chain"):
         assert check_certificate(certs[name]).ok, name
+
+
+@pytest.mark.parametrize("spec", ["complete:4", "complete:5", "product:cycle:3:cycle:3", "product:cycle:3:cycle:4"])
+def test_cover_certificates_build_no_phi_on_either_side(monkeypatch, spec):
+    for name in ("build_phi", "trace_power"):
+        fail = mock.Mock(side_effect=AssertionError(name))
+        monkeypatch.setattr(transfer, name, fail)
+        monkeypatch.setattr(verify, name, fail)
+    assert check_certificate(cycle_cover_certificate(parse_graph_spec(spec))).ok
 
 
 @pytest.mark.parametrize("name", sorted(_REFUSALS))
@@ -544,10 +582,6 @@ def test_each_refusal_branch_names_its_failure(certs, name):
 # ---------------------------------------------------------------------------
 # numbers are read, never truncated; malformed input ends as a failed verdict
 # ---------------------------------------------------------------------------
-
-def _cover_c13(**changes):
-    return _redigested(cycle_cover_certificate(build_cycle(13)), **changes)
-
 
 def _plan_with(**changes):
     def forge(c):
@@ -567,13 +601,6 @@ _NON_INTEGERS = {
                           "malformed certificate: TypeError('expected a decimal string, got 4380.0')"),
     "graph n 5.0": (lambda c: _redigested(c["trace"], graph=dict(c["trace"]["graph"], n=5.0)),
                     "graph does not parse: expected an integer, got 5.0"),
-    "cover k x": (lambda c: _cover_c13(k="x"), "malformed certificate: TypeError(\"expected an integer, got 'x'\")"),
-    "cover k null": (lambda c: _cover_c13(k=None), "malformed certificate: TypeError('expected an integer, got None')"),
-    "cover k -1": (lambda c: _cover_c13(k=-1), "cycle length -1 is not an even integer >= 2"),
-    "cover k 5": (lambda c: _cover_c13(k=5), "cycle length 5 is not an even integer >= 2"),
-    "cover k 4.0": (lambda c: _cover_c13(k=4.0), "malformed certificate: TypeError('expected an integer, got 4.0')"),
-    "cover without k": (lambda c: _redigested({k: v for k, v in c["prop_cover"].items() if k != "k"}),
-                        "malformed certificate: KeyError('k')"),
     "fplan tau float": (_plan_with(tau=[0, 1, 2, 3.5]), "malformed certificate: TypeError('expected an integer, got 3.5')"),
     "fplan field float": (_plan_with(below=[1.0]), "plan field below disagrees with canonical reconstruction"),
     "chain ch_lower 3.0": (lambda c: _redigested(c["chain"], ch_lower=3.0),

@@ -179,6 +179,13 @@ def test_phi_summary(capsys):
     assert payload["result"]["trace_value"] == "-12"
 
 
+def test_phi_of_odd_degrees_names_the_first_odd_vertex(capsys):
+    # central_exponent is the one place that refuses odd degrees
+    code, out, err = run_cli(capsys, "phi", "complete:4")
+    assert code == 2 and not out
+    assert err == "error: vertex 1 has odd degree 3; the half-degree point needs even degrees\n"
+
+
 def test_phi_trace_over_the_dense_block_cap_is_refused(capsys):
     # C(16, 8) = 12870 rows, 1.3 GB per dense copy: refused before the build
     code, out, err = run_cli(capsys, "phi", "cycle:16", "--trace", "4")

@@ -22,9 +22,11 @@ from graphpoly.graphs import (
     double_edges,
     make_graph,
 )
+from graphpoly.limits import TRACE_VERTEX_CAP
 from graphpoly.orientations import acyclic_orientation
+from graphpoly.transfer import build_phi, trace_power
 
-from conftest import expand_polynomial
+from conftest import alon_tarsi_zoo, expand_polynomial
 from reference_provers import squared_central_check
 
 
@@ -89,17 +91,19 @@ def test_cover_certificate_petersen():
     assert result.ok, result.errors
 
 
-def test_cover_certificate_above_the_trace_cap_reads_the_central_coefficient_first():
-    # C4 x C4 doubled off its cover is 6-regular on 16 vertices: central coefficient nonzero
-    g = cartesian_product(build_cycle(4), build_cycle(4))
-    with mock.patch.object(doubling, "almost_central_scan", side_effect=AssertionError("scanned")):
-        cert = cycle_cover_certificate(g)
-    gprime = double_edges(g, cert["doubled_edge_indices"])
-    assert cert["witness_exponent"] == list(central_exponent(gprime)) == [3] * 16
-    assert cert["trace_value"] is None and check_certificate(cert).ok
+def test_cover_certificate_reads_the_central_coefficient_first():
+    # C3 x C4 (12 vertices) and C4 x C4 (16) doubled off their covers are 6-regular: central
+    # coefficient nonzero at every size
+    for a, b in ((3, 4), (4, 4)):
+        g = cartesian_product(build_cycle(a), build_cycle(b))
+        with mock.patch.object(doubling, "almost_central_scan", side_effect=AssertionError("scanned")):
+            cert = cycle_cover_certificate(g)
+        gprime = double_edges(g, cert["doubled_edge_indices"])
+        assert cert["witness_exponent"] == list(central_exponent(gprime)) == [3] * g.n
+        assert check_certificate(cert).ok
     # an odd cycle is its own cover, and its central coefficient is 0: an acyclic orientation's
     # outdegrees are almost-central with coefficient -1, so no window is scanned either
-    for n in (13, 25, 41):
+    for n in (3, 5, 13, 25, 41):
         odd = build_cycle(n)
         assert coefficient(odd, central_exponent(odd)) == 0
         with mock.patch.object(doubling, "almost_central_scan", side_effect=AssertionError("scanned")):
@@ -107,6 +111,20 @@ def test_cover_certificate_above_the_trace_cap_reads_the_central_coefficient_fir
         assert cert["witness_exponent"] == list(acyclic_orientation(odd).outdegree_vector())
         assert cert["witness_exponent"] == [2] + [1] * (n - 2) + [0] and int(cert["witness_value"]) == -1
         assert check_certificate(cert).ok
+
+
+def test_cover_certificates_on_the_zoo_have_nonzero_traces():
+    # the theorem the cover certificates rest on: a nonzero almost-central coefficient of the
+    # doubled graph makes tr Phi^k nonzero for every even k; checked where Phi is small
+    traced = 0
+    for g in alon_tarsi_zoo():
+        if not g.is_simple() or g.num_edges == 0 or g.n > TRACE_VERTEX_CAP:
+            continue
+        gprime = double_edges(g, cycle_cover_certificate(g)["doubled_edge_indices"])
+        for k in (4, 6):
+            assert trace_power(build_phi(gprime), k) != 0, (g, k)
+        traced += 1
+    assert traced == 17  # every simple zoo graph with an edge has a cover
 
 
 def test_cover_certificate_no_cover():

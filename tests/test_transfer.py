@@ -362,7 +362,7 @@ def test_fast_paths_never_decode_the_scan(monkeypatch):
         lambda: alon_tarsi_number_exact(c3c4),
         lambda: coefficient_choosability_certificate(c3c4, [3] * 12),
         lambda: cycle_cover_certificate(build_complete(4)),
-        lambda: cycle_cover_certificate(build_cycle(13)),  # over TRACE_VERTEX_CAP: no Phi
+        lambda: cycle_cover_certificate(build_cycle(13)),  # an orientation's outdegrees
     ]
     expected = [run() for run in runs]
 
