@@ -21,10 +21,11 @@ Two independent engines are provided and must agree:
   an edge costs about 21-26 us plus 0.06 us per state (least-squares fits
   over the 1,901 edges of a perfbench coeff pass; numpy 2.4, 2 cores).
   A layer of more than DP_PIECE_STATES states is merged one key range at
-  a time, so a step's temporaries stay cache-sized and its peak near two
-  copies of the layer: on the scans of C3xC5 under caps 3 and of C4xC4's
-  almost-central window (up to 9.4*10^6 states) such steps take
-  0.065-0.072 us per state, against 0.088-0.136 us merged whole.
+  a time, each written straight into one output, so a step's temporaries
+  stay cache-sized and it holds its input, its output and a few ranges:
+  on the scans of C3xC5 under caps 3 and of C4xC4's almost-central
+  window (up to 9.4*10^6 states) such steps take 0.065-0.072 us per
+  state, against 0.088-0.136 us merged whole.
   A scan returns its last layer as arrays (a SupportMap) and decodes
   exponent tuples only when a caller asks for them.  ``support`` first
   cuts its window to the exponents that can sum to |E| (the degree-sum
@@ -274,12 +275,12 @@ def _edge_step(keys: np.ndarray, coef: np.ndarray, field_u: tuple, field_v: tupl
     key < c' - d_lo] (choosing u) and keys[c - d_hi <= key < c' - d_hi]
     (choosing v).  Each cut c' is the lesser of the input key P places past
     either slice's start, shifted by its move, so no slice holds more than
-    P states; each piece is masked, merged and summed alone, and the pieces
-    are concatenated in key order.  The temporaries of a step then stay
-    within a few P states, and the layers are those of one whole merge.
+    P states; each piece is masked, merged and summed alone, and written in
+    key order into one output pair sized by the two masks' counts, which is
+    shrunk in place to the layer once the last piece is in.  The
+    temporaries of a step then stay within a few P states, and the layers
+    are those of one whole merge.
     """
-    if keys.size > DP_PIECE_STATES:
-        return _edge_step_by_pieces(keys, coef, field_u, field_v, d_hi, d_lo, diff)
     su, mu, cap_u, need_u = field_u
     sv, mv, cap_v, need_v = field_v
     up = down = None  # the states that may choose v, and u; None for all of them
@@ -290,57 +291,49 @@ def _edge_step(keys: np.ndarray, coef: np.ndarray, field_u: tuple, field_v: tupl
             up = cv < cap_v << sv
         if need_v is not None:
             down = cv >= need_v << sv
+        del cv  # one field's temporary at a time
     if cap_u is not None or need_u is not None:
         cu = keys & mu << su
         if need_u is not None:
             up = cu >= need_u << su if up is None else up & (cu >= need_u << su)
         if cap_u is not None:
             down = cu < cap_u << su if down is None else down & (cu < cap_u << su)
-    up_keys, up_coef = (keys, coef) if up is None else (keys[up], coef[up])
-    down_keys, down_coef = (keys, coef) if down is None else (keys[down], coef[down])
-    return _merge(up_keys, up_coef, down_keys, down_coef, d_hi, d_lo, diff)
-
-
-def _edge_step_by_pieces(keys: np.ndarray, coef: np.ndarray, field_u: tuple, field_v: tuple,
-                         d_hi: int, d_lo: int, diff: bool) -> tuple[np.ndarray, np.ndarray]:
-    """_edge_step on a layer of more than DP_PIECE_STATES states, one key range at a time."""
+        del cu  # before the output is allocated
     n, piece = keys.size, DP_PIECE_STATES
-    key_parts, coef_parts = [], []
-    down = up = 0  # the starts of the next piece's slices: keys choosing u, and v
-    while down < n or up < n:
-        cut = min(int(keys[down + piece]) + d_lo if down + piece < n else math.inf,
-                  int(keys[up + piece]) + d_hi if up + piece < n else math.inf)
+    if n <= piece:
+        return _merge(*_chosen(keys, coef, up), *_chosen(keys, coef, down), d_hi, d_lo, diff)
+    capacity = sum(n if ok is None else int(np.count_nonzero(ok)) for ok in (up, down))
+    out_keys, out_coef = np.empty(capacity, dtype=keys.dtype), np.empty(capacity, dtype=coef.dtype)
+    size = 0
+    lo = hi = 0  # the starts of the next piece's slices: keys choosing u, and v
+    while lo < n or hi < n:
+        cut = min(int(keys[lo + piece]) + d_lo if lo + piece < n else math.inf,
+                  int(keys[hi + piece]) + d_hi if hi + piece < n else math.inf)
         if cut == math.inf:
-            down_end = up_end = n
+            lo_end = hi_end = n
         else:
-            down_end, up_end = (int(np.searchsorted(keys, cut - d)) for d in (d_lo, d_hi))
-        up_keys, up_coef = _choosing(keys[up:up_end], coef[up:up_end], field_v, field_u)
-        down_keys, down_coef = _choosing(keys[down:down_end], coef[down:down_end], field_u, field_v)
-        part_keys, part_coef = _merge(up_keys, up_coef, down_keys, down_coef, d_hi, d_lo, diff)
-        if part_keys.size:
-            key_parts.append(part_keys)
-            coef_parts.append(part_coef)
-        down, up = down_end, up_end
-    if not key_parts:
-        empty = keys[:0].copy()
-        return empty, empty
-    out = np.concatenate(key_parts)
-    del key_parts  # freed before the coefficients are joined
-    return out, np.concatenate(coef_parts)
+            lo_end, hi_end = (int(np.searchsorted(keys, cut - d)) for d in (d_lo, d_hi))
+        part_keys, part_coef = _merge(*_chosen(keys, coef, up, hi, hi_end),
+                                      *_chosen(keys, coef, down, lo, lo_end), d_hi, d_lo, diff)
+        out_keys[size:size + part_keys.size] = part_keys
+        out_coef[size:size + part_keys.size] = part_coef
+        size += part_keys.size
+        del part_keys, part_coef  # before the next piece is merged
+        lo, hi = lo_end, hi_end
+    # in place, so each layer owns a buffer of its own size; on object arrays this also drops
+    # the references past the end
+    out_keys.resize(size, refcheck=False)
+    if not size:
+        return out_keys, out_keys  # as _merge gives an empty layer
+    out_coef.resize(size, refcheck=False)
+    return out_keys, out_coef
 
 
-def _choosing(keys: np.ndarray, coef: np.ndarray, chosen: tuple,
-              other: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The states of a slice that may choose the endpoint with field chosen: its count below
-    its cap, and the other endpoint's count at least its need (fields as in _edge_step)."""
-    s, mask, cap, _ = chosen
-    s_other, mask_other, _, need = other
-    ok = None
-    if cap is not None:
-        ok = keys & mask << s < cap << s
-    if need is not None:
-        met = keys & mask_other << s_other >= need << s_other
-        ok = met if ok is None else ok & met
+def _chosen(keys: np.ndarray, coef: np.ndarray, ok: Optional[np.ndarray], a: int = 0,
+            b: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
+    """The states of keys[a:b] and coef[a:b] where the mask ok holds; all of them where it is None."""
+    if b is not None:
+        keys, coef, ok = keys[a:b], coef[a:b], None if ok is None else ok[a:b]
     return (keys, coef) if ok is None else (keys[ok], coef[ok])
 
 
@@ -356,6 +349,7 @@ def _merge(up_keys: np.ndarray, up_coef: np.ndarray, down_keys: np.ndarray, down
     order = merged.argsort(kind="stable")
     merged = merged[order]
     values = np.concatenate((up_coef, -down_coef if diff else down_coef))[order]
+    del order  # before the sums allocate theirs
     # a key occurs at most twice, once from each half; no coefficient is
     # zero, so a layer without a repeated key is already the next one
     head = np.empty(merged.size, dtype=bool)

@@ -4,22 +4,22 @@ The budget is the only limit on what ``check`` recomputes.
 """
 
 # DP state expansions per scan: past it the scan raises, so a run never ends silently wrong.  The
-# DP peaks at 40-48 bytes per state of its largest layer (keys and coefficients of a step's input,
-# its pieces and its output; child ru_maxrss less the 34 MB of an idle process with graphpoly
-# loaded: C5xC5 at 25.1*10^6 states, C3xC5 under caps 3 at 9.4*10^6 and C4xC4's almost-central
-# window at 7.8*10^6), and each state costs two expansions, so the default admits layers of up to
-# 5*10^7 states, about 2.4 GB.  A trace charges it first with its cells, about 7.5 ns of run time
-# each (transfer._trace_cost): dim^2 per product per prime, the per-step cost of each stack of
-# primes, and its CRT.
+# DP peaks at 24-32 bytes per state of its largest layer (keys and coefficients of a step's input
+# and its output, and the step's masks; child ru_maxrss less the 34 MB of an idle process with
+# graphpoly loaded: C5xC5, 25.1*10^6 states at 644 MB; C3xC5 under caps 3, 9.4*10^6 at 322 MB;
+# C4xC4's almost-central window, 7.8*10^6 at 287 MB), and each state costs two expansions, so the
+# default admits layers of up to 5*10^7 states, about 1.6 GB.  A trace charges it first with its
+# cells, about 7.5 ns of run time each (transfer._trace_cost): dim^2 per product per prime, the
+# per-step cost of each stack of primes, and its CRT.
 DEFAULT_BUDGET = 10**8
 
 # States of a DP layer above which an edge step is merged one key range at a time, each range taking
 # at most this many states from either half (coefficients._edge_step), so its temporaries stay near
-# the 1.2 MB that tracemalloc saw a whole step on 2^14 states of C3xC5 take.  The support scan of
-# C3xC5 under caps 3 (layers of up to 9.4*10^6 states) took 1.99 s at 2^12, 1.97 s at 2^13, 1.74 s
-# at 2^14, 1.77 s at 2^15 and 1.86 s at 2^16 states, against 3.09 s merged whole (medians of 3,
-# 2-core Xeon VM, numpy 2.4.6); perfbench coeff peaks at 41.0-41.1 MB at both 2^13 and 2^14,
-# against 43.2 MB.
+# the 1.2 MB that tracemalloc saw a whole step on 2^14 states of C3xC5 take.  With each range written
+# into one output, the support scan of C3xC5 under caps 3 (layers of up to 9.4*10^6 states) took
+# 1.01 s at 2^13, 0.87 s at 2^14 and 0.88 s at 2^15 states, each at 321-325 MB (medians of 3, 2-core
+# Xeon VM, numpy 2.4.6).  2^13 would take the coeff workload's budget job 0.8 MB lower (38.0 against
+# 38.8 MB in one process), at 16% more time on that scan.
 DP_PIECE_STATES = 1 << 14
 
 # List assignments an exhaustive choosability sweep may enumerate before it refuses.

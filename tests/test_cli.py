@@ -4,9 +4,13 @@ import functools
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -105,6 +109,23 @@ def test_at_exact(capsys):
     code, payload, _ = run_json(capsys, "at", "cycle:4", "--exact")
     assert code == 0
     assert payload["result"]["alon_tarsi_number"] == 2
+
+
+def test_at_exact_on_c3xc5_stays_within_360_mb(tmp_path, capsys):
+    # the support scan under caps 3 holds layers of up to 9.4*10^6 states; the whole process
+    # peaked at 433 MB while a pieced step joined its pieces, and at 322-327 MB once each piece is
+    # written into one output (2-core Xeon VM, numpy 2.4.6)
+    path = tmp_path / "c3c5.json"
+    script = ("import resource, sys\nfrom graphpoly.cli import main\ncode = main(sys.argv[1:])\n"
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\nsys.exit(code)")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", script, "at", "product:cycle:3:cycle:5", "--exact",
+                           "--out", str(path)], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["alon_tarsi_number"] == 4
+    assert int(proc.stderr.split()[-1]) <= 360 * 1024  # ru_maxrss counts kilobytes on Linux
+    code, payload, _ = run_json(capsys, "check", str(path))
+    assert code == 0 and payload["result"]["pass"]
 
 
 def test_at_trace(capsys):

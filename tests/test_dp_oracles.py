@@ -10,6 +10,7 @@ same entries.
 
 import itertools
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -119,6 +120,57 @@ def test_step_in_pieces_matches_the_reference_step(piece, dtype, collide):
                 merges += _check_random_steps(dtype, diff, collide, active, 5, piece)
     assert bool(merges) == collide
     assert merge.call_count > 2 * 16 * 5  # some step ran as more than one piece
+
+
+# ---------------------------------------------------------------------------
+# the memory of a step in pieces
+# ---------------------------------------------------------------------------
+
+def _wide_layer(dtype: str, n: int):
+    """n sorted distinct states: u's count (0-6) at bit 0, v's (0-6) at bit 3, and the state's
+    index above them; past int64 like _layer in the object dtype."""
+    rng = np.random.default_rng(n)
+    keys = np.arange(n, dtype=np.int64) << 6 | rng.integers(0, 7, n) << SV | rng.integers(0, 7, n)
+    coef = rng.integers(1, 10, n) * rng.choice([-1, 1], n)
+    if dtype == "object":
+        return keys.astype(object) + (1 << 70), coef.astype(object) << 80
+    return keys, coef
+
+
+@pytest.mark.parametrize("dtype", ["int64", "object"])
+@pytest.mark.parametrize("diff", [True, False], ids=["DIFF", "SUM"])
+@pytest.mark.parametrize("bounds", [(5, 1, 5, 1), (None,) * 4], ids=["bounded", "unbounded"])
+def test_step_in_pieces_peaks_at_its_input_its_output_and_a_few_pieces(dtype, diff, bounds):
+    # 120,000 states in pieces of 2^10.  Choosing u also sets a bit above every key, so no two
+    # states meet and the output fills the capacity that the masks count.  A step that kept
+    # its pieces in a list and then joined them held a second copy of its output keys: it
+    # peaked 61 to 121 pieces above input, output and masks on int64 layers, 10 to 20 on
+    # object layers; this step peaks under 3 pieces above them.
+    n, piece = 120_000, 1 << 10
+    cap_u, need_u, cap_v, need_v = bounds
+    d_lo = (1 << SU) + (1 << (75 if dtype == "object" else 40))
+    _wide_layer(dtype, n)  # numpy's lazy set-up is not the layer's
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        keys, coef = _wide_layer(dtype, n)
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        with mock.patch.object(coefficients, "DP_PIECE_STATES", piece):
+            out = coefficients._edge_step(keys, coef, (SU, MASK, cap_u, need_u), (SV, MASK, cap_v, need_v),
+                                          1 << SV, d_lo, diff)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    inputs, outputs = entry - base, current - entry
+    masks = 0 if cap_u is None else 2 * n  # a byte a state for each endpoint's mask
+    assert peak - base <= inputs + outputs + masks + 4 * piece * inputs // n
+    assert out[0].size > n  # both halves reached the output
+    for a in out:  # each layer owns a buffer of exactly its size
+        assert a.base is None and a.nbytes == a.size * a.itemsize
+    full = [MASK + 1 if cap_u is None else cap_u, need_u or 0, MASK + 1 if cap_v is None else cap_v, need_v or 0]
+    _assert_identical(out, reference_dp._edge_step(keys, coef, (SU, MASK, *full[:2]), (SV, MASK, *full[2:]),
+                                                   1 << SV, d_lo, diff))
 
 
 # ---------------------------------------------------------------------------
