@@ -277,9 +277,10 @@ def _edge_step(keys: np.ndarray, coef: np.ndarray, field_u: tuple, field_v: tupl
     either slice's start, shifted by its move, so no slice holds more than
     P states; each piece is masked, merged and summed alone, and written in
     key order into one output pair sized by the two masks' counts, which is
-    shrunk in place to the layer once the last piece is in.  The
-    temporaries of a step then stay within a few P states, and the layers
-    are those of one whole merge.
+    shrunk in place to the layer once the last piece is in.  The masks are
+    computed once over the layer, before the output exists; past them the
+    temporaries of a step stay within a few P states, and the layers are
+    those of one whole merge.
     """
     su, mu, cap_u, need_u = field_u
     sv, mv, cap_v, need_v = field_v
@@ -320,8 +321,7 @@ def _edge_step(keys: np.ndarray, coef: np.ndarray, field_u: tuple, field_v: tupl
         size += part_keys.size
         del part_keys, part_coef  # before the next piece is merged
         lo, hi = lo_end, hi_end
-    # in place, so each layer owns a buffer of its own size; on object arrays this also drops
-    # the references past the end
+    # in place, so each layer owns a buffer of exactly its size
     out_keys.resize(size, refcheck=False)
     if not size:
         return out_keys, out_keys  # as _merge gives an empty layer
