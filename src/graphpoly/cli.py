@@ -39,7 +39,7 @@ from .graphio import (
     to_json_obj,
 )
 from .graphs import coloring_number
-from .limits import DEFAULT_ASSIGNMENT_BUDGET, DEFAULT_BUDGET
+from .limits import COEFF_LIST_CAP, DEFAULT_ASSIGNMENT_BUDGET, DEFAULT_BUDGET
 from .orientations import (
     WindowViolation,
     acyclic_orientation,
@@ -155,6 +155,8 @@ def _cmd_coeff(args, run: _Run) -> int:
     else:
         sup = support(g, args.support, budget=args.budget)
         run.param(cap=list(args.support))
+    if len(sup) > COEFF_LIST_CAP:
+        raise GraphPolyError(f"{len(sup)} coefficients to list exceed the listing cap of {COEFF_LIST_CAP}")
     run.emit({"entries": [{"exponent": list(k), "coefficient": encode_int(v)}
                           for k, v in sup.sorted_items()],
               "count": len(sup)})

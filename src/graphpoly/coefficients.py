@@ -635,18 +635,14 @@ def alon_tarsi_number_exact(
 ) -> tuple[int, ExponentVector, int]:
     """Exact Alon-Tarsi number k with a witness exponent and its coefficient (desk scale).
 
-    Scans supports with growing per-variable caps until one is nonempty;
+    Scans supports at caps k - 1 for k = 1, 2, ... until one is nonempty;
     the answer is (max exponent of the witness) + 1.  The witness is the
-    lexicographically smallest qualifying exponent.  An edgeless graph has
-    value 1 (the empty product is the constant 1).
+    lexicographically smallest qualifying exponent.  Caps summing to less
+    than |E| (below the pigeonhole bound) cost no DP: support's degree-sum
+    cut empties them.  An edgeless graph has value 1 (the empty product).
     """
-    m = g.num_edges
-    if m == 0:
-        return 1, (0,) * g.n, 1
     deg = g.degree_vector()
-    k_min = max(2, -(-m // g.n) + 1)  # need n*(k-1) >= |E|
-    k_max = g.max_degree() + 1  # cap = degree always has the full support
-    for k in range(k_min, k_max + 1):
+    for k in range(1, g.max_degree() + 2):  # cap = degree always has the full support
         cap = tuple(min(k - 1, d) for d in deg)
         found = support(g, cap, budget=budget).witness()
         if found is not None:

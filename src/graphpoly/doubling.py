@@ -55,8 +55,6 @@ def cycle_cover_certificate(
     place of a window that can be exponential.  An empty window would
     contradict the sum-of-squares argument and raises.
     """
-    if not g.is_simple():
-        raise ValueError("cover pipeline expects a simple graph")
     if g.num_edges == 0:
         raise ValueError("edgeless graph has nothing to certify")
     deg = g.degree_vector()
@@ -102,12 +100,11 @@ def cycle_cover_certificate(
 class ChoosabilityPlan:
     """Vertex partition and pairing data for the sign search.
 
-    All distance bookkeeping is in doubled integers (dist2[i] is
-    |2 tau_i - deg_i|) so half-integer distances stay exact.  The parts:
-    exact half-degree (on_center), at least 1 below/above (below, above),
-    exactly 1/2 below/above (half_below, half_above); spill (subset of the
-    larger of below/above) rebalances the multiset sizes.  Multisets a_side
-    and b_side always end up equal in size; pairing zips them sorted.
+    The parts place tau_v against deg_v/2: exactly on it (on_center), at
+    least 1 below/above (below, above), exactly 1/2 below/above
+    (half_below, half_above); spill (a subset of the larger of below/above)
+    rebalances the multiset sizes.  Multisets a_side and b_side always end
+    up equal in size; pairing zips them sorted.
     """
 
     graph: SignedMultigraph
@@ -144,60 +141,41 @@ def build_plan(
     tau must be a nonzero coefficient of g's polynomial (verified).  The
     spill subsets are the lexicographically smallest choices, and the
     pairing zips the two sorted multisets, so plans are reproducible.
+    With kept = (below | above) - spill, v appears |2 tau_v - deg_v| -
+    2 [v in kept] times in a_side (2 tau_v < deg_v) or b_side, and its
+    list size is f_v = max(tau_v, deg_v - tau_v) + 2 - [v in kept].
     """
     tau = tuple(int(x) for x in tau)
     value = coefficient(g, tau, budget=budget)
     if value == 0:
         raise ValueError(f"tau {tau} has zero coefficient; a plan needs a support element")
     deg = g.degree_vector()
+    d2 = [2 * t - d for t, d in zip(tau, deg)]
     on_center, below, half_below, above, half_above = [], [], [], [], []
-    for i in range(1, g.n + 1):
-        d2 = 2 * tau[i - 1] - deg[i - 1]
-        if d2 == 0:
+    for i, x in enumerate(d2, 1):
+        if x == 0:
             on_center.append(i)
-        elif d2 <= -2:
+        elif x <= -2:
             below.append(i)
-        elif d2 == -1:
+        elif x == -1:
             half_below.append(i)
-        elif d2 >= 2:
+        elif x >= 2:
             above.append(i)
         else:
             half_above.append(i)
 
-    dist2 = [abs(2 * tau[i] - deg[i]) for i in range(g.n)]  # 0-based
-    n_spill_below = max(0, len(below) - len(above))
-    n_spill_above = max(0, len(above) - len(below))
-    spill_below = tuple(below[:n_spill_below])
-    spill_above = tuple(above[:n_spill_above])
-
-    def side(ones: list[int], halves: list[int], spill: tuple[int, ...]) -> list[int]:
-        out: list[int] = []
-        for i in ones:
-            times = dist2[i - 1] if i in spill else dist2[i - 1] - 2
-            out.extend([i] * times)
-        for i in halves:
-            out.extend([i] * dist2[i - 1])
-        return sorted(out)
-
-    a_side = side(below, half_below, spill_below)
-    b_side = side(above, half_above, spill_above)
+    spill_below = tuple(below[:max(0, len(below) - len(above))])
+    spill_above = tuple(above[:max(0, len(above) - len(below))])
+    kept = set(below + above) - set(spill_below + spill_above)
+    a_side: list[int] = []
+    b_side: list[int] = []
+    for i, x in enumerate(d2, 1):
+        (a_side if x < 0 else b_side).extend([i] * (abs(x) - 2 * (i in kept)))
     if len(a_side) != len(b_side):
         raise InvariantViolationError(
             f"multiset sizes differ: {len(a_side)} vs {len(b_side)}"
         )
-
-    f2 = []  # doubled list sizes, divided at the end
-    for i in range(1, g.n + 1):
-        d = deg[i - 1]
-        if i in on_center:
-            f2.append(d + 4)
-        elif (i in below or i in above) and i not in spill_below and i not in spill_above:
-            f2.append(d + dist2[i - 1] + 2)
-        else:
-            f2.append(d + dist2[i - 1] + 4)
-    if any(x % 2 for x in f2):
-        raise InvariantViolationError("list sizes came out non-integral")
-    f = tuple(x // 2 for x in f2)
+    f = tuple(max(t, d - t) + 2 - (i in kept) for i, (t, d) in enumerate(zip(tau, deg), 1))
 
     return ChoosabilityPlan(
         graph=g,
@@ -251,10 +229,7 @@ def epsilon_search(plan: ChoosabilityPlan, *, budget: Optional[int] = None) -> d
     target = plan_target_exponent(plan)
     for signs in itertools.product("+-", repeat=plan.m):
         q = plan_polynomial(plan, signs)
-        deg_q = q.degree_vector()
-        if any(d % 2 for d in deg_q):
-            raise InvariantViolationError("augmented multigraph has an odd degree")
-        if any(d != 2 * fv - 4 for d, fv in zip(deg_q, plan.f)):
+        if any(d != 2 * fv - 4 for d, fv in zip(q.degree_vector(), plan.f)):
             raise InvariantViolationError("augmented degrees disagree with 2f - 4")
         value = plan.tau_value if plan.m == 0 else coefficient(q, target, budget=budget)
         if value != 0:

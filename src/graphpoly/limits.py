@@ -22,6 +22,12 @@ DEFAULT_BUDGET = 10**8
 # 38.8 MB in one process), at 16% more time on that scan.
 DP_PIECE_STATES = 1 << 14
 
+# Coefficients that `coeff --support` or `--almost-central` lists: each costs about 850 bytes as a
+# decoded entry, a JSON object and its text (child ru_maxrss less the 34 MB of an idle process:
+# `cyclepower:13:2`, 86,008 entries at 103 MB in 0.96 s; `cyclepower:15:2`, 476,727 at 440 MB in
+# 6.3 s; 2-core Xeon VM), so a listing stays near 200 MB and 2 s; C4xC4's 5,033,003 would take 4.3 GB.
+COEFF_LIST_CAP = 200_000
+
 # List assignments an exhaustive choosability sweep may enumerate before it refuses.
 DEFAULT_ASSIGNMENT_BUDGET = 5_000_000
 

@@ -491,14 +491,10 @@ def cycle_product_chain(
     """
     odd_ks = [int(k) for k in odd_ks]
     evens = [int(x) for x in even_lengths]
-    if any(k < 1 for k in odd_ks):
-        raise ValueError("odd-cycle parameters must be >= 1")
     if any(x < 4 or x % 2 for x in evens):
         raise ValueError("even cycle lengths must be even and >= 4")
     if not odd_ks and not evens:
         raise ValueError("empty product")
-    if odd_ks and not reciprocal_sum_ok(odd_ks):
-        raise ValueError("reciprocal sum over odd-cycle parameters exceeds 1")
 
     if odd_ks:
         ori = odd_cycle_product_orientation(odd_ks)

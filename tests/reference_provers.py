@@ -1,6 +1,6 @@
 """Plain per-element forms of the chess construction, the list-colouring sweeps, the
 enumeration engine, the odd-directed-cycle test, the window-condition check, the exact
-Alon-Tarsi certificate, the f-plan sign search and the degeneracy order.
+Alon-Tarsi certificate, the f-plan, its sign search and the degeneracy order.
 
 Kept as test oracles for the versions in graphpoly: this chess construction
 walks the edges one by one, the sweep tries every assignment of the
@@ -10,7 +10,9 @@ the enumeration returns how many search nodes it entered, the odd-cycle
 test finds strongly connected components by Tarjan's low-links, the
 window check tests every edge and vertex against each chunk of subsets, the
 exact certificate recomputes its witness coefficient with a second DP,
-the sign search runs one DP per sign choice, even where the plan
+the plan builds each multiset by one branch per part and its list sizes
+in doubled integers, halved at the end, the sign search runs one DP per
+sign choice, even where the plan
 already holds the coefficient, and the degeneracy order scans every live
 vertex for the least (degree, label) at each step.  Given the same input,
 each must give the same answer as the package.
@@ -346,6 +348,87 @@ def at_certificate_exact(g: SignedMultigraph) -> dict:
         "f": [value] * g.n,
         "at_bound": value,
     })
+
+
+def build_plan(
+    g: SignedMultigraph, tau: Sequence[int], *, budget: Optional[int] = None
+) -> ChoosabilityPlan:
+    """Classify vertices by 2*tau - deg and assemble the pairing multisets.
+
+    tau must be a nonzero coefficient of g's polynomial (verified).  The
+    spill subsets are the lexicographically smallest choices, and the
+    pairing zips the two sorted multisets, so plans are reproducible.
+    """
+    tau = tuple(int(x) for x in tau)
+    value = coefficient(g, tau, budget=budget)
+    if value == 0:
+        raise ValueError(f"tau {tau} has zero coefficient; a plan needs a support element")
+    deg = g.degree_vector()
+    on_center, below, half_below, above, half_above = [], [], [], [], []
+    for i in range(1, g.n + 1):
+        d2 = 2 * tau[i - 1] - deg[i - 1]
+        if d2 == 0:
+            on_center.append(i)
+        elif d2 <= -2:
+            below.append(i)
+        elif d2 == -1:
+            half_below.append(i)
+        elif d2 >= 2:
+            above.append(i)
+        else:
+            half_above.append(i)
+
+    dist2 = [abs(2 * tau[i] - deg[i]) for i in range(g.n)]  # 0-based
+    n_spill_below = max(0, len(below) - len(above))
+    n_spill_above = max(0, len(above) - len(below))
+    spill_below = tuple(below[:n_spill_below])
+    spill_above = tuple(above[:n_spill_above])
+
+    def side(ones: list[int], halves: list[int], spill: tuple[int, ...]) -> list[int]:
+        out: list[int] = []
+        for i in ones:
+            times = dist2[i - 1] if i in spill else dist2[i - 1] - 2
+            out.extend([i] * times)
+        for i in halves:
+            out.extend([i] * dist2[i - 1])
+        return sorted(out)
+
+    a_side = side(below, half_below, spill_below)
+    b_side = side(above, half_above, spill_above)
+    if len(a_side) != len(b_side):
+        raise InvariantViolationError(
+            f"multiset sizes differ: {len(a_side)} vs {len(b_side)}"
+        )
+
+    f2 = []  # doubled list sizes, divided at the end
+    for i in range(1, g.n + 1):
+        d = deg[i - 1]
+        if i in on_center:
+            f2.append(d + 4)
+        elif (i in below or i in above) and i not in spill_below and i not in spill_above:
+            f2.append(d + dist2[i - 1] + 2)
+        else:
+            f2.append(d + dist2[i - 1] + 4)
+    if any(x % 2 for x in f2):
+        raise InvariantViolationError("list sizes came out non-integral")
+    f = tuple(x // 2 for x in f2)
+
+    return ChoosabilityPlan(
+        graph=g,
+        tau=tau,
+        tau_value=value,
+        on_center=tuple(on_center),
+        below=tuple(below),
+        half_below=tuple(half_below),
+        above=tuple(above),
+        half_above=tuple(half_above),
+        spill_below=spill_below,
+        spill_above=spill_above,
+        a_side=tuple(a_side),
+        b_side=tuple(b_side),
+        pairing=tuple(zip(a_side, b_side)),
+        f=f,
+    )
 
 
 def epsilon_search(plan: ChoosabilityPlan) -> dict:

@@ -771,6 +771,21 @@ def test_budget_exit_code(capsys):
     assert "budget" in err
 
 
+def test_a_listing_over_its_cap_exits_2_before_decoding(capsys, monkeypatch):
+    def listing():
+        code, out, err = run_cli(capsys, "coeff", "cycle:3", "--almost-central")
+        manifest = json.loads(out)["manifest"] if out else None
+        return code, out.replace(str(manifest and manifest["wall_clock_s"]), "T"), err
+
+    free = listing()
+    monkeypatch.setattr("graphpoly.cli.COEFF_LIST_CAP", 6)  # the window holds 6 coefficients
+    assert listing() == free and free[0] == 0
+    monkeypatch.setattr("graphpoly.cli.COEFF_LIST_CAP", 5)
+    code, out, err = listing()
+    assert (code, out) == (2, "")
+    assert err == "error: 6 coefficients to list exceed the listing cap of 5\n"
+
+
 def test_usage_exit_code(capsys):
     code, _, _ = run_cli(capsys, "gen", "dodecahedron")
     assert code == 2

@@ -194,6 +194,22 @@ def test_alon_tarsi_exact():
     assert alon_tarsi_number_exact(build_complete(5))[0] == 5
 
 
+def test_exact_at_runs_no_dp_below_the_pigeonhole_cap():
+    # caps k - 1 summing to less than |E| are answered by support's degree-sum cut, so the
+    # scans that run are exactly those at caps summing to at least |E|, up to the answer
+    for g in [build_cycle(4), build_cycle(5), build_path(4), build_complete(5),
+              cartesian_product(build_cycle(3), build_cycle(3)), make_graph(4, [(1, 2), (1, 2), (1, 3), (3, 4)])]:
+        with mock.patch.object(coefficients, "_scan", wraps=coefficients._scan) as scan:
+            k = alon_tarsi_number_exact(g)[0]
+        deg = g.degree_vector()
+        runs = [j for j in range(1, k + 1) if sum(min(j - 1, d) for d in deg) >= g.num_edges]
+        assert scan.call_count == len(runs), g.edges
+    for n in (0, 3):
+        with mock.patch.object(coefficients, "_scan", wraps=coefficients._scan) as scan:
+            assert alon_tarsi_number_exact(make_graph(n, [])) == (1, (0,) * n, 1)
+        assert scan.call_count == 1
+
+
 def test_almost_central_scan():
     c3 = build_cycle(3)
     scan = almost_central_scan(c3)

@@ -16,6 +16,7 @@ from graphpoly.doubling import (
 from graphpoly.graphs import (
     build_complete,
     build_cycle,
+    build_digon,
     build_path,
     build_petersen,
     cartesian_product,
@@ -134,6 +135,11 @@ def test_cover_certificate_no_cover():
 def test_cover_rejects_multigraph():
     with pytest.raises(ValueError):
         cycle_cover_certificate(double_edges(build_cycle(3)))
+
+
+def test_cover_refuses_a_multigraph_by_the_cover_search():
+    with pytest.raises(ValueError, match="^cycle cover search expects a simple graph$"):
+        cycle_cover_certificate(build_digon())
 
 
 # ---------------------------------------------------------------------------

@@ -545,6 +545,13 @@ def test_chain_validation():
         cycle_product_chain([1, 1], [4])  # reciprocal sum 2 > 1
 
 
+def test_chain_refuses_odd_factors_by_the_chess_construction():
+    with pytest.raises(ValueError, match="^cycle parameters must be positive integers$"):
+        cycle_product_chain([0], [4])
+    with pytest.raises(ValueError, match="^reciprocal sum 2 exceeds 1; the box orientation does not exist$"):
+        cycle_product_chain([1, 1], [4])
+
+
 def test_chain_rejects_swapped_base():
     # a base certificate for some other graph of the right size must not
     # verify, even if every digest is recomputed consistently

@@ -19,7 +19,7 @@ import graphpoly.choosability as choosability
 import graphpoly.doubling as doubling
 import reference_provers
 from conftest import alon_tarsi_zoo, even_degree_zoo
-from graphpoly.coefficients import _coefficient_enumeration, central_exponent
+from graphpoly.coefficients import _coefficient_enumeration, central_exponent, support
 from graphpoly.errors import BudgetExceededError
 from graphpoly.graphio import canonical_json, parse_graph_spec
 from graphpoly.graphs import (
@@ -308,6 +308,28 @@ def test_at_certificate_exact_matches_the_two_dp_certificate_byte_for_byte():
     for g in _at_exact_graphs():
         new = canonical_json(choosability.at_certificate_exact(g))
         assert new == canonical_json(reference_provers.at_certificate_exact(g)), g
+
+
+def _plan_graphs():
+    """even_degree_zoo(10), K4 and seeded multigraphs with SUM/DIFF tags, where odd degrees give half parts."""
+    graphs = [g for _, g in even_degree_zoo(10)] + [build_complete(4)]
+    rng = random.Random(30)
+    for _ in range(30):
+        n = rng.randint(2, 6)
+        graphs.append(make_graph(n, [(*rng.sample(range(1, n + 1), 2), rng.choice((SUM, DIFF)))
+                                     for _ in range(rng.randint(1, 9))]))
+    return graphs
+
+
+def test_plans_match_the_doubled_size_plan_on_every_support_element():
+    parts = set()
+    for g in _plan_graphs():
+        for tau, _ in support(g, g.degree_vector()).sorted_items():
+            new, old = doubling.build_plan(g, tau), reference_provers.build_plan(g, tau)
+            assert canonical_json(new.as_json()) == canonical_json(old.as_json()), (g.edges, tau)
+            assert doubling.epsilon_search(new)["digest"] == doubling.epsilon_search(old)["digest"]
+            parts |= {k for k in ("below", "half_below", "spill_below", "spill_above") if getattr(new, k)}
+    assert parts == {"below", "half_below", "spill_below", "spill_above"}
 
 
 # the coeff workload's central plans, then the CLI rows that pair vertices
