@@ -20,8 +20,7 @@ import itertools
 import math
 from typing import Iterator, Optional, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .certificates import encode_int, finalize_certificate
 from .coefficients import alon_tarsi_number_exact, support
 from .errors import BudgetExceededError

@@ -54,8 +54,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Optional, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .errors import BudgetExceededError, InvariantViolationError
 from .graphs import DIFF, SignedMultigraph
 from .limits import DEFAULT_BUDGET, DP_PIECE_STATES

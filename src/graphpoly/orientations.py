@@ -27,8 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .certificates import encode_int, finalize_certificate
 from .coefficients import ExponentVector
 from .errors import GraphPolyError, InvariantViolationError

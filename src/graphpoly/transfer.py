@@ -51,8 +51,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
-import numpy as np
-
+from ._numpy import np
 from .certificates import encode_int, finalize_certificate
 from .coefficients import (
     ExponentVector,
@@ -66,8 +65,12 @@ from .graphio import graph_fields
 from .graphs import SignedMultigraph, build_cycle, build_digon, cartesian_product
 from .limits import DEFAULT_BUDGET, DENSE_BLOCK_DIM_CAP, SUBSET_VERTEX_CAP, TRACE_CHUNK_CELLS
 
-_SIZES = range(SUBSET_VERTEX_CAP + 1)
-_COMB = np.array([[math.comb(f, r) for r in _SIZES] + [0] * len(_SIZES) for f in _SIZES])
+
+@functools.cache
+def _comb() -> np.ndarray:
+    """C(f, r) for f, r <= SUBSET_VERTEX_CAP, then a zero half that a negative r wraps into."""
+    sizes = range(SUBSET_VERTEX_CAP + 1)
+    return np.array([[math.comb(f, r) for r in sizes] + [0] * len(sizes) for f in sizes])
 
 
 @dataclass(frozen=True)
@@ -106,8 +109,8 @@ class PhiMatrix:
 
     def counts(self, s: int) -> np.ndarray:
         """The places each scan row fills in block s: C(free, s - base), which is zero for
-        s - base > free and, wrapping into _COMB's zero half, for s - base < 0."""
-        return _COMB[self.free, s - self.base]
+        s - base > free and, wrapping into _comb()'s zero half, for s - base < 0."""
+        return _comb()[self.free, s - self.base]
 
     @property
     def blocks(self) -> dict[int, Block]:  # not cached: a Block refers back to phi
@@ -120,7 +123,7 @@ class PhiMatrix:
         size = self.n + 1
         rows = np.bincount(self.free * size + self.base, minlength=size * size).reshape(size, size)
         f, b = np.arange(size)[:, None], np.arange(size)
-        return [int((rows * _COMB[f, s - b]).sum()) for s in range(size)]
+        return [int((rows * _comb()[f, s - b]).sum()) for s in range(size)]
 
     def nnz(self) -> int:
         return sum(self.block_nnz().values())
