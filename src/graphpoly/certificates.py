@@ -12,6 +12,10 @@ Kinds:
   prop_cover   - cycle-cover-plus-doubling pipeline for products with even cycles
   fplan        - sign-search plan certifying f-choosability of such products
   chain        - certificate chain for products of several cycles
+
+CERTIFICATE_KINDS lists the kinds, here and nowhere else: finalize_certificate
+refuses any other, and verify builds its table from the tuple, one
+_verify_<kind> checker per entry.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ emits a manifest (command, graph digest, parameters, seed, budgets,
 wall-clock); certificates are canonical JSON, so identical inputs and
 seed produce byte-identical certificate files.  Exit codes: 0 success or
 pass, 1 no-certificate / infeasible / failed check (a valid mathematical
-answer), 2 usage error, 3 budget exceeded, 4 internal invariant
-violation.
+answer), 2 usage error or input nested too deeply, 3 budget exceeded,
+4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -459,6 +459,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         # the budget bounds work, not memory: a run can still outgrow the machine
         print("error: out of memory; retry with a smaller input", file=sys.stderr)
         return EXIT_BUDGET
+    except RecursionError:
+        # json and the checks read nested input recursively, to Python's stack limit
+        print("error: input nested too deeply to read", file=sys.stderr)
+        return EXIT_USAGE
     except InvariantViolationError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
@@ -466,6 +470,3 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -57,7 +57,7 @@ from typing import Optional, Sequence
 from ._numpy import np
 from .errors import BudgetExceededError, InvariantViolationError
 from .graphs import DIFF, SignedMultigraph
-from .limits import DEFAULT_BUDGET, DP_PIECE_STATES
+from .limits import DEFAULT_BUDGET, DP_PIECE_STATES, SCAN_DECODE_ROWS
 
 ExponentVector = tuple[int, ...]
 
@@ -557,13 +557,13 @@ class SupportMap:
     def entries(self) -> dict[ExponentVector, int]:
         """{exponent vector: coefficient}, decoded from the whole layer on first read."""
         out: dict[ExponentVector, int] = {}
-        for start in range(0, self.keys.size, 65536):  # bounds the columns held as lists
-            chunk = self.keys[start:start + 65536]
+        for start in range(0, self.keys.size, SCAN_DECODE_ROWS):
+            chunk = self.keys[start:start + SCAN_DECODE_ROWS]
             # one list per vertex, zipped into the rows: a list per row would be
             # tracked by the cyclic GC, whose passes then dominate the decode
             columns = [self.column(t, chunk).tolist() for t in range(len(self.shift))]
             rows = zip(*columns) if columns else [()]
-            out.update(zip(rows, self.coef[start:start + 65536].tolist()))
+            out.update(zip(rows, self.coef[start:start + SCAN_DECODE_ROWS].tolist()))
         return out
 
     def sorted_items(self) -> list[tuple[ExponentVector, int]]:

@@ -58,6 +58,11 @@ DENSE_BLOCK_DIM_CAP = 3432
 # of a block gather (transfer.PhiMatrix.gather), whose index takes 12 bytes a cell: 768 KB.
 TRACE_CHUNK_CELLS = 1 << 16
 
+# Rows of a support scan decoded at a time, by build_phi's code columns and SupportMap.entries'
+# exponent lists: each decoded column, an int64 array or a list of pointers to small ints, then
+# takes 512 KB, whatever the size of the scan.
+SCAN_DECODE_ROWS = 1 << 16
+
 # Vertices up to which a chain step records a transfer trace (blocks up to C(12, 6) = 924); larger steps are structural.
 TRACE_VERTEX_CAP = 12
 

@@ -106,7 +106,7 @@ def _violation(g: SignedMultigraph, subset, condition: int, bound: Sequence[int]
     lhs = hits.count(2) if condition == 1 else len(hits) - hits.count(0)
     rhs = sum(bound[x - 1] for x in w)
     if (lhs <= rhs) if condition == 1 else (lhs >= rhs):
-        raise InvariantViolationError(f"path reversal stopped at a set that breaks no condition {condition}")
+        raise InvariantViolationError(f"a reported set breaks no condition {condition}")
     return WindowViolation(tuple(sorted(w)), condition, lhs, rhs)
 
 
@@ -233,7 +233,7 @@ def check_window_conditions(
     with the bounds capped at m + 1, which keeps every verdict exact.  The edges touching W number
     deg(W) - |E(W)|, so condition 2 fails where |E(W)| exceeds the sum of deg - lower over W.
     Every capped sum lies within (n + 1)(m + 1) of 0, so the arrays are int32 below 2^31 and
-    int64 past it.
+    int64 past it.  The first W is recounted in O(m) by _violation, as window_orientation's sets are.
     """
     if g.n > SUBSET_VERTEX_CAP:
         raise GraphPolyError(f"exhaustive subset check refused for n={g.n} > {SUBSET_VERTEX_CAP}")
@@ -259,11 +259,9 @@ def check_window_conditions(
             w, condition = int(found.argmax()), c
     if condition is None:
         return WindowConditionsReport(True, None, None, None, None, 1 << n)
-    subset = tuple(i + 1 for i in range(n) if w >> i & 1)
-    lhs, bound = int(inside[w]), upper
-    if condition == 2:  # the edges touching W
-        lhs, bound = sum(deg[v - 1] for v in subset) - lhs, lower
-    return WindowConditionsReport(False, subset, condition, lhs, sum(bound[v - 1] for v in subset), w + 1)
+    subset = (i + 1 for i in range(n) if w >> i & 1)
+    violation = _violation(g, subset, condition, upper if condition == 1 else lower)
+    return WindowConditionsReport(False, violation.subset, condition, violation.lhs, violation.rhs, w + 1)
 
 
 # ---------------------------------------------------------------------------

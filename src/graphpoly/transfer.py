@@ -63,7 +63,7 @@ from .coefficients import (
 from .errors import BudgetExceededError, GraphPolyError, InvariantViolationError
 from .graphio import graph_fields
 from .graphs import SignedMultigraph, build_cycle, build_digon, cartesian_product
-from .limits import DEFAULT_BUDGET, DENSE_BLOCK_DIM_CAP, SUBSET_VERTEX_CAP, TRACE_CHUNK_CELLS
+from .limits import DEFAULT_BUDGET, DENSE_BLOCK_DIM_CAP, SCAN_DECODE_ROWS, SUBSET_VERTEX_CAP, TRACE_CHUNK_CELLS
 
 
 @functools.cache
@@ -179,8 +179,8 @@ def build_phi(q: SignedMultigraph, *, budget: Optional[int] = None) -> PhiMatrix
 
     # digit i of a code is xi_i - a_i + 1: 0 on S \ T, 2 on T \ S, 1 on the free places
     code, base, free = (np.zeros(len(scan), np.int64) for _ in range(3))
-    for lo in range(0, len(scan), 65536):  # bounds the column temporaries
-        part = slice(lo, lo + 65536)
+    for lo in range(0, len(scan), SCAN_DECODE_ROWS):
+        part = slice(lo, lo + SCAN_DECODE_ROWS)
         for i in range(n):
             x = scan.column(i, keys[part])
             digit = (x >= a[i]).astype(np.int64) + (x > a[i])

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .certificates import CheckResult, certificate_digest, decode_int, encode_int
+from .certificates import CERTIFICATE_KINDS, CheckResult, certificate_digest, decode_int, encode_int
 from .coefficients import coefficient, support
 from .doubling import build_plan, plan_polynomial, plan_target_exponent
 from .errors import BudgetExceededError, GraphPolyError
@@ -37,19 +37,13 @@ class _Refuted(Exception):
     """A sub-check failed; the message is the verdict's error."""
 
 
-def _parse_graph(obj: dict) -> SignedMultigraph | _Refuted:
-    """obj["graph"] read as a graph, or the refusal that loading it raises."""
+def _load_graph(obj: dict, parsed: Optional[SignedMultigraph] = None) -> SignedMultigraph:
+    """obj["graph"], checked against obj["graph_digest"] where stated: verify's reading of it as parsed,
+    or, where that is None (not made, or it failed), read here, where an unreadable graph is refused."""
     try:
-        return from_json_obj(obj["graph"])
+        g = from_json_obj(obj["graph"]) if parsed is None else parsed
     except (LookupError, TypeError, ValueError) as exc:
-        return _Refuted(f"graph does not parse: {exc}")
-
-
-def _load_graph(obj: dict, parsed: SignedMultigraph | _Refuted | None = None) -> SignedMultigraph:
-    """obj["graph"], or verify's reading of it, checked against obj["graph_digest"] where stated."""
-    g = parsed or _parse_graph(obj)
-    if isinstance(g, _Refuted):
-        raise g
+        raise _Refuted(f"graph does not parse: {exc}") from None
     if "graph_digest" in obj and graph_digest(g) != obj["graph_digest"]:
         raise _Refuted("graph digest mismatch")
     return g
@@ -76,13 +70,8 @@ def _almost_central(xi: list[int], g: SignedMultigraph) -> bool:
 
 
 def _check_trace(g: SignedMultigraph, k: int, stated, budget, phi: Optional[PhiMatrix] = None) -> None:
-    """tr(Phi^k) of g, recomputed from phi where the caller has built it, must be
-    nonzero and equal the stated value.
-
-    A graph that build_phi or check_trace_request refuses fails the check
-    through verify.
-    """
-    check_trace_request(g.n, k)
+    """tr(Phi^k) of g, recomputed from phi where the caller has built it, must be nonzero and equal the
+    stated value.  trace_power runs check_trace_request, the one gate on n and k, before any work."""
     tr = trace_power(build_phi(g, budget=budget) if phi is None else phi, k, budget=budget)
     if tr == 0:
         raise _Refuted("recomputed trace is zero")
@@ -99,8 +88,11 @@ def verify(cert: dict, *, budget: Optional[int] = None) -> CheckResult:
         if "digest" not in cert:
             raise _Refuted("certificate has no digest")
         # cert["graph"] is read once, and serves both digests where it is in its graph's own form
-        g = _parse_graph(cert)
-        same = isinstance(g, SignedMultigraph) and cert["graph"] == to_json_obj(g)
+        try:
+            g = from_json_obj(cert["graph"])
+        except (LookupError, TypeError, ValueError):
+            g = None  # _load_graph reads it again and refuses it with the reason
+        same = g is not None and cert["graph"] == to_json_obj(g)
         if certificate_digest(cert, g if same else None) != cert["digest"]:
             raise _Refuted("digest mismatch (certificate was modified)")
         checker = _CHECKERS.get(kind)
@@ -274,12 +266,14 @@ def _verify_chain(cert: dict, budget, notes: list[str], parsed) -> None:
         raise _Refuted("odd factors violate the reciprocal-sum condition")
     if _int(cert.get("ch_lower"), optional=True) != (3 if odd else 2):
         raise _Refuted("ch_lower is not 3 with an odd factor and 2 without")
+    # only an orientation proves a coefficient of the graph in its own graph field; another known kind
+    # is refused before its check runs, so checks nest one level (others fail inside the nested check)
+    kind = cert["base_certificate"].get("kind") if isinstance(cert["base_certificate"], dict) else None
+    if kind in CERTIFICATE_KINDS and kind != "orientation":
+        raise _Refuted(f"base certificate kind {kind!r} is not 'orientation'")
     base = verify(cert["base_certificate"], budget=budget)
     if not base.ok:
         raise _Refuted(f"base certificate fails: {base.errors}")
-    # only an orientation proves a coefficient of the graph in its own graph field
-    if base.kind != "orientation":
-        raise _Refuted(f"base certificate kind {base.kind!r} is not 'orientation'")
     notes.extend(f"base: {n}" for n in base.notes)
     # the base must be exactly the product of the declared factors, not merely some graph with
     # a valid certificate; the nested check has loaded that graph against its digest
@@ -318,11 +312,5 @@ def _verify_chain(cert: dict, budget, notes: list[str], parsed) -> None:
         raise _Refuted("at_lower does not match the recomputed lower bound")
 
 
-_CHECKERS = {
-    "coefficient": _verify_coefficient,
-    "trace": _verify_trace,
-    "orientation": _verify_orientation,
-    "prop_cover": _verify_prop_cover,
-    "fplan": _verify_fplan,
-    "chain": _verify_chain,
-}
+# one checker per kind, found by name: a new kind is one CERTIFICATE_KINDS entry and one _verify_<kind>
+_CHECKERS = {kind: globals()[f"_verify_{kind}"] for kind in CERTIFICATE_KINDS}

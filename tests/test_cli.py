@@ -20,6 +20,7 @@ from graphpoly.certificates import certificate_digest, check_certificate, finali
 from graphpoly.choosability import coefficient_choosability_certificate, list_coloring_exists
 from graphpoly.cli import build_parser, main
 from graphpoly.doubling import build_plan, cycle_cover_certificate, epsilon_search
+from graphpoly.errors import InvariantViolationError
 from graphpoly.graphs import build_complete, build_cycle
 from graphpoly.orientations import cycle_product_chain, odd_cycle_product_orientation, orientation_certificate
 from graphpoly.transfer import even_cycle_certificate
@@ -953,3 +954,97 @@ def test_check_verdicts_on_each_graph_form(tmp_path, capsys, kind, form):
     code, payload, _ = run_json(capsys, "check", str(path))
     assert [code, payload["result"]["errors"]] == expected
     assert check_certificate(cert).errors == expected[1]
+
+
+# CLI paths that no other test runs; each ends on its exit code with no traceback
+
+@pytest.mark.parametrize("spec, cap, entries", [
+    ("cycle:3", "1,1,1", []),  # x1 x2 x3 has coefficient 0 in the triangle's polynomial
+    ("cycle:4", "1,1,1,1", [{"exponent": [1, 1, 1, 1], "coefficient": "-2"}]),
+])
+def test_coeff_support_lists_the_entries_under_the_caps(capsys, spec, cap, entries):
+    code, payload, err = run_json(capsys, "coeff", spec, "--support", cap)
+    assert (code, err) == (0, "")
+    assert payload["result"] == {"entries": entries, "count": len(entries)}
+    assert payload["manifest"]["parameters"] == {"cap": [int(x) for x in cap.split(",")]}
+
+
+def test_at_prop6_without_a_cover_exits_1_with_its_reason(capsys):
+    code, payload, err = run_json(capsys, "at", "path:3", "--prop6")
+    assert (code, err) == (1, "")
+    assert payload["result"] == {"certificate": None,
+                                 "reason": "no vertex-disjoint cycle cover of the maximum-degree vertices"}
+
+
+def test_orient_without_a_mode_exits_2(capsys):
+    assert run_cli(capsys, "orient", "cycle:4") == (
+        2, "", "orient: choose --lower/--upper, --box KS, or --odd-product KS\n")
+
+
+def test_a_vector_that_is_not_integers_exits_2(capsys):
+    code, out, err = run_cli(capsys, "choosable", "cycle:3", "--f", "1,x", "--exhaustive")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: graphpoly choosable ") and "Traceback" not in err
+    assert err.endswith("graphpoly choosable: error: argument --f: expected comma-separated integers, "
+                        "got '1,x'\n")
+
+
+def test_an_invariant_violation_exits_4(monkeypatch, capsys):
+    def broken(spec):
+        raise InvariantViolationError("forced for the test")
+
+    monkeypatch.setattr("graphpoly.cli.parse_graph_spec", broken)
+    assert run_cli(capsys, "gen", "cycle", "5") == (4, "", "internal invariant violation: forced for the test\n")
+
+
+def test_edge_list_comments_and_blank_lines_are_skipped(tmp_path, capsys):
+    path = tmp_path / "triangle.txt"
+    path.write_text("# a triangle\n\nn 3  # vertices\n1 2\n\n1 3   # the second edge\n2 3\n")
+    code, payload, err = run_json(capsys, "coeff", str(path), "--exponent", "2,1,0")
+    assert (code, err) == (0, "")
+    assert payload["result"]["coefficient"] == "-1"
+    assert payload["manifest"]["graph_digest"] == graph_digest(build_cycle(3))
+
+
+def test_edge_list_without_a_header_exits_2(tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text("# no header, no edges\n\n")
+    assert run_cli(capsys, "coeff", str(path), "--exponent", "") == (2, "", "error: missing header line\n")
+
+
+def test_an_exponent_past_a_degree_gives_0_with_no_advisory(capsys):
+    # the total degree 2 is the edge count, but vertex 1 has degree 1
+    code, payload, err = run_json(capsys, "coeff", "path:3", "--exponent", "2,0,0")
+    assert (code, err) == (0, "")
+    assert payload["result"] == {"exponent": [2, 0, 0], "coefficient": "0"}
+
+
+# input nested past Python's recursion limit
+
+_NESTED = "[" * 10**5 + "]" * 10**5
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["check", "{path}"], _NESTED),
+    (["choosable", "cycle:3", "--lists", "{path}"], _NESTED),
+    (["coeff", "{path}", "--almost-central"], '{"n": ' + _NESTED + "}"),
+], ids=["check", "lists", "graph"])
+def test_deeply_nested_json_exits_2_without_a_traceback(tmp_path, capsys, argv, text):
+    path = tmp_path / "nested.json"
+    path.write_text(text)
+    argv = [a.format(path=path) for a in argv]
+    assert run_cli(capsys, *argv) == (2, "", "error: input nested too deeply to read\n")
+
+
+def test_a_chain_based_on_a_chain_is_refused_before_its_base_is_checked(tmp_path, capsys):
+    # 800 chains each re-digested around the last: the check refuses the outermost base by its
+    # kind alone, where checking it would recurse through every level
+    cert = cycle_product_chain([], [4])
+    for _ in range(800):
+        cert = {k: v for k, v in cert.items() if k != "digest"}
+        cert = finalize_certificate(dict(cert, base_certificate=cert))
+    path = tmp_path / "chain.json"
+    path.write_text(canonical_json(cert))
+    code, payload, err = run_json(capsys, "check", str(path))
+    assert (code, err) == (1, "")
+    assert payload["result"]["errors"] == ["base certificate kind 'chain' is not 'orientation'"]
