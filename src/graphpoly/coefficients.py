@@ -616,6 +616,11 @@ def almost_central_scan(g: SignedMultigraph, *, budget: Optional[int] = None) ->
     return support(g, cap, floor=floor, budget=budget)
 
 
+def _almost_central(g: SignedMultigraph, xi: Sequence[int]) -> bool:
+    """|2 xi_v - deg_v| <= 2 at each vertex of g: the window of almost_central_scan, for any degrees."""
+    return len(xi) == g.n and all(abs(2 * x - d) <= 2 for x, d in zip(xi, g.degree_vector()))
+
+
 def central_exponent(g: SignedMultigraph) -> ExponentVector:
     """deg(v)/2 at every vertex; odd-degree input is rejected with the first offending vertex."""
     deg = g.degree_vector()

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .certificates import encode_int, finalize_certificate
-from .coefficients import almost_central_scan, central_exponent, coefficient
+from .coefficients import _almost_central, almost_central_scan, central_exponent, coefficient
 from .errors import InvariantViolationError
 from .graphio import graph_fields, to_json_obj
 from .graphs import (
@@ -68,10 +68,9 @@ def cycle_cover_certificate(
     gprime = double_edges(g, doubled_idx)
     centre = central_exponent(gprime)
     value = coefficient(gprime, centre, budget=budget)
-    out = None if value else acyclic_orientation(gprime).outdegree_vector()
     if value:
         found = centre, value
-    elif all(abs(2 * x - d) <= 2 for x, d in zip(out, gprime.degree_vector())):
+    elif _almost_central(gprime, out := acyclic_orientation(gprime).outdegree_vector()):
         found = out, coefficient(gprime, out, budget=budget)
     else:
         found = almost_central_scan(gprime, budget=budget).witness()
@@ -143,7 +142,10 @@ def build_plan(
     pairing zips the two sorted multisets, so plans are reproducible.
     With kept = (below | above) - spill, v appears |2 tau_v - deg_v| -
     2 [v in kept] times in a_side (2 tau_v < deg_v) or b_side, and its
-    list size is f_v = max(tau_v, deg_v - tau_v) + 2 - [v in kept].
+    list size is f_v = max(tau_v, deg_v - tau_v) + 2 - [v in kept].  The
+    sides match, as sum(2 tau - deg) = 2|tau| - 2|E| = 0 and each keeps
+    min(|below|, |above|) vertices, and under any signs v's degree becomes
+    deg_v + |2 tau_v - deg_v| - 2 [v in kept] = 2 f_v - 4.
     """
     tau = tuple(int(x) for x in tau)
     value = coefficient(g, tau, budget=budget)
@@ -171,10 +173,6 @@ def build_plan(
     b_side: list[int] = []
     for i, x in enumerate(d2, 1):
         (a_side if x < 0 else b_side).extend([i] * (abs(x) - 2 * (i in kept)))
-    if len(a_side) != len(b_side):
-        raise InvariantViolationError(
-            f"multiset sizes differ: {len(a_side)} vs {len(b_side)}"
-        )
     f = tuple(max(t, d - t) + 2 - (i in kept) for i, (t, d) in enumerate(zip(tau, deg), 1))
 
     return ChoosabilityPlan(
@@ -228,10 +226,7 @@ def epsilon_search(plan: ChoosabilityPlan, *, budget: Optional[int] = None) -> d
     """
     target = plan_target_exponent(plan)
     for signs in itertools.product("+-", repeat=plan.m):
-        q = plan_polynomial(plan, signs)
-        if any(d != 2 * fv - 4 for d, fv in zip(q.degree_vector(), plan.f)):
-            raise InvariantViolationError("augmented degrees disagree with 2f - 4")
-        value = plan.tau_value if plan.m == 0 else coefficient(q, target, budget=budget)
+        value = coefficient(plan_polynomial(plan, signs), target, budget=budget) if plan.m else plan.tau_value
         if value != 0:
             cert = {
                 "kind": "fplan",

@@ -28,7 +28,9 @@ DP_PIECE_STATES = 1 << 14
 # 6.3 s; 2-core Xeon VM), so a listing stays near 200 MB and 2 s; C4xC4's 5,033,003 would take 4.3 GB.
 COEFF_LIST_CAP = 200_000
 
-# List assignments an exhaustive choosability sweep may enumerate before it refuses.
+# List assignments, the product of C(u, f_v), that an exhaustive choosability sweep may count before it
+# refuses: `choosable path:7 --exhaustive --f 8,8,2,2,2,2,1 --universe 8` walks all 4,917,248 in 3.1-3.8 s
+# at 58 MB child ru_maxrss, 31 MB when idle (2-core Xeon VM, Python 3.11.7, numpy 2.4.6).
 DEFAULT_ASSIGNMENT_BUDGET = 5_000_000
 
 # Colors of a list assignment, in its universe and summed over its lists, and of one chunk of the

@@ -247,8 +247,8 @@ def _crt_primes(bits: float, width: int) -> np.ndarray:
 
 def _reduce(m: np.ndarray, p, out: Optional[np.ndarray] = None) -> np.ndarray:
     """m - p trunc(m/p), in (-p, p), for entries of m that are integers below 2^53 in size, written
-    into out (a new array if None); p is a prime or, against a stack of matrices, a (primes, 1, 1)
-    column of them, to which m broadcasts.
+    into out (a new array if None); p is a column of primes, (primes, 1, 1) against a stack of
+    matrices, to which m broadcasts.
 
     The float64 quotient f of m/p is within 2^-53 |m/p| of it, and rounding keeps the integers
     below 2^53.  So trunc(f) = trunc(m/p): else some integer n past m/p in size would have
@@ -275,11 +275,11 @@ def _chain(a: np.ndarray, r: np.ndarray, steps: str, p=None) -> tuple[str, np.nd
     Without p, r is a (float32 or float64) and that is checked on the actual operands before
     each step: float32 operands are widened to float64 at the first product past 2^24 (a only
     where a later "m" reads it), and the run returns the steps left and r, unreduced, at the
-    first step past 2^53, else ("", the exact ||r||_F^2).  With p, a prime or a (primes, 1, 1)
-    column of them against a float64 stack a, a holds residues in (-p, p) and r is a or one
-    matrix exact below 2^53, which _reduce takes into (-p, p) as well.  Each product of such
-    residues sums dim terms below (p-1)^2, exact as dim * (p-1)^2 < 2^53, and is reduced again;
-    ("", ||r||_F^2 modulo each p, an array of p's leading shape) is returned.  a and r are never
+    first step past 2^53, else ("", the exact ||r||_F^2).  With p, a (primes, 1, 1) column of
+    primes against a float64 stack a of one matrix per prime, a holds residues in (-p, p) and r is
+    a or one matrix exact below 2^53, which _reduce takes into (-p, p) as well.  Each product of
+    such residues sums dim terms below (p-1)^2, exact as dim * (p-1)^2 < 2^53, and is reduced
+    again; ("", ||r||_F^2 modulo each p, one per prime) is returned.  a and r are never
     written: the products and reductions take turns in two spare buffers.
     """
     dim = a.shape[-1]
@@ -306,8 +306,7 @@ def _chain(a: np.ndarray, r: np.ndarray, steps: str, p=None) -> tuple[str, np.nd
     rows = np.einsum("...ij,...ij->...i", r, r, dtype=np.float64)  # contiguous row sums of r o r
     if p is None:  # each row sum is below 2^53, their total need not be
         return "", sum(map(int, rows.tolist()))
-    p = np.reshape(p, rows.shape[:-1] + (1,))  # row sums below dim (p-1)^2, reduced ones below p
-    return "", np.mod(_reduce(rows, p).sum(axis=-1), p[..., 0])
+    return "", np.mod(_reduce(rows, p[:, 0]).sum(axis=-1), p[:, 0, 0])  # sums below dim (p-1)^2, then p
 
 
 def _crt(residues: list[int], primes: list[int]) -> int:
@@ -352,13 +351,13 @@ def _block_trace(phi: PhiMatrix, s: int, half: int, norm2: int, ext: Optional[np
     ext's dtype: float32 when every coefficient is below 2^24, and so exact
     in it); from the first step that breaks the 2^53 bound, the rest runs on
     stacks of residue matrices, one per prime, each stack of at most
-    TRACE_CHUNK_CELLS cells (a lone prime's stays 2-d).  A stack takes B's
-    residues from one gather of residues(its primes), the rows of the
-    coefficients modulo each prime, and the power held so far, exact below
-    2^53, is reduced into it.  The residues satisfy B^T = sigma B only
-    modulo p, which is all the sum of squares needs.  B starts reduced when
-    its coefficients are Python ints, for which ext is None (int64 ones of
-    2^53 or more break the first step's bound).
+    TRACE_CHUNK_CELLS cells.  A stack takes B's residues from one gather of
+    residues(its primes), the rows of the coefficients modulo each prime,
+    and the power held so far, exact below 2^53, is reduced into it.  The
+    residues satisfy B^T = sigma B only modulo p, which is all the sum of
+    squares needs.  B starts reduced when its coefficients are Python ints,
+    for which ext is None (int64 ones of 2^53 or more break the first
+    step's bound).
     ||B^h||_F^2 = |tr B^(2h)| <= ||B||_F^(2h) by submultiplicativity, and
     <= dim rho(B)^(2h) <= dim ||B||_inf^(2h), ||B||_inf the largest
     absolute row sum; residues modulo primes whose product exceeds twice
@@ -374,13 +373,12 @@ def _block_trace(phi: PhiMatrix, s: int, half: int, norm2: int, ext: Optional[np
     dim = math.comb(phi.n, s)
     a = held = np.empty((dim, dim), np.float64 if ext is None else ext.dtype)  # B, then the power
     steps, sign = _steps(half), phi.sigma**half
+    bits = 1 + half * math.log2(norm2)
     if ext is not None:
         steps, held = _chain(phi.gather(s, ext, a), a, steps)
         if not steps:
             return sign * held
-
-    bits = 1 + half * math.log2(norm2)
-    if ext is not None:  # a holds B: sums of its absolute integer entries are exact below 2^53
+        # a holds B: sums of its absolute integer entries are exact below 2^53
         step = max(1, TRACE_CHUNK_CELLS // dim)  # rows at a time, which bounds the temporary
         row_norm = max(float(np.abs(a[i:i + step]).sum(axis=1, dtype=np.float64).max())
                        for i in range(0, dim, step))
@@ -392,16 +390,13 @@ def _block_trace(phi: PhiMatrix, s: int, half: int, norm2: int, ext: Optional[np
             f"prime {primes.max()} on a {dim}x{dim} block breaks the 2^53 exactness bound"
         )
     found, start_from_b = [], held is a  # no product ran: every chain starts from B's residues
-    lone = a if a.dtype == np.float64 else np.empty((dim, dim))  # B is read no more
-    per = max(1, TRACE_CHUNK_CELLS // (dim * dim))
+    per = min(primes.size, max(1, TRACE_CHUNK_CELLS // (dim * dim)))
+    stacks = a[None] if per == 1 and a.dtype == np.float64 else np.empty((per, dim, dim))  # B is read no more
     for chunk in np.split(primes, range(per, primes.size, per)):
-        if chunk.size == 1:  # a lone prime's matrices stay two-dimensional
-            chunk = chunk[0]
-        p = np.float64(chunk)[..., None, None] if np.ndim(chunk) else np.float64(chunk)
-        stack = np.empty(np.shape(chunk) + (dim, dim)) if np.ndim(chunk) else lone
+        stack, p = stacks[:chunk.size], np.float64(chunk)[:, None, None]
         if start_from_b or "m" in steps:  # else _chain reads only the power held
             phi.gather(s, residues(chunk), stack)
-        found.append(np.ravel(_chain(stack, stack if start_from_b else held, steps, p)[1]))
+        found.append(_chain(stack, stack if start_from_b else held, steps, p)[1])
     # the reduced residues lie in [0, p)
     *residues_used, spare_residue = np.concatenate(found).astype(np.int64).tolist()
     *used, spare = primes.tolist()
@@ -494,15 +489,15 @@ def trace_power(phi: PhiMatrix, k: int, *, budget: Optional[int] = None) -> int:
         np.float32 if _peak(values) < _FLOAT32_EXACT else np.float64)
 
     def residues(primes):  # 0, then the coefficients modulo each prime, as float rows
-        mod = (values % np.asarray(primes).astype(values.dtype)[..., None]).astype(np.float64)
-        return np.concatenate((np.zeros(mod.shape[:-1] + (1,)), mod), axis=-1)
+        mod = (values % primes.astype(values.dtype)[:, None]).astype(np.float64)
+        return np.concatenate((np.zeros((primes.size, 1)), mod), axis=1)
 
     return sum((1 if 2 * s == phi.n else 2) * _block_trace(phi, s, half, norm2, ext, residues, width)
                for s, norm2 in norms.items())
 
 
 def nonzero_trace(phi: PhiMatrix, k: int, *, budget: Optional[int] = None) -> int:
-    """tr(Phi^k) for a prover step that needs it nonzero.
+    """tr(Phi^k) where a nonzero almost-central coefficient makes it nonzero: prover and check.
 
     A nonzero (skew-)symmetric Phi is not nilpotent, so for even k the
     trace is +-||Phi^(k/2)||_F^2 != 0; a zero trace from a nonzero Phi is

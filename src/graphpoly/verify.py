@@ -23,14 +23,14 @@ from __future__ import annotations
 from typing import Optional
 
 from .certificates import CERTIFICATE_KINDS, CheckResult, certificate_digest, decode_int, encode_int
-from .coefficients import coefficient, support
+from .coefficients import _almost_central, coefficient, support
 from .doubling import build_plan, plan_polynomial, plan_target_exponent
 from .errors import BudgetExceededError, GraphPolyError
 from .graphio import _int, canonical_json, from_json_obj, graph_digest, to_json_obj
 from .graphs import SignedMultigraph, build_cycle, cartesian_product, cover_edge_indices, double_edges
 from .limits import TRACE_VERTEX_CAP
 from .orientations import at_lower_bound, has_odd_directed_cycle, orientation_from_bitstring, reciprocal_sum_ok
-from .transfer import PhiMatrix, build_phi, check_trace_request, trace_power
+from .transfer import PhiMatrix, build_phi, check_trace_request, nonzero_trace
 
 
 class _Refuted(Exception):
@@ -65,16 +65,10 @@ def _check_witness_coefficient(
         raise _Refuted(f"stated witness value {stated} != recomputed {value}")
 
 
-def _almost_central(xi: list[int], g: SignedMultigraph) -> bool:
-    return len(xi) == g.n and all(abs(2 * x - d) <= 2 for x, d in zip(xi, g.degree_vector()))
-
-
-def _check_trace(g: SignedMultigraph, k: int, stated, budget, phi: Optional[PhiMatrix] = None) -> None:
-    """tr(Phi^k) of g, recomputed from phi where the caller has built it, must be nonzero and equal the
-    stated value.  trace_power runs check_trace_request, the one gate on n and k, before any work."""
-    tr = trace_power(build_phi(g, budget=budget) if phi is None else phi, k, budget=budget)
-    if tr == 0:
-        raise _Refuted("recomputed trace is zero")
+def _check_trace(phi: PhiMatrix, k: int, stated, budget) -> None:
+    """tr(Phi^k) must equal the stated value.  Each caller has shown Phi's graph a nonzero
+    almost-central coefficient, so nonzero_trace raises on a zero trace as an engine fault."""
+    tr = nonzero_trace(phi, k, budget=budget)
     if stated is None or decode_int(stated) != tr:
         raise _Refuted(f"stated trace {stated} != recomputed {encode_int(tr)}")
 
@@ -147,7 +141,7 @@ def _verify_trace(cert: dict, budget, notes: list[str], parsed) -> None:
     if k < 2 or k % 2:
         raise _Refuted(f"cycle length {k} is not an even integer >= 2")
     xi = _int(cert["witness_exponent"], 1)
-    if not _almost_central(xi, g):
+    if not _almost_central(g, xi):
         raise _Refuted("witness exponent is not almost-central")
     stated = cert.get("witness_value")
     try:
@@ -158,7 +152,7 @@ def _verify_trace(cert: dict, budget, notes: list[str], parsed) -> None:
         raise
     # Phi's scan holds every almost-central coefficient, so the witness runs no DP of its own
     _check_witness_coefficient(g, xi, stated, budget=budget, value=phi.scan.at(xi))
-    _check_trace(g, k, cert.get("trace_value"), budget, phi)
+    _check_trace(phi, k, cert.get("trace_value"), budget)
 
 
 def _verify_orientation(cert: dict, budget, notes: list[str], parsed) -> None:
@@ -215,7 +209,7 @@ def _verify_prop_cover(cert: dict, budget, notes: list[str], parsed) -> None:
         if key in cert:
             raise _Refuted(f"a cover certificate states no {key}; its claim holds for every even cycle length")
     xi = _int(cert["witness_exponent"], 1)
-    if not _almost_central(xi, gprime):
+    if not _almost_central(gprime, xi):
         raise _Refuted("witness is not almost-central for the doubled graph")
     _check_witness_coefficient(gprime, xi, cert.get("witness_value"), budget=budget)
     notes.append("every even cycle length by theorem: the doubled graph has a nonzero almost-central "
@@ -242,10 +236,10 @@ def _verify_fplan(cert: dict, budget, notes: list[str], parsed) -> None:
     target = plan_target_exponent(plan)
     if list(target) != _int(cert["witness_exponent"], 1):
         raise _Refuted("witness exponent is not tau plus the a-side multiset")
+    # the claim's arithmetic, which build_plan's f makes hold: deg + |2 tau - deg| - 2 [kept] = 2f - 4
     if any(d != 2 * fv - 4 for d, fv in zip(q.degree_vector(), plan.f)):
         raise _Refuted("augmented degrees disagree with 2f - 4")
-    # with no pairing q is g and the target is tau, whose coefficient
-    # build_plan has just recomputed
+    # with no pairing q is g and the target is tau, whose coefficient build_plan has just recomputed
     known = plan.tau_value if plan.m == 0 else None
     _check_witness_coefficient(q, target, cert.get("witness_value"), budget=budget, value=known)
 
@@ -281,11 +275,12 @@ def _verify_chain(cert: dict, budget, notes: list[str], parsed) -> None:
     if from_json_obj(cert["base_certificate"]["graph"]) != base_graph:
         raise _Refuted("base certificate graph is not the product of the declared factors")
     # the structural steps need the base witness to be almost-central
-    if not _almost_central(_int(cert["base_certificate"]["witness_exponent"], 1), base_graph):
+    if not _almost_central(base_graph, _int(cert["base_certificate"]["witness_exponent"], 1)):
         raise _Refuted("base witness is not almost-central")
     steps = cert["steps"]
     if len(steps) != len(consumed_evens):
         raise _Refuted("one chain step per remaining even factor required")
+    # every graph of the chain is a product of cycles, so its degrees are even
     current = base_graph
     for step, L in zip(steps, consumed_evens):
         if _int(step["even_length"]) != L:
@@ -294,11 +289,9 @@ def _verify_chain(cert: dict, budget, notes: list[str], parsed) -> None:
         if step["verification"] != expected:
             raise _Refuted(f"step C_{L} on {current.n} vertices must be {expected}")
         if expected == "trace":
-            _check_trace(current, L, step.get("trace_value"), budget)
+            _check_trace(build_phi(current, budget=budget), L, step.get("trace_value"), budget)
         elif step.get("trace_value") is not None:
             raise _Refuted(f"step C_{L} on {current.n} vertices states a trace it cannot have")
-        elif not current.has_even_degrees():
-            raise _Refuted("structural step applied to a graph with odd degrees")
         else:
             notes.append(f"step C_{L}: structural (nonzero almost-central "
                          f"coefficient before it, so Phi != 0 and tr Phi^{L} != 0)")

@@ -550,9 +550,18 @@ _REFUSALS = {
                    "a chain needs at least one factor"),
     "not an object": (lambda c: [c["trace"]], "certificate is not a JSON object"),
 }
-# Not reachable by a forgery: a nonzero almost-central witness forces a nonzero
-# trace, build_plan makes the augmented degrees 2f - 4, and every chain graph is
-# a product of cycles, so its degrees are even.
+# Not reachable by a forgery: "augmented degrees disagree with 2f - 4", the claim's
+# arithmetic, which build_plan's f makes hold.  verify makes no check of its own that a
+# trace is nonzero, since a nonzero almost-central witness forces it (a zero one is an
+# engine fault, reached below only by a patched engine), nor that a chain graph has even
+# degrees, since every chain graph is a product of cycles.
+
+
+@pytest.mark.parametrize("name", ["trace", "trace-power", "chain"])
+def test_a_zero_trace_after_a_checked_witness_aborts_as_an_engine_fault(certs, monkeypatch, name):
+    monkeypatch.setattr(transfer, "_block_trace", lambda *args: 0)  # so trace_power returns 0
+    assert check_certificate(certs[name]).errors == [
+        "verification aborted: nonzero almost-central window but zero trace; engine bug"]
 
 
 def test_trace_checks_read_the_witness_from_the_scan(certs, monkeypatch):
@@ -564,10 +573,9 @@ def test_trace_checks_read_the_witness_from_the_scan(certs, monkeypatch):
 
 @pytest.mark.parametrize("spec", ["complete:4", "complete:5", "product:cycle:3:cycle:3", "product:cycle:3:cycle:4"])
 def test_cover_certificates_build_no_phi_on_either_side(monkeypatch, spec):
-    for name in ("build_phi", "trace_power"):
-        fail = mock.Mock(side_effect=AssertionError(name))
-        monkeypatch.setattr(transfer, name, fail)
-        monkeypatch.setattr(verify, name, fail)
+    for module, names in ((transfer, ("build_phi", "trace_power")), (verify, ("build_phi", "nonzero_trace"))):
+        for name in names:
+            monkeypatch.setattr(module, name, mock.Mock(side_effect=AssertionError(name)))
     assert check_certificate(cycle_cover_certificate(parse_graph_spec(spec))).ok
 
 

@@ -700,12 +700,13 @@ def test_trace_charge_bounds_the_cells_the_chains_write(monkeypatch, q, k):
 
 
 def _modular_stacks(monkeypatch):
-    """Record (rows, primes) of every modular _chain run, checking that a lone prime runs 2-d."""
+    """Record (rows, primes) of every modular _chain run, checking that it runs on a stack of one
+    matrix per prime, one prime's included."""
     log, run = [], transfer._chain
 
     def logged(a, r, steps, p=None):
         if p is not None:
-            assert a.shape[:-2] == np.shape(p)[:-2] and (a.ndim == 3) == (np.size(p) > 1)
+            assert a.ndim == 3 and len(a) == np.size(p)
             log.append((a.shape[-1], np.size(p)))
         return run(a, r, steps, p)
 

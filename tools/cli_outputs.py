@@ -5,10 +5,11 @@
 ROOT is a checkout of this repository (default: the one holding this script); its
 ``src`` is imported and its commands are run.  The commands are every
 ``perfbench/workloads.CLI_CASES`` row (read from ROOT, with ``--out`` where the row
-writes a certificate), every ``graphpoly`` line of ROOT's README, ``check`` on each
-JSON file a command wrote, and the five demos.  Each line is a JSON object: the
-command, its exit code, its stdout without the manifest's ``wall_clock_s``, its
-stderr and the sha256 of each file it wrote.  Commands run in one temporary
+writes a certificate), every ``graphpoly`` line of ROOT's README, the fixed
+``TRACE_ROWS`` below, ``check`` on each JSON file a command wrote, and the five
+demos.  Each line is a JSON object: the command, its exit code, its stdout
+without the manifest's ``wall_clock_s``, its stderr and the sha256 of each file
+it wrote.  Commands run in one temporary
 directory, named ``.`` on their command lines, so paths in the manifests do not
 depend on where it is.  Run it on two trees and diff the outputs: the only
 difference left is a real one.
@@ -29,6 +30,16 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 SEED = 7  # the --seed of the stress rows
+
+# Traces that run modulo primes, which no CLI_CASES or README row reaches: stacks of one prime for
+# the 210- and 252-row blocks, stacks of 5 to 23 primes, one stack of 786 primes, and a trace
+# certificate that check recomputes the same way.  Together they take about 0.4 s.
+TRACE_ROWS = [
+    "phi cyclepower:10:2 --trace 8",
+    "phi cyclepower:8:3 --trace 64",
+    "phi cycle:3 --trace 20000",
+    "at cyclepower:10:2 --trace 8 --out c10.json",
+]
 
 
 def _strip_wall_clock(text: str) -> str:
@@ -58,7 +69,7 @@ def _line(what: str, rc: int, out: str, err: str, files: dict[str, str]) -> str:
 
 
 def cli_commands(root: Path) -> list[list[str]]:
-    """Argument lists of the CLI_CASES rows and then the README's graphpoly lines."""
+    """Argument lists of the CLI_CASES rows, then the README's graphpoly lines, then TRACE_ROWS."""
     spec = importlib.util.spec_from_file_location("_cli_cases", root / "perfbench" / "workloads.py")
     workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
     spec.loader.exec_module(workloads)
@@ -72,7 +83,7 @@ def cli_commands(root: Path) -> list[list[str]]:
             in_sh = line == "```sh"
         elif in_sh and line.startswith("graphpoly "):
             commands.append(shlex.split(line, comments=True)[1:])
-    return commands
+    return commands + [row.split() for row in TRACE_ROWS]
 
 
 def main(argv: list[str]) -> int:
